@@ -174,12 +174,12 @@ pub struct SystemConfig {
     /// the scheduler — delivery throttles instead of buffering unboundedly
     /// (`exec_backpressure_stalls` counts those stalls).
     pub exec_ring: usize,
-    /// Command-lifecycle trace sampling: every N-th batch sequence per
-    /// group is stamped through the pipeline stages (submitted → ordered
-    /// → appended → delivered → executed → released) and aggregated into
-    /// per-stage latency histograms. `0` disables tracing. The default
-    /// (32) is cheap enough to leave on (see the bench's trace-overhead
-    /// sanity check).
+    /// Command-lifecycle trace sampling: one batch sequence in N per
+    /// group (chosen by a hash of the sequence) is stamped through the
+    /// pipeline stages (submitted → ordered → appended → delivered →
+    /// executed → released) and aggregated into per-stage latency
+    /// histograms. `0` disables tracing. The default (32) is cheap enough
+    /// to leave on (see the bench's trace-overhead sanity check).
     pub trace_sample: u64,
 }
 
@@ -384,7 +384,7 @@ impl SystemConfig {
         self
     }
 
-    /// Sets the lifecycle-trace sampling rate: every N-th batch sequence
+    /// Sets the lifecycle-trace sampling rate: one batch sequence in N
     /// per group is traced through the pipeline stages. `0` is a valid
     /// off-switch (unlike the capacity knobs, tracing is optional).
     pub fn trace_sample(&mut self, every_nth: u64) -> &mut Self {

@@ -4,8 +4,10 @@
 //! consensus, WAL append, fan-out, execution, fsync, response release —
 //! and an end-to-end latency histogram alone cannot localize a regression
 //! to a stage. This module stamps a **sampled** subset of decided batches
-//! (1-in-N, [`TraceRecorder::set_sample`], the `trace_sample` config knob)
-//! at each well-defined [`Stage`] and folds completed lifecycles into
+//! (1-in-N, [`TraceRecorder::set_sample`], the `trace_sample` config knob,
+//! chosen by a hash of the batch sequence so the sample never falls in
+//! step with a periodic cost such as the fsync of every `wal_batch`-th
+//! append) at each well-defined [`Stage`] and folds completed lifecycles into
 //! per-stage latency [`Histogram`]s, so one [`TraceReport`] answers
 //! "where does the time go?".
 //!
@@ -144,8 +146,9 @@ impl TraceRecorder {
         }
     }
 
-    /// Sets the sampling rate: every N-th batch sequence per group is
-    /// traced; `0` disables tracing entirely.
+    /// Sets the sampling rate: one batch sequence in N per group is
+    /// traced (see [`TraceRecorder::sampled`]); `0` disables tracing
+    /// entirely.
     pub fn set_sample(&self, n: u64) {
         self.sample.store(n, Ordering::Relaxed);
     }
@@ -155,10 +158,14 @@ impl TraceRecorder {
         self.sample.load(Ordering::Relaxed)
     }
 
-    /// Whether batch sequence `seq` is in the sample.
+    /// Whether batch sequence `seq` is in the sample: one in N, chosen
+    /// by a mixed hash of `seq` rather than `seq % N`, so the sample does
+    /// not alias with costs that recur every k-th batch. The choice is a
+    /// pure function of `seq`, so every process samples the same batches
+    /// and cross-process chains meet.
     pub fn sampled(&self, seq: u64) -> bool {
         let n = self.sample.load(Ordering::Relaxed);
-        n != 0 && seq.is_multiple_of(n)
+        n != 0 && mix(seq).is_multiple_of(n)
     }
 
     fn key(group: usize, seq: u64) -> u64 {
@@ -196,14 +203,32 @@ impl TraceRecorder {
         } else {
             self.lookup(key)
         };
-        let Some(slot) = slot else { return };
-        let t = self.stamp_ns(at);
+        if let Some(slot) = slot {
+            self.stamp_slot(slot, key, stage, self.stamp_ns(at));
+        }
+    }
+
+    /// Writes stage time `t` into `slot`, found for lifecycle `key`.
+    fn stamp_slot(&self, slot: &Slot, key: u64, stage: Stage, t: u64) {
         // First stamp wins: a batch carries many commands and the first
         // one through each stage defines the batch's stage time.
-        let first = slot.stamps[stage as usize]
+        let stamp = &slot.stamps[stage as usize];
+        if stamp
             .compare_exchange(0, t, Ordering::AcqRel, Ordering::Relaxed)
-            .is_ok();
-        if first && stage == Stage::Released {
+            .is_err()
+        {
+            return;
+        }
+        // A late stamper (the second replica's worker) can find the slot
+        // just before its lifecycle is finalized and write after the
+        // clear. Its stamp would then open the slot's *next* lifecycle
+        // with a time from this one, and that chain would stop summing:
+        // take it back once the key has moved on.
+        if slot.key.load(Ordering::Acquire) != key {
+            let _ = stamp.compare_exchange(t, 0, Ordering::AcqRel, Ordering::Relaxed);
+            return;
+        }
+        if stage == Stage::Released {
             self.finalize(slot, key);
         }
     }
@@ -213,14 +238,12 @@ impl TraceRecorder {
     /// durable. Called by the WAL sync thread before it publishes the
     /// new watermark, so the stamp always precedes the release.
     pub fn stamp_durable_range(&self, group: usize, after: u64, upto: u64) {
-        let n = self.sample.load(Ordering::Relaxed);
-        if n == 0 || upto <= after || upto == u64::MAX {
+        if self.sample() == 0 || upto == u64::MAX {
             return;
         }
-        let mut seq = (after / n + 1) * n; // first sampled seq > after
-        while seq <= upto {
-            self.stamp(group, seq, Stage::FsyncDurable);
-            seq += n;
+        let now = Instant::now();
+        for seq in after.saturating_add(1)..=upto {
+            self.stamp_at(group, seq, Stage::FsyncDurable, now);
         }
     }
 
@@ -283,8 +306,10 @@ impl TraceRecorder {
         if appended != 0 && durable != 0 {
             self.intervals[6].record(Duration::from_nanos(durable.saturating_sub(appended)));
         }
+        // Release pairs with a late stamper's compare-exchange: one that
+        // reads a cleared stamp also sees the key off `key`.
         for s in slot.stamps.iter() {
-            s.store(0, Ordering::Relaxed);
+            s.store(0, Ordering::Release);
         }
         slot.key.store(0, Ordering::Release);
     }
@@ -454,6 +479,16 @@ impl TraceReport {
     }
 }
 
+/// The splitmix64 finalizer: spreads consecutive sequence numbers over
+/// the whole `u64` range, so `mix(seq) % n` picks one in `n` with no
+/// period of its own.
+fn mix(seq: u64) -> u64 {
+    let mut z = seq.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 /// The process-wide recorder every instrumented stage stamps into.
 pub fn global() -> &'static TraceRecorder {
     static GLOBAL: OnceLock<TraceRecorder> = OnceLock::new();
@@ -481,15 +516,54 @@ mod tests {
         assert!(report.intervals.iter().all(|s| s.count == 0));
     }
 
+    /// Sampled sequences in `1..=upto`.
+    fn sampled_seqs(rec: &TraceRecorder, upto: u64) -> Vec<u64> {
+        (1..=upto).filter(|s| rec.sampled(*s)).collect()
+    }
+
     #[test]
-    fn sampling_selects_every_nth_sequence() {
+    fn sampling_selects_one_in_n_by_seq_hash() {
         let rec = TraceRecorder::new();
         rec.set_sample(4);
-        assert!(rec.sampled(0));
-        assert!(!rec.sampled(1));
-        assert!(rec.sampled(8));
+        let picked = sampled_seqs(&rec, 40_000).len();
+        assert!(
+            (9_000..11_000).contains(&picked),
+            "{picked} of 40000 at 1/4"
+        );
+        // A pure function of the sequence: every process agrees.
+        let again = TraceRecorder::new();
+        again.set_sample(4);
+        assert_eq!(sampled_seqs(&rec, 1_000), sampled_seqs(&again, 1_000));
+        rec.set_sample(1);
+        assert!((0..100).all(|s| rec.sampled(s)));
         rec.set_sample(0);
-        assert!(!rec.sampled(0));
+        assert!(!(0..100).any(|s| rec.sampled(s)));
+    }
+
+    /// With `trace_sample` 32 a multiple of `wal_batch` 16, a `seq % n`
+    /// sample would pick only fsync batches. Under a cost that recurs
+    /// every 16th sequence, the sample's mean must stay within 10 % of the
+    /// population mean.
+    #[test]
+    fn sampled_mean_tracks_the_population_under_a_periodic_cost() {
+        let cost = |seq: u64| {
+            if seq.is_multiple_of(16) {
+                1_000.0
+            } else {
+                10.0
+            }
+        };
+        let population = (15.0 * 10.0 + 1_000.0) / 16.0;
+        let rec = TraceRecorder::new();
+        for n in [16, 32, 64] {
+            rec.set_sample(n);
+            let picked = sampled_seqs(&rec, 1_000_000);
+            let mean = picked.iter().map(|s| cost(*s)).sum::<f64>() / picked.len() as f64;
+            assert!(
+                (mean - population).abs() < 0.1 * population,
+                "1/{n}: sampled mean {mean:.1} vs population {population:.1}"
+            );
+        }
     }
 
     #[test]
@@ -552,19 +626,50 @@ mod tests {
         let rec = TraceRecorder::new();
         rec.set_sample(4);
         let t0 = Instant::now();
-        // Open lifecycles for seqs 4 and 8 with an appended stamp.
-        for seq in [4u64, 8] {
+        // Open lifecycles for every seq up to 40 with an appended stamp;
+        // only the sampled ones claim a slot.
+        for seq in 1..=40u64 {
             rec.stamp_at(0, seq, Stage::Submitted, t0);
             rec.stamp_at(0, seq, Stage::WalAppended, t0 + Duration::from_millis(1));
         }
-        rec.stamp_durable_range(0, 3, 9);
-        for seq in [4u64, 8] {
+        // One fsync covers (5, 30]: each sampled seq inside is stamped.
+        rec.stamp_durable_range(0, 5, 30);
+        for seq in 1..=40u64 {
             rec.stamp(0, seq, Stage::Released);
         }
+        let covered = sampled_seqs(&rec, 40)
+            .into_iter()
+            .filter(|s| (6..=30).contains(s))
+            .count() as u64;
+        assert!(covered > 0, "the range holds a sampled seq");
         let report = rec.report();
-        assert_eq!(report.stat("appended_to_durable").expect("a2d").count, 2);
+        assert_eq!(
+            report.stat("appended_to_durable").expect("a2d").count,
+            covered
+        );
         // Chain incomplete (no Delivered/Exec stamps): not traced.
         assert_eq!(report.traced, 0);
+    }
+
+    #[test]
+    fn a_stamp_landing_after_finalize_does_not_leak_into_the_next_lifecycle() {
+        let rec = TraceRecorder::new();
+        rec.set_sample(1);
+        let t0 = Instant::now();
+        for stage in &CHAIN[..CHAIN.len() - 1] {
+            rec.stamp_at(0, 9, *stage, t0);
+        }
+        // The second replica's worker found the slot, then stalled while
+        // the client's Released stamp finalized and cleared it.
+        let key = TraceRecorder::key(0, 9);
+        let stale = rec.lookup(key).expect("live slot");
+        rec.stamp_at(0, 9, Stage::Released, t0 + Duration::from_millis(1));
+        assert_eq!(rec.report().traced, 1);
+        rec.stamp_slot(stale, key, Stage::Executed, rec.stamp_ns(t0));
+        assert!(
+            stale.stamps.iter().all(|s| s.load(Ordering::Relaxed) == 0),
+            "the late stamp was taken back"
+        );
     }
 
     #[test]
@@ -637,16 +742,25 @@ mod tests {
         let rec = TraceRecorder::new();
         rec.set_sample(2);
         let t0 = Instant::now();
-        rec.stamp_at(0, 4, Stage::Submitted, t0);
-        rec.stamp_at(0, 4, Stage::Ordered, t0);
+        let seq = sampled_seqs(&rec, 100)[0];
+        let unsampled = (1..100).find(|s| !rec.sampled(*s)).expect("1 in 2");
+        for s in [seq, unsampled] {
+            rec.stamp_at(0, s, Stage::Submitted, t0);
+            rec.stamp_at(0, s, Stage::Ordered, t0);
+        }
         // WalAppended missing: no prefix yet.
-        assert_eq!(rec.chain_prefix(0, 4, t0), None);
-        rec.stamp_at(0, 4, Stage::WalAppended, t0);
-        assert!(rec.chain_prefix(0, 4, t0).is_some());
+        assert_eq!(rec.chain_prefix(0, seq, t0), None);
+        rec.stamp_at(0, seq, Stage::WalAppended, t0);
+        rec.stamp_at(0, unsampled, Stage::WalAppended, t0);
+        assert!(rec.chain_prefix(0, seq, t0).is_some());
         // Unsampled sequence: never exported.
-        assert_eq!(rec.chain_prefix(0, 3, t0), None);
+        assert_eq!(rec.chain_prefix(0, unsampled, t0), None);
         // Unknown sequence: no slot.
-        assert_eq!(rec.chain_prefix(0, 100, t0), None);
+        let unknown = sampled_seqs(&rec, 1_000)
+            .into_iter()
+            .find(|s| *s > 100)
+            .expect("a later sampled seq");
+        assert_eq!(rec.chain_prefix(0, unknown, t0), None);
     }
 
     #[test]

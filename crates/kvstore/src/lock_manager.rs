@@ -287,17 +287,23 @@ mod tests {
     #[test]
     fn mutual_exclusion_under_hammering() {
         let mgr = Arc::new(LockManager::new());
-        let in_section = Arc::new(AtomicU32::new(0));
+        // One occupancy counter per page (keys 0..128 span two pages): an
+        // exclusive key lock holds its whole page, so no two threads may
+        // be inside the same page at once — but the two pages may be held
+        // at the same time.
+        let in_section: Arc<[AtomicU32; 2]> = Arc::new([AtomicU32::new(0), AtomicU32::new(0)]);
         let mut handles = Vec::new();
         for _ in 0..8 {
             let mgr = Arc::clone(&mgr);
             let in_section = Arc::clone(&in_section);
             handles.push(thread::spawn(move || {
                 for i in 0..500u64 {
-                    let _g = mgr.acquire_key(i % 128, LockMode::Exclusive);
-                    let now = in_section.fetch_add(1, Ordering::SeqCst);
+                    let key = i % 128;
+                    let _g = mgr.acquire_key(key, LockMode::Exclusive);
+                    let page = &in_section[LockManager::page_of(key) as usize];
+                    let now = page.fetch_add(1, Ordering::SeqCst);
                     assert_eq!(now, 0, "exclusive section violated");
-                    in_section.fetch_sub(1, Ordering::SeqCst);
+                    page.fetch_sub(1, Ordering::SeqCst);
                 }
             }));
         }

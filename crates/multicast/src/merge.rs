@@ -10,11 +10,17 @@
 //! keeps the worker threads `t_i` of different replicas consistent.
 //!
 //! This is the deterministic merge of Multi-Ring Paxos (reference 9 of the paper),
-//! with the skip mechanism supplied by the shared round ticker of
-//! [`psmr_paxos::runtime::Pacing::Ticks`].
+//! with the skip mechanism supplied by the deployment's shared round clock
+//! ([`psmr_paxos::runtime::Pacing::Rounds`]): every group closes one round
+//! per tick, so the merge never waits on a stream that has fallen behind.
+//! Ticks are demand-driven — the next round fires once the previous one
+//! closed everywhere and was taken by every merge (see
+//! [`MergedStream::with_progress`]) and a command is queued — and an idle
+//! deployment closes one skip round per `skip_interval`, so a command
+//! waits for one round to be decided, not for a timer.
 
 use bytes::Bytes;
-use crossbeam::channel::{Receiver, RecvTimeoutError};
+use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use psmr_common::ids::GroupId;
 use psmr_common::runtime::{
     recv_timeout_via, ClockHandle, FifoScheduler, RealClock, SchedulePoint, Scheduler,
@@ -66,6 +72,9 @@ pub struct MergedStream {
     /// injected scheduler can skew one replica's worker against
     /// another's, which is where ordering bugs hide.
     sched: Arc<dyn Scheduler>,
+    /// Doorbell of the deployment's round clock, rung each time a batch
+    /// is taken out of a delivery ring (see [`MergedStream::with_progress`]).
+    progress: Option<Sender<()>>,
 }
 
 impl MergedStream {
@@ -96,6 +105,7 @@ impl MergedStream {
             resume_skip: None,
             clock: Arc::new(RealClock),
             sched: Arc::new(FifoScheduler),
+            progress: None,
         }
     }
 
@@ -113,6 +123,14 @@ impl MergedStream {
     /// here; production keeps the no-op FIFO scheduler).
     pub fn with_sched(mut self, sched: Arc<dyn Scheduler>) -> Self {
         self.sched = sched;
+        self
+    }
+
+    /// Rings `doorbell` (a `bounded(1)` channel; rings merge) each time
+    /// this merge takes a batch out of a delivery ring. A round clock that
+    /// holds the next round while consumers are behind parks on it.
+    pub fn with_progress(mut self, doorbell: Sender<()>) -> Self {
+        self.progress = Some(doorbell);
         self
     }
 
@@ -157,6 +175,7 @@ impl MergedStream {
             resume_skip: Some(cut),
             clock: Arc::new(RealClock),
             sched: Arc::new(FifoScheduler),
+            progress: None,
         }
     }
 
@@ -174,6 +193,9 @@ impl MergedStream {
     /// Queues the commands of `batch` (arriving from stream `group`),
     /// honouring a pending resume cut, and advances the round-robin.
     fn admit(&mut self, group: GroupId, batch: &DecidedBatch) {
+        if let Some(doorbell) = &self.progress {
+            let _ = doorbell.try_send(());
+        }
         if batch.is_skip() {
             self.skipped_batches += 1;
         }
@@ -241,7 +263,7 @@ impl MergedStream {
     /// flag can interrupt an idle stream.
     ///
     /// The timeout bounds the **total** wait, not the per-batch wait: on a
-    /// ticker-paced deployment skip batches arrive continuously even with
+    /// round-paced deployment idle skip batches keep arriving even with
     /// zero traffic, and a per-receive timeout would never fire — leaving
     /// crashed workers blocked here indefinitely.
     pub fn next_timeout(&mut self, timeout: Duration) -> Result<Option<Delivered>, Disconnected> {

@@ -2,13 +2,15 @@
 
 use crate::merge::MergedStream;
 use bytes::Bytes;
+use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use psmr_common::ids::{GroupId, WorkerId};
 use psmr_common::metrics::{global, histograms};
-use psmr_common::runtime::Runtime;
+use psmr_common::runtime::{recv_timeout_via, Clock, Runtime};
 use psmr_common::{trace, SystemConfig};
 use psmr_netsim::live::LiveNet;
 use psmr_paxos::runtime::{
-    acceptor_node, DurabilityHub, GroupHandle, NetMsg, Pacing, PaxosGroup, WalMode, WalSyncer,
+    acceptor_node, DurabilityHub, GroupHandle, NetMsg, Pacing, PaxosGroup, RoundLink, WalMode,
+    WalSyncer,
 };
 use psmr_recovery::{RecoveryError, StreamCut};
 use psmr_wal::{Wal, WalOptions};
@@ -161,8 +163,11 @@ pub struct MulticastSystem {
     groups: Vec<PaxosGroup>,
     cfg: SystemConfig,
     /// The shared round clock of the deployment (absent for single-stream
-    /// layouts): one thread ticking every `cfg.skip_interval`, broadcast to
-    /// every group so all streams advance in lockstep.
+    /// layouts): one thread whose every tick closes one round on every
+    /// group, so all streams advance in lockstep. It fires the next round
+    /// as soon as the previous one closed on every group (and every worker
+    /// stream took it) and some group has a queued submission; an idle
+    /// deployment gets one skip round per `cfg.skip_interval`.
     ticker: Option<TickerHandle>,
     /// Shared WAL sync thread of a pipelined (`cfg.wal_pipeline`)
     /// deployment.
@@ -213,9 +218,103 @@ impl DurabilityView {
 
 #[derive(Debug)]
 struct TickerHandle {
-    run: Arc<AtomicBool>,
-    started: Arc<AtomicBool>,
+    ctl: Arc<RoundControl>,
     thread: Option<JoinHandle<()>>,
+}
+
+impl TickerHandle {
+    /// Stops the round clock and joins it.
+    fn stop(mut self) {
+        self.ctl.run.store(false, Ordering::Relaxed);
+        self.ctl.ring();
+        if let Some(t) = self.thread.take() {
+            let _ = t.join();
+        }
+    }
+}
+
+/// What the deployment shares with its round-clock thread: the run and
+/// start gates plus the two doorbells the clock parks on, rung to make it
+/// re-check its conditions.
+#[derive(Debug)]
+struct RoundControl {
+    run: AtomicBool,
+    started: AtomicBool,
+    /// Rung by every submission ([`RoundLink::demand`]).
+    demand: Sender<()>,
+    /// Rung by every group after each delivered round
+    /// ([`RoundLink::closed`]) and by every worker stream after it took a
+    /// batch out of its delivery ring ([`MergedStream::with_progress`]).
+    closed: Sender<()>,
+}
+
+impl RoundControl {
+    fn ring(&self) {
+        let _ = self.demand.try_send(());
+        let _ = self.closed.try_send(());
+    }
+}
+
+/// The round clock. One round is in flight at a time, end to end: round
+/// `r + 1` fires once round `r` closed on every group and every worker
+/// stream took it out of its delivery ring, and then as soon as some group
+/// has a queued submission — or once `idle` has passed since round `r`
+/// fired: the idle skip round, which also bounds how long a consumer that
+/// stopped reading can hold rounds back. Everything submitted while round
+/// `r` is decided and handed out rides in round `r + 1`, so under load
+/// rounds grow instead of multiplying. All waits park on a doorbell
+/// through the injected `clock`.
+///
+/// Precondition: every group keeps closing rounds, i.e. keeps an acceptor
+/// majority (the `f = 1` fault model). The clock waits for round `r` on
+/// every group before firing `r + 1`, so a group that never decides again
+/// stops the clock for all groups, including workers whose merges do not
+/// read the stalled stream. There is no idle fallback for that case: ticking
+/// only the groups that caught up would break the lockstep the merge needs.
+fn round_clock_main(
+    ctl: &RoundControl,
+    groups: &[GroupHandle],
+    ticks: &[Sender<u64>],
+    demand: &Receiver<()>,
+    closed: &Receiver<()>,
+    clock: &dyn Clock,
+    idle: Duration,
+) {
+    // Park until start (or shutdown); both ring the demand doorbell.
+    while !ctl.started.load(Ordering::Acquire) {
+        if !ctl.run.load(Ordering::Relaxed) || demand.recv().is_err() {
+            return;
+        }
+    }
+    let mut fired = 0u64;
+    let mut fired_at = clock.now();
+    while ctl.run.load(Ordering::Relaxed) {
+        let since = clock.now().saturating_duration_since(fired_at);
+        if groups.iter().any(|g| g.decided_count() < fired) {
+            let _ = recv_timeout_via(clock, closed, idle);
+            continue;
+        }
+        if since < idle && groups.iter().any(|g| g.backlog() > 0) {
+            let _ = recv_timeout_via(clock, closed, idle - since);
+            continue;
+        }
+        // Take a pending demand ring before looking at the queues: a
+        // submission that lands after the look rings again. The ring
+        // taken may be the stop's, so look at the run gate again too.
+        let _ = demand.try_recv();
+        if !ctl.run.load(Ordering::Relaxed) {
+            return;
+        }
+        if since < idle && groups.iter().all(|g| g.queued() == 0) {
+            let _ = recv_timeout_via(clock, demand, idle - since);
+            continue;
+        }
+        fired += 1;
+        fired_at = clock.now();
+        for tx in ticks {
+            let _ = tx.send(fired);
+        }
+    }
 }
 
 /// Cloneable sender side of a [`MulticastSystem`] used by client proxies.
@@ -228,7 +327,10 @@ pub struct MulticastHandle {
 impl MulticastSystem {
     /// Spawns the P-SMR group layout: `k` per-worker groups plus `g_all`
     /// (index `k`), where `k = cfg.mpl`, all round-paced by one shared
-    /// ticker at `cfg.skip_interval`. With `cfg.wal_dir` set, every
+    /// round clock: a submission to any group fires the next round on
+    /// every group as soon as the previous round closed everywhere, and an
+    /// idle deployment closes one skip round per `cfg.skip_interval`.
+    /// With `cfg.wal_dir` set, every
     /// group's decided stream is additionally appended to a durable
     /// write-ahead log under `<wal_dir>/g<gid>`, and a spawn over a
     /// directory a previous incarnation wrote **continues** the old
@@ -246,7 +348,7 @@ impl MulticastSystem {
     }
 
     /// Like [`MulticastSystem::spawn`], but every nondeterministic
-    /// decision of the deployment — the shared round ticker, WAL sync
+    /// decision of the deployment — the shared round clock, WAL sync
     /// pacing, fault delays, fan-out — steps on the injected `rt`
     /// instead of real time and FIFO scheduling. The `psmr-sim`
     /// exploration harness enters through here.
@@ -259,41 +361,44 @@ impl MulticastSystem {
             .unwrap_or_else(|e| panic!("invalid SystemConfig: {e}"));
         trace::global().set_sample(cfg.trace_sample);
         let syncer = deployment_syncer(cfg, &rt);
+        let (demand, demand_rx) = bounded(1);
+        let (closed, closed_rx) = bounded(1);
         let mut tick_txs = Vec::with_capacity(cfg.group_count());
-        let groups = (0..cfg.group_count())
+        let groups: Vec<PaxosGroup> = (0..cfg.group_count())
             .map(|gid| {
-                let (tx, rx) = crossbeam::channel::unbounded();
+                let (tx, ticks) = unbounded();
                 tick_txs.push(tx);
+                let link = RoundLink {
+                    ticks,
+                    demand: demand.clone(),
+                    closed: closed.clone(),
+                };
                 PaxosGroup::spawn_with_wal_mode(
                     gid,
                     cfg,
                     LiveNet::with_runtime(rt.clone()),
-                    Pacing::Ticks(rx),
+                    Pacing::Rounds(link),
                     group_wal_mode(cfg, gid, &syncer, &rt),
                 )
             })
             .collect();
-        let run = Arc::new(AtomicBool::new(true));
-        let started = Arc::new(AtomicBool::new(false));
-        let interval = cfg.skip_interval;
+        let ctl = Arc::new(RoundControl {
+            run: AtomicBool::new(true),
+            started: AtomicBool::new(false),
+            demand,
+            closed,
+        });
         let thread = {
-            let run = Arc::clone(&run);
-            let started = Arc::clone(&started);
+            let ctl = Arc::clone(&ctl);
+            let handles: Vec<GroupHandle> = groups.iter().map(|g| g.handle()).collect();
             let clock = Arc::clone(&rt.clock);
+            let idle = cfg.skip_interval;
             std::thread::Builder::new()
                 .name("mcast-ticker".into())
                 .spawn(move || {
-                    let mut tick = 0u64;
-                    while run.load(Ordering::Relaxed) {
-                        clock.sleep(interval);
-                        if !started.load(Ordering::Relaxed) {
-                            continue;
-                        }
-                        tick += 1;
-                        for tx in &tick_txs {
-                            let _ = tx.send(tick);
-                        }
-                    }
+                    round_clock_main(
+                        &ctl, &handles, &tick_txs, &demand_rx, &closed_rx, &*clock, idle,
+                    );
                 })
                 .expect("spawn multicast ticker")
         };
@@ -301,8 +406,7 @@ impl MulticastSystem {
             groups,
             cfg: cfg.clone(),
             ticker: Some(TickerHandle {
-                run,
-                started,
+                ctl,
                 thread: Some(thread),
             }),
             syncer,
@@ -386,11 +490,8 @@ impl MulticastSystem {
     /// into a clean shutdown). Returns the total records discarded.
     pub fn shutdown_power_fail(mut self) -> u64 {
         let handles: Vec<GroupHandle> = self.groups.iter().map(|g| g.handle()).collect();
-        if let Some(mut ticker) = self.ticker.take() {
-            ticker.run.store(false, Ordering::Relaxed);
-            if let Some(t) = ticker.thread.take() {
-                let _ = t.join();
-            }
+        if let Some(ticker) = self.ticker.take() {
+            ticker.stop();
         }
         let syncer = self.syncer.take();
         for g in self.groups {
@@ -412,6 +513,18 @@ impl MulticastSystem {
         MulticastHandle {
             handles: self.groups.iter().map(|g| g.handle()).collect(),
             all_group: self.cfg.all_group(),
+        }
+    }
+
+    /// Steps a new merge on the deployment's injected clock and scheduler
+    /// and, on a round-paced layout, wires it to the round clock.
+    fn attach(&self, stream: MergedStream) -> MergedStream {
+        let stream = stream
+            .with_clock(Arc::clone(&self.rt.clock))
+            .with_sched(Arc::clone(&self.rt.sched));
+        match &self.ticker {
+            Some(ticker) => stream.with_progress(ticker.ctl.closed.clone()),
+            None => stream,
         }
     }
 
@@ -437,20 +550,19 @@ impl MulticastSystem {
         );
         let gi = GroupId::from(worker);
         let gall = self.cfg.all_group();
-        MergedStream::new(vec![
+        self.attach(MergedStream::new(vec![
             (gi, self.groups[gi.as_raw()].subscribe()),
             (gall, self.groups[gall.as_raw()].subscribe()),
-        ])
-        .with_clock(Arc::clone(&self.rt.clock))
-        .with_sched(Arc::clone(&self.rt.sched))
+        ]))
     }
 
     /// Subscribes to the single totally-ordered stream of a
     /// [`MulticastSystem::spawn_single`] deployment.
     pub fn single_stream(&self) -> MergedStream {
-        MergedStream::new(vec![(GroupId::new(0), self.groups[0].subscribe())])
-            .with_clock(Arc::clone(&self.rt.clock))
-            .with_sched(Arc::clone(&self.rt.sched))
+        self.attach(MergedStream::new(vec![(
+            GroupId::new(0),
+            self.groups[0].subscribe(),
+        )]))
     }
 
     /// Re-subscribes worker `t_i` **after** the system started, resuming
@@ -501,9 +613,7 @@ impl MulticastSystem {
                 })
         };
         let streams = vec![(gi, sub(gi, cut.seq + 1)?), (gall, sub(gall, cut.seq)?)];
-        Ok(MergedStream::resume(streams, cut)
-            .with_clock(Arc::clone(&self.rt.clock))
-            .with_sched(Arc::clone(&self.rt.sched)))
+        Ok(self.attach(MergedStream::resume(streams, cut)))
     }
 
     /// Subscribes worker `t_i` from the **beginning of the retained
@@ -542,9 +652,7 @@ impl MulticastSystem {
                 .subscribe_from(1)
                 .map_err(|_| RecoveryError::LogTrimmed { group, needed: 1 })
         };
-        Ok(MergedStream::new(vec![(gi, sub(gi)?), (gall, sub(gall)?)])
-            .with_clock(Arc::clone(&self.rt.clock))
-            .with_sched(Arc::clone(&self.rt.sched)))
+        Ok(self.attach(MergedStream::new(vec![(gi, sub(gi)?), (gall, sub(gall)?)])))
     }
 
     /// Subscribes to the single stream of a
@@ -562,9 +670,7 @@ impl MulticastSystem {
             .handle()
             .subscribe_from(1)
             .map_err(|_| RecoveryError::LogTrimmed { group, needed: 1 })?;
-        Ok(MergedStream::new(vec![(group, rx)])
-            .with_clock(Arc::clone(&self.rt.clock))
-            .with_sched(Arc::clone(&self.rt.sched)))
+        Ok(self.attach(MergedStream::new(vec![(group, rx)])))
     }
 
     /// Re-subscribes to the single stream of a
@@ -584,9 +690,7 @@ impl MulticastSystem {
                 group: cut.group,
                 needed: cut.seq,
             })?;
-        Ok(MergedStream::resume(vec![(cut.group, rx)], cut)
-            .with_clock(Arc::clone(&self.rt.clock))
-            .with_sched(Arc::clone(&self.rt.sched)))
+        Ok(self.attach(MergedStream::resume(vec![(cut.group, rx)], cut)))
     }
 
     /// The live network of one group, for fault injection (crashing
@@ -630,26 +734,24 @@ impl MulticastSystem {
         self.groups[group.as_raw()].handle().next_seq()
     }
 
-    /// Starts every group (and the shared ticker). Call once all worker
-    /// streams / subscriptions have been created; before the start no
-    /// batches (or skip rounds) flow.
+    /// Starts every group (and the shared round clock). Call once all
+    /// worker streams / subscriptions have been created; before the start
+    /// no batches (or skip rounds) flow.
     pub fn start(&self) {
         for g in &self.groups {
             g.start();
         }
         if let Some(ticker) = &self.ticker {
-            ticker.started.store(true, Ordering::Release);
+            ticker.ctl.started.store(true, Ordering::Release);
+            ticker.ctl.ring();
         }
     }
 
     /// Shuts down every group and joins their threads (the shared WAL
     /// syncer, if any, flushes its open windows and stops last).
     pub fn shutdown(mut self) {
-        if let Some(mut ticker) = self.ticker.take() {
-            ticker.run.store(false, Ordering::Relaxed);
-            if let Some(t) = ticker.thread.take() {
-                let _ = t.join();
-            }
+        if let Some(ticker) = self.ticker.take() {
+            ticker.stop();
         }
         let syncer = self.syncer.take();
         for g in self.groups {
@@ -761,12 +863,204 @@ mod tests {
         let _ = Destinations::some(Vec::new());
     }
 
+    /// A deployment whose idle skip round comes only every `idle`.
+    fn idle_cfg(mpl: usize, idle: Duration) -> SystemConfig {
+        let mut cfg = test_cfg(mpl);
+        cfg.skip_interval(idle);
+        cfg
+    }
+
+    /// Waits until every group's stream reached the same `next_seq` and
+    /// returns it.
+    fn quiesced_next_seq(system: &MulticastSystem) -> u64 {
+        let groups = system.config().group_count();
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        loop {
+            let seqs: Vec<u64> = (0..groups)
+                .map(|g| system.next_seq(GroupId::new(g)))
+                .collect();
+            if seqs.iter().all(|s| *s == seqs[0]) {
+                return seqs[0];
+            }
+            assert!(
+                std::time::Instant::now() < deadline,
+                "groups left lockstep: {seqs:?}"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn lone_command_does_not_wait_for_the_idle_skip_round() {
+        let system = MulticastSystem::spawn(&idle_cfg(2, Duration::from_millis(200)));
+        let handle = system.handle();
+        let mut w0 = system.worker_stream(WorkerId::new(0));
+        system.start();
+        for i in 0..3u32 {
+            let t = std::time::Instant::now();
+            handle.multicast(
+                &Destinations::one(GroupId::new(0)),
+                Bytes::from(i.to_le_bytes().to_vec()),
+            );
+            let d = w0.next().expect("delivered");
+            assert_eq!(&d.payload[..], &i.to_le_bytes());
+            assert!(
+                t.elapsed() < Duration::from_millis(100),
+                "command {i} waited {:?} — a tick, not a decide",
+                t.elapsed()
+            );
+        }
+        system.shutdown();
+    }
+
+    #[test]
+    fn burst_rides_in_far_fewer_rounds_than_commands() {
+        const PER_THREAD: u32 = 1_000;
+        let system = MulticastSystem::spawn(&idle_cfg(2, Duration::from_secs(10)));
+        let handle = system.handle();
+        let mut streams: Vec<_> = (0..2)
+            .map(|w| system.worker_stream(WorkerId::new(w)))
+            .collect();
+        system.start();
+        let submitters: Vec<_> = (0..2usize)
+            .map(|w| {
+                let handle = handle.clone();
+                std::thread::spawn(move || {
+                    for i in 0..PER_THREAD {
+                        handle.multicast(
+                            &Destinations::one(GroupId::new(w)),
+                            Bytes::from(i.to_le_bytes().to_vec()),
+                        );
+                    }
+                })
+            })
+            .collect();
+        for s in submitters {
+            s.join().unwrap();
+        }
+        // Drain both streams side by side, and keep draining one that is
+        // done: the clock holds the next round while any worker stream
+        // has not taken the last one, so a stream left unread would park
+        // every further round until the 10 s idle skip.
+        let mut next = [0u32; 2];
+        while next.iter().any(|n| *n < PER_THREAD) {
+            let mut idle = true;
+            for (stream, next) in streams.iter_mut().zip(&mut next) {
+                while let Some(d) = stream.try_next().expect("system alive") {
+                    assert_eq!(&d.payload[..], &next.to_le_bytes());
+                    *next += 1;
+                    idle = false;
+                }
+            }
+            if idle {
+                std::thread::sleep(Duration::from_micros(100));
+            }
+        }
+        let rounds = quiesced_next_seq(&system) - 1;
+        assert!(
+            rounds * 4 <= u64::from(2 * PER_THREAD),
+            "{} commands took {rounds} rounds: rounds must batch under load",
+            2 * PER_THREAD
+        );
+        system.shutdown();
+    }
+
+    #[test]
+    fn groups_close_rounds_in_lockstep() {
+        let system = MulticastSystem::spawn(&idle_cfg(3, Duration::from_secs(10)));
+        let handle = system.handle();
+        let mut w1 = system.worker_stream(WorkerId::new(1));
+        system.start();
+        for i in 0..50u32 {
+            let payload = Bytes::from(i.to_le_bytes().to_vec());
+            if i % 5 == 0 {
+                handle.multicast(&Destinations::all(3), payload);
+            } else {
+                handle.multicast(&Destinations::one(GroupId::new(1)), payload);
+            }
+            let d = w1.next().expect("delivered");
+            assert_eq!(&d.payload[..], &i.to_le_bytes());
+        }
+        let next = quiesced_next_seq(&system);
+        assert!(next > 1, "rounds were closed");
+        // Quiet now (the idle round is 10 s away): nobody moves on alone.
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(quiesced_next_seq(&system), next);
+        system.shutdown();
+    }
+
+    #[test]
+    fn shutdown_does_not_wait_out_the_idle_interval() {
+        let system = MulticastSystem::spawn(&idle_cfg(2, Duration::from_secs(10)));
+        let handle = system.handle();
+        let mut w0 = system.worker_stream(WorkerId::new(0));
+        system.start();
+        handle.multicast(
+            &Destinations::one(GroupId::new(0)),
+            Bytes::from_static(b"one"),
+        );
+        w0.next().expect("delivered");
+        drop(w0);
+        let t = std::time::Instant::now();
+        system.shutdown();
+        assert!(
+            t.elapsed() < Duration::from_secs(1),
+            "shutdown took {:?}",
+            t.elapsed()
+        );
+        // Never started: the clock parks before the start, and still
+        // stops at once.
+        let system = MulticastSystem::spawn(&idle_cfg(2, Duration::from_secs(10)));
+        let t = std::time::Instant::now();
+        system.shutdown();
+        assert!(t.elapsed() < Duration::from_secs(1));
+    }
+
+    /// The clock waits on the injected clock: on frozen virtual time a
+    /// command is still ordered at once (demand, not time, fires its
+    /// round), and the idle skip round comes only when virtual time
+    /// passes `skip_interval`.
+    #[test]
+    fn round_clock_runs_on_the_injected_clock() {
+        use psmr_common::runtime::{ClockHandle, VirtualClock};
+        let vc = VirtualClock::manual();
+        let rt = Runtime::with_clock(Arc::clone(&vc) as ClockHandle);
+        let system =
+            MulticastSystem::spawn_with_runtime(&idle_cfg(2, Duration::from_secs(3600)), rt);
+        let handle = system.handle();
+        let mut w0 = system.worker_stream(WorkerId::new(0));
+        system.start();
+        handle.multicast(
+            &Destinations::one(GroupId::new(0)),
+            Bytes::from_static(b"frozen"),
+        );
+        assert_eq!(&w0.next().expect("delivered").payload[..], b"frozen");
+        let after_command = quiesced_next_seq(&system);
+        std::thread::sleep(Duration::from_millis(30));
+        assert_eq!(
+            quiesced_next_seq(&system),
+            after_command,
+            "host time fired an idle round"
+        );
+        vc.advance(Duration::from_secs(3600));
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while system.next_seq(GroupId::new(0)) == after_command {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "virtual time passed, no idle round"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(quiesced_next_seq(&system), after_command + 1);
+        system.shutdown();
+    }
+
     #[test]
     fn next_timeout_fires_under_steady_skip_traffic() {
-        // On a ticker-paced (merged) deployment, skip batches arrive every
-        // skip_interval even with zero traffic. The timeout must bound the
-        // total wait — a per-receive timeout would never fire, leaving
-        // crashed workers blocked in next_timeout indefinitely.
+        // An idle round-paced (merged) deployment still closes one skip
+        // round every skip_interval. The timeout must bound the total
+        // wait — a per-receive timeout would never fire, leaving crashed
+        // workers blocked in next_timeout indefinitely.
         let system = MulticastSystem::spawn(&test_cfg(2));
         let mut stream = system.worker_stream(WorkerId::new(0));
         system.start();
@@ -941,24 +1235,28 @@ mod tests {
             let d = w0.next().expect("delivered");
             last_seq = d.batch_seq;
         }
-        // The sync thread catches the watermark up to what was delivered.
+        // The sync thread catches the watermarks up to what was delivered
+        // — on the shared stream too: replaying g0's batch `s` takes the
+        // shared stream's batches below `s` first, and those skip batches
+        // are only synced lazily.
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while view.durable_seq(GroupId::new(0)) < last_seq {
+        let merged = [GroupId::new(0), cfg.all_group()];
+        while merged.iter().any(|g| view.durable_seq(*g) < last_seq) {
             assert!(
                 std::time::Instant::now() < deadline,
                 "watermark never caught up"
             );
             std::thread::sleep(Duration::from_millis(1));
         }
-        // Freeze the fsyncs, push more traffic, and lose power.
+        // Freeze the fsyncs, push more traffic, and lose power. One
+        // command at a time, so each rides in a round of its own: a burst
+        // could share one round and leave fewer records to discard.
         system.hold_wal_sync(true);
         for i in 100..105u32 {
             handle.multicast(
                 &Destinations::one(GroupId::new(0)),
                 Bytes::from(i.to_le_bytes().to_vec()),
             );
-        }
-        for _ in 0..5 {
             let _ = w0.next().expect("delivered before the crash");
         }
         let dropped = system.shutdown_power_fail();

@@ -8,11 +8,12 @@
 //! `--id` indexes the `[[node]]` sections of the config; node 0 hosts
 //! the orderer. `--checkpoint-ms 0` disables the periodic checkpoint
 //! driver (node 0 only; other nodes ignore the flag). `--trace-sample n`
-//! stamps every `n`-th stream sequence with the lifecycle trace (0
-//! disables tracing). `--degraded-after-ms` sets how long a follower may
-//! go without hearing from the orderer before its admin `status`
-//! reports `degraded` (keep it well above the checkpoint interval — on
-//! an idle cluster the periodic checkpoints are the heartbeat).
+//! stamps one stream sequence in `n` (chosen by a hash of the sequence)
+//! with the lifecycle trace (0 disables tracing). `--degraded-after-ms`
+//! sets how long a follower may go without hearing from the orderer
+//! before its admin `status` reports `degraded` (keep it well above the
+//! checkpoint interval — on an idle cluster the periodic checkpoints are
+//! the heartbeat).
 //!
 //! Panics in any thread are routed through the structured logger (so
 //! they land in the node's flight recorder) and then exit the process

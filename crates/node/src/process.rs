@@ -95,8 +95,8 @@ pub struct NodeOptions {
     /// Interval of node 0's periodic CHECKPOINT submissions (`None` =
     /// checkpoints only when a client submits one explicitly).
     pub checkpoint_interval: Option<Duration>,
-    /// Lifecycle-trace sampling: every `trace_sample`-th stream sequence
-    /// is stamped (0 disables tracing).
+    /// Lifecycle-trace sampling: one stream sequence in `trace_sample`
+    /// is stamped, chosen by a hash of the sequence (0 disables tracing).
     pub trace_sample: u64,
     /// How long a follower may go without hearing from the orderer
     /// before its admin `status` reports `degraded`. Must comfortably

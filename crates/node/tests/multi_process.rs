@@ -33,6 +33,8 @@ use std::fs::File;
 use std::net::TcpListener;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Kills every spawned node on drop, so a panicking test never leaks
@@ -170,7 +172,19 @@ fn session(addr: String, c: u64, ops: u64, t0: Instant) -> Vec<(u64, OpRecord)> 
 /// The session loop over an already-built client — so chaos tests can
 /// run the same workload through a failover set or a shortened
 /// per-try timeout.
-fn session_conn(mut conn: NodeClient, c: u64, ops: u64, t0: Instant) -> Vec<(u64, OpRecord)> {
+fn session_conn(conn: NodeClient, c: u64, ops: u64, t0: Instant) -> Vec<(u64, OpRecord)> {
+    session_while(conn, c, t0, |done| done < ops)
+}
+
+/// The session loop, issuing the next op for as long as `more(ops
+/// completed so far)` holds — so a fault test can hold a session at a
+/// chosen op until its fault is in place, however fast healthy ops are.
+fn session_while(
+    mut conn: NodeClient,
+    c: u64,
+    t0: Instant,
+    mut more: impl FnMut(u64) -> bool,
+) -> Vec<(u64, OpRecord)> {
     let mut records = Vec::new();
     let kv = |conn: &mut NodeClient, op: KvOp| {
         let result = conn
@@ -178,7 +192,8 @@ fn session_conn(mut conn: NodeClient, c: u64, ops: u64, t0: Instant) -> Vec<(u64
             .unwrap_or_else(|e| panic!("session {c}: {op:?} failed: {e}"));
         KvResult::decode(&result)
     };
-    for i in 0..ops {
+    let mut i = 0;
+    while more(i) {
         let key = (c * 3 + i) % KEYS;
         let invoked = t0.elapsed().as_nanos() as u64;
         let op = if (i + c).is_multiple_of(3) {
@@ -200,6 +215,7 @@ fn session_conn(mut conn: NodeClient, c: u64, ops: u64, t0: Instant) -> Vec<(u64
                 op,
             },
         ));
+        i += 1;
     }
     records
 }
@@ -884,25 +900,47 @@ fn chaos_orderer_restart_mid_session_heals_clients() {
     let reconnects_before = global().value(counters::CLIENT_RECONNECTS);
 
     // Three failover clients, each starting at a different node so one
-    // is always talking to the orderer when it dies.
+    // is always talking to the orderer when it dies. Healthy ops can
+    // take well under a millisecond, so no fixed delay is sure to land
+    // the kill mid-session: each session holds after its first HOLD_AT
+    // ops, the orderer dies, and the sessions are released into the
+    // outage with their remaining ops all still to run.
+    const HOLD_AT: u64 = 20;
+    let held = Arc::new(AtomicU64::new(0));
+    let released = Arc::new(AtomicBool::new(false));
     let handles: Vec<_> = (0..3usize)
         .map(|c| {
             let addrs: Vec<String> = (0..3)
                 .map(|i| deploy.client_addr((c + i) % 3).to_string())
                 .collect();
+            let (held, released) = (Arc::clone(&held), Arc::clone(&released));
             std::thread::spawn(move || {
                 let mut conn = NodeClient::connect_multi(addrs, 1400 + c as u64);
                 conn.set_try_timeout(Duration::from_millis(300));
-                // Long sessions: healthy ops take single-digit
-                // milliseconds, so the workload must be deep enough to
-                // still be mid-flight when the orderer dies below.
-                session_conn(conn, 60 + c as u64, 120, t0)
+                session_while(conn, 60 + c as u64, t0, |done| {
+                    if done == HOLD_AT {
+                        held.fetch_add(1, Ordering::AcqRel);
+                        while !released.load(Ordering::Acquire) {
+                            std::thread::sleep(Duration::from_millis(1));
+                        }
+                    }
+                    done < 120
+                })
             })
         })
         .collect();
 
-    std::thread::sleep(Duration::from_millis(100));
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while held.load(Ordering::Acquire) < 3 {
+        assert!(
+            Instant::now() < deadline,
+            "only {} of 3 sessions reached op {HOLD_AT}",
+            held.load(Ordering::Acquire)
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
     deploy.kill_node(0);
+    released.store(true, Ordering::Release);
     std::thread::sleep(Duration::from_millis(500));
     deploy.spawn_node(0, "n0-restart.log");
 

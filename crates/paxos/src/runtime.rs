@@ -13,10 +13,18 @@
 //! replication engines in `psmr-core`.
 //!
 //! **Pacing.** Streams that are merged with others run round-paced
-//! ([`Pacing::Ticks`]): a deployment-wide ticker clocks every group, each
-//! tick closing one round (empty = *skip*) so all merged streams advance in
-//! lockstep, as with the skip messages of Multi-Ring Paxos. Stand-alone
-//! streams run traffic-driven ([`Pacing::Batched`]).
+//! ([`Pacing::Rounds`]): every group of a deployment closes exactly one
+//! round (empty = *skip*) per tick of the deployment's round clock, so
+//! all merged streams advance in lockstep, as with the skip messages of
+//! Multi-Ring Paxos. The clock is demand-driven: a submission raises a
+//! demand signal, and the next round fires as soon as the previous one
+//! has closed on every group and been taken by every subscriber, so a
+//! lone command waits for one decide rather than a timer, and everything
+//! that arrives while a round is in flight rides in the next one — rounds
+//! grow with load. Only an
+//! idle deployment is paced by time: one skip round per
+//! `skip_interval`. Stand-alone streams run traffic-driven
+//! ([`Pacing::Batched`]).
 
 use crate::msg::PaxosMsg;
 use crate::proposer::Proposer;
@@ -77,12 +85,31 @@ pub enum Pacing {
     /// nobody merges with another (SMR / sP-SMR deployments).
     Batched,
     /// Round-paced: the coordinator closes exactly one round (one
-    /// [`DecidedBatch`]) per tick received on this channel — empty when
-    /// idle, otherwise everything submitted since the previous tick.
-    /// All groups of a deployment share one ticker, so their streams
+    /// [`DecidedBatch`]) per tick of the deployment's round clock —
+    /// empty when idle, otherwise everything queued when the tick
+    /// arrives — and reports each delivered round back to the clock.
+    /// All groups of a deployment share one clock, so their streams
     /// advance in lockstep and deterministic merge never drifts (the skip
-    /// mechanism of Multi-Ring Paxos, centrally clocked).
-    Ticks(Receiver<u64>),
+    /// mechanism of Multi-Ring Paxos). The clock fires a round on demand
+    /// once the previous one closed everywhere, and an idle skip round
+    /// once per `skip_interval` otherwise.
+    Rounds(RoundLink),
+}
+
+/// The channels between a round-paced group and its deployment's round
+/// clock. The two signals are `bounded(1)` doorbells: repeated rings
+/// while one is pending merge into it, and a ring nobody listens to is
+/// dropped.
+#[derive(Debug)]
+pub struct RoundLink {
+    /// One tick closes one round.
+    pub ticks: Receiver<u64>,
+    /// Rung by [`GroupHandle::submit`]: a command is queued, so the
+    /// clock should fire the next round as soon as the current one
+    /// closed.
+    pub demand: Sender<()>,
+    /// Rung by the coordinator after each round it delivered.
+    pub closed: Sender<()>,
 }
 
 /// Messages exchanged between coordinator and acceptors over the live net.
@@ -474,6 +501,9 @@ struct Inner {
     /// `Submitted` trace stamp covers the channel wait (the proposer loop
     /// can lag behind arrivals, e.g. while an inline-mode fsync runs).
     submit_tx: Sender<(Instant, Bytes)>,
+    /// The round clock's demand doorbell ([`RoundLink::demand`]) of a
+    /// round-paced group, rung after every submission.
+    demand: Option<Sender<()>>,
     stream: Mutex<StreamState>,
     /// Pipelined-commit state of a [`WalMode::Pipelined`] group, plus
     /// the deployment syncer to nudge after urgent appends.
@@ -747,8 +777,13 @@ impl PaxosGroup {
             _ => (None, None),
         };
         let (submit_tx, submit_rx) = bounded::<(Instant, Bytes)>(16 * 1024);
+        let demand = match &pacing {
+            Pacing::Rounds(link) => Some(link.demand.clone()),
+            Pacing::Batched => None,
+        };
         let inner = Arc::new(Inner {
             submit_tx,
+            demand,
             stream: Mutex::new(StreamState {
                 subscribers: Vec::new(),
                 log,
@@ -916,7 +951,27 @@ impl GroupHandle {
             .is_err()
         {
             global().counter(counters::REQUESTS_DROPPED).inc();
+        } else if let Some(demand) = &self.inner.demand {
+            // Full means a ring is already pending: the two merge.
+            let _ = demand.try_send(());
         }
+    }
+
+    /// Submissions queued and not yet drawn into a batch or round.
+    pub fn queued(&self) -> usize {
+        self.inner.submit_tx.len()
+    }
+
+    /// Decided batches waiting in the fullest subscriber ring: how far
+    /// the slowest consumer of this stream is behind its delivery.
+    pub fn backlog(&self) -> usize {
+        let stream = self.inner.stream.lock();
+        stream
+            .subscribers
+            .iter()
+            .map(|s| s.len())
+            .max()
+            .unwrap_or(0)
     }
 
     /// Registers a new subscriber. The subscriber receives every batch the
@@ -1029,13 +1084,15 @@ impl GroupHandle {
         self.inner.net.clone()
     }
 
-    /// Opens the gate: the coordinator starts deciding batches (and skip
-    /// rounds, if enabled). Call after every subscriber has registered.
+    /// Opens the gate: the coordinator starts deciding batches (or, when
+    /// round-paced, closing the rounds its clock fires). Call after every
+    /// subscriber has registered.
     pub fn start(&self) {
         self.inner.started.store(true, Ordering::Release);
     }
 
-    /// Number of batches decided so far.
+    /// Number of batches decided so far by this incarnation (for a
+    /// round-paced group: rounds closed).
     pub fn decided_count(&self) -> u64 {
         self.inner.decided.load(Ordering::Relaxed)
     }
@@ -1188,8 +1245,8 @@ fn coordinator_main(
     }
 
     match pacing {
-        Pacing::Ticks(ticks) => {
-            round_paced_main(cfg, inner, submit_rx, inbox, ticks, prop, broadcast)
+        Pacing::Rounds(link) => {
+            round_paced_main(cfg, inner, submit_rx, inbox, link, prop, broadcast)
         }
         Pacing::Batched => batched_main(cfg, inner, submit_rx, inbox, prop, broadcast),
     }
@@ -1336,17 +1393,19 @@ fn batched_main(
 /// streams must produce batches at the same rate** — otherwise their
 /// sequence numbers drift apart without bound and a command routed through
 /// the slow stream waits for the fast one to be re-consumed from far
-/// behind. All groups of a deployment therefore share one ticker; on each
-/// tick a group closes exactly one round: everything submitted since the
-/// previous tick, split across Paxos instances of at most `batch_bytes`
+/// behind. All groups of a deployment therefore share one round clock; on
+/// each tick a group closes exactly one round: everything queued when the
+/// tick arrives, split across Paxos instances of at most `batch_bytes`
 /// each (the paper's 8 KB message cap), or a single empty *skip* instance
-/// when idle.
+/// when idle. Submissions stay in the submit queue until the tick — its
+/// length is the demand the clock looks at — and each delivered round is
+/// reported on [`RoundLink::closed`].
 fn round_paced_main(
     cfg: SystemConfig,
     inner: Arc<Inner>,
     submit_rx: Receiver<(Instant, Bytes)>,
     inbox: Receiver<(NodeId, NetMsg)>,
-    ticks: Receiver<u64>,
+    link: RoundLink,
     mut prop: Proposer<Batch>,
     broadcast: impl Fn(Vec<NetMsg>),
 ) {
@@ -1354,37 +1413,30 @@ fn round_paced_main(
     let mut open_rounds: VecDeque<(usize, Vec<Bytes>)> = VecDeque::new();
     // A WAL-seeded stream continues the pre-crash numbering.
     let mut next_seq: u64 = inner.stream.lock().next_seq;
-    // Commands received between ticks, and when the oldest was enqueued.
-    // The enqueue time travels with the command, so the Submitted trace
-    // stamp covers both the channel wait and the up-to-one-tick round
-    // wait — all of it is round-paced latency, not measurement setup.
-    let mut pending: Vec<Bytes> = Vec::new();
-    let mut pending_opened: Option<Instant> = None;
 
     loop {
         if inner.shutdown.load(Ordering::Relaxed) {
             return;
         }
 
-        // 1. Wait for a tick, a submission, or an acceptor reply (ticks
-        //    only flow once the deployment has started, which also gates
-        //    the first round).
+        // 1. Wait for a tick or an acceptor reply (ticks only flow once
+        //    the deployment has started, which also gates the first
+        //    round).
         crossbeam::channel::select! {
-            recv(ticks) -> tick => {
+            recv(link.ticks) -> tick => {
                 if tick.is_err() {
-                    return; // ticker gone: deployment shut down
+                    return; // clock gone: deployment shut down
                 }
-                // Close one round: everything submitted since the last
-                // tick, split into <= batch_bytes instances.
-                while let Ok((at, cmd)) = submit_rx.try_recv() {
-                    if pending_opened.is_none() {
-                        pending_opened = Some(at);
-                    }
-                    pending.push(cmd);
-                }
+                // Close one round: everything queued now, split into
+                // <= batch_bytes instances. The enqueue time travels with
+                // each command, so the Submitted stamp of the round covers
+                // the queue wait of its oldest command — the round-paced
+                // latency, not measurement setup.
+                let mut opened: Option<Instant> = None;
                 let mut instances: Vec<Vec<Bytes>> = vec![Vec::new()];
                 let mut last_bytes = 0usize;
-                for cmd in pending.drain(..) {
+                while let Ok((at, cmd)) = submit_rx.try_recv() {
+                    opened.get_or_insert(at);
                     if last_bytes + cmd.len() > cfg.batch_bytes
                         && !instances.last().expect("non-empty").is_empty()
                     {
@@ -1397,7 +1449,7 @@ fn round_paced_main(
                 // Each queued round consumes exactly one stream seq, so
                 // this round's seq is known now — stamp the submit time
                 // of its oldest command before proposing.
-                if let Some(opened) = pending_opened.take() {
+                if let Some(opened) = opened {
                     trace::global().stamp_at(
                         inner.group_id,
                         next_seq + open_rounds.len() as u64,
@@ -1408,14 +1460,6 @@ fn round_paced_main(
                 open_rounds.push_back((instances.len(), Vec::new()));
                 for instance_batch in instances {
                     broadcast(prop.submit(Arc::new(instance_batch)));
-                }
-            }
-            recv(submit_rx) -> cmd => {
-                if let Ok((at, cmd)) = cmd {
-                    if pending_opened.is_none() {
-                        pending_opened = Some(at);
-                    }
-                    pending.push(cmd);
                 }
             }
             recv(inbox) -> msg => {
@@ -1451,6 +1495,7 @@ fn round_paced_main(
                 });
                 next_seq += 1;
                 inner.deliver(out);
+                let _ = link.closed.try_send(());
             }
         }
     }
@@ -1546,10 +1591,24 @@ mod tests {
         group.shutdown();
     }
 
+    /// Round pacing driven by hand: the test sends the ticks and watches
+    /// the demand and closed doorbells a round clock would listen to.
+    fn manual_rounds() -> (Pacing, Sender<u64>, Receiver<()>, Receiver<()>) {
+        let (tick_tx, ticks) = crossbeam::channel::unbounded();
+        let (demand, demand_rx) = bounded(1);
+        let (closed, closed_rx) = bounded(1);
+        let link = RoundLink {
+            ticks,
+            demand,
+            closed,
+        };
+        (Pacing::Rounds(link), tick_tx, demand_rx, closed_rx)
+    }
+
     #[test]
     fn ticked_group_emits_skip_rounds_when_idle() {
-        let (tick_tx, tick_rx) = crossbeam::channel::unbounded();
-        let group = PaxosGroup::spawn_with(5, &test_cfg(), LiveNet::new(), Pacing::Ticks(tick_rx));
+        let (pacing, tick_tx, _demand, closed) = manual_rounds();
+        let group = PaxosGroup::spawn_with(5, &test_cfg(), LiveNet::new(), pacing);
         let sub = group.subscribe();
         group.start();
         tick_tx.send(1).unwrap();
@@ -1558,26 +1617,34 @@ mod tests {
             .expect("skip arrives");
         assert!(batch.is_skip());
         assert_eq!(batch.seq, 1);
+        assert_eq!(closed.recv_timeout(Duration::from_secs(5)), Ok(()));
+        assert_eq!(group.handle().decided_count(), 1);
         group.shutdown();
     }
 
     #[test]
     fn ticked_group_packs_submissions_into_one_round() {
-        let (tick_tx, tick_rx) = crossbeam::channel::unbounded();
-        let group = PaxosGroup::spawn_with(9, &test_cfg(), LiveNet::new(), Pacing::Ticks(tick_rx));
+        let (pacing, tick_tx, demand, closed) = manual_rounds();
+        let group = PaxosGroup::spawn_with(9, &test_cfg(), LiveNet::new(), pacing);
         let sub = group.subscribe();
         group.start();
         for i in 0..10u32 {
             group.submit(Bytes::from(i.to_le_bytes().to_vec()));
         }
-        // Give submissions time to land in the queue, then tick once.
+        // The submissions wait in the queue for the tick, and their ten
+        // demand rings merged into one.
         std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(group.handle().queued(), 10);
+        assert_eq!(demand.try_recv(), Ok(()));
+        assert!(demand.try_recv().is_err(), "rings merge into one");
         tick_tx.send(1).unwrap();
         let batch = sub
             .recv_timeout(Duration::from_secs(5))
             .expect("round arrives");
         assert_eq!(batch.seq, 1);
         assert_eq!(batch.commands.len(), 10, "whole backlog in one round");
+        assert_eq!(group.handle().queued(), 0);
+        assert_eq!(closed.recv_timeout(Duration::from_secs(5)), Ok(()));
         // The next tick with no traffic yields a skip with the next seq.
         tick_tx.send(2).unwrap();
         let batch = sub
@@ -1590,10 +1657,10 @@ mod tests {
 
     #[test]
     fn ticked_round_splits_oversized_backlog_into_capped_instances() {
-        let (tick_tx, tick_rx) = crossbeam::channel::unbounded();
+        let (pacing, tick_tx, _demand, _closed) = manual_rounds();
         let mut cfg = test_cfg();
         cfg.batch_bytes(64);
-        let group = PaxosGroup::spawn_with(10, &cfg, LiveNet::new(), Pacing::Ticks(tick_rx));
+        let group = PaxosGroup::spawn_with(10, &cfg, LiveNet::new(), pacing);
         let sub = group.subscribe();
         group.start();
         for i in 0..32u64 {

@@ -5,7 +5,7 @@
 use bytes::Bytes;
 use psmr_common::SystemConfig;
 use psmr_netsim::live::{LinkFault, LiveNet};
-use psmr_paxos::runtime::{acceptor_node, coordinator_node, Pacing, PaxosGroup};
+use psmr_paxos::runtime::{acceptor_node, coordinator_node, Pacing, PaxosGroup, RoundLink};
 use std::time::Duration;
 
 fn test_cfg() -> SystemConfig {
@@ -98,8 +98,15 @@ fn crash_then_heavy_traffic_keeps_fifo_order() {
 #[test]
 fn round_paced_group_survives_acceptor_crash() {
     let net = LiveNet::new();
-    let (tick_tx, tick_rx) = crossbeam::channel::unbounded();
-    let group = PaxosGroup::spawn_with(4, &test_cfg(), net.clone(), Pacing::Ticks(tick_rx));
+    let (tick_tx, ticks) = crossbeam::channel::unbounded();
+    let (demand, _demand_rx) = crossbeam::channel::bounded(1);
+    let (closed, _closed_rx) = crossbeam::channel::bounded(1);
+    let link = RoundLink {
+        ticks,
+        demand,
+        closed,
+    };
+    let group = PaxosGroup::spawn_with(4, &test_cfg(), net.clone(), Pacing::Rounds(link));
     let sub = group.subscribe();
     group.start();
     net.crash(acceptor_node(4, 0));
