@@ -516,6 +516,10 @@ pub mod counters {
     pub const NET_FRAMES_DROPPED: &str = "net_frames_dropped";
     /// Frames successfully written to a TCP peer link.
     pub const NET_FRAMES_SENT: &str = "net_frames_sent";
+    /// `write_all` calls a dialer made on a TCP peer link. Each carries
+    /// every frame queued past the link's cursor (up to a byte cap), so
+    /// `net_frames_sent / net_writes` is the mean coalescing factor.
+    pub const NET_WRITES: &str = "net_writes";
     /// TCP peer links established, counting the first connection *and*
     /// every re-dial (unlike `net_reconnects`, which counts only the
     /// latter) — a freshly restarted process shows its links coming up

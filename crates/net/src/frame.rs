@@ -54,12 +54,23 @@ impl std::error::Error for FrameError {}
 
 /// Encodes one payload as a single wire frame.
 pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
-    assert!(payload.len() <= MAX_FRAME, "frame payload over MAX_FRAME");
     let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
+    out.extend_from_slice(&[0; HEADER_LEN]);
     out.extend_from_slice(payload);
+    seal_frame(&mut out);
     out
+}
+
+/// Fills in the header of a frame built in place: `frame` is
+/// [`HEADER_LEN`] bytes of room followed by the payload. The result is
+/// byte for byte what [`encode_frame`] returns for that payload, without
+/// a second copy of the payload.
+pub(crate) fn seal_frame(frame: &mut [u8]) {
+    let len = frame.len() - HEADER_LEN;
+    assert!(len <= MAX_FRAME, "frame payload over MAX_FRAME");
+    let crc = crc32(&frame[HEADER_LEN..]);
+    frame[..4].copy_from_slice(&(len as u32).to_le_bytes());
+    frame[4..HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
 }
 
 /// Incremental frame decoder: feed it whatever `read()` returned, pull

@@ -15,12 +15,14 @@
 //!   handle, threaded into the mesh's writer/reader paths.
 //! * [`cluster`] — the `NodeId` → `SocketAddr` routing table, parsed
 //!   from a small TOML subset.
-//! * [`tcp`] — the per-process mesh: per-peer outbound queues,
-//!   reconnect with backoff, replay-on-reconnect with receiver-side
-//!   duplicate suppression, channel multiplexing.
+//! * [`tcp`] — the per-process mesh: per-peer outbound queues drained
+//!   by one coalesced write per dialer wake, reconnect with backoff,
+//!   replay-on-reconnect with receiver-side duplicate suppression,
+//!   channel multiplexing to queue or reader-thread consumers.
 //! * [`codec`] — wire codecs for the paxos and state-transfer messages.
-//! * [`bridge`] — splices a `LiveNet` onto a mesh channel, so the
-//!   protocol code runs unmodified over either substrate.
+//! * [`bridge`] — splices a `LiveNet` onto a mesh channel (egress as a
+//!   gateway, ingress as a reader-thread handler), so the protocol code
+//!   runs unmodified over either substrate.
 //!
 //! The `psmr-node` / `psmr-client` binaries (crate `psmr-node`) put
 //! these together into an N-process deployment.
@@ -32,7 +34,7 @@ pub mod codec;
 pub mod frame;
 pub mod tcp;
 
-pub use bridge::{Bridge, OwnerFn};
+pub use bridge::OwnerFn;
 pub use chaos::{ChaosHandle, ChaosPolicy, LinkChaos};
 pub use cluster::{ClusterConfig, ClusterError, NodeSpec};
 pub use frame::{encode_frame, FrameDecoder, FrameError, MAX_FRAME};

@@ -28,13 +28,28 @@
 //!   (`net_frames_dropped`) — loss, exactly like a lossy `LiveNet`
 //!   link. Protocols already tolerate it (paxos retries, the decided-
 //!   batch relay re-subscribes on a gap).
-//! * Frames are multiplexed by an application-chosen channel byte
-//!   ([`TcpMesh::subscribe`]), so paxos traffic, state transfer, and the
-//!   relay/client planes share one socket pair per peer direction.
+//! * Frames are multiplexed by an application-chosen channel byte, so
+//!   paxos traffic, state transfer, and the relay/client planes share
+//!   one socket pair per peer direction. A channel's consumer is either
+//!   a queue drained by its own thread ([`TcpMesh::subscribe`]) or a
+//!   handler run on the reader thread itself
+//!   ([`TcpMesh::subscribe_handler`]), which saves a thread hand-off per
+//!   frame when delivery cannot block.
+//!
+//! **Batching.** `send` builds each frame in place (one allocation) and
+//! appends it to the link's resend buffer, which always holds the
+//! contiguous seq run `front..next_seq`, so the dialer finds its cursor
+//! by index, not by a scan. Each dialer wake takes everything queued
+//! past the cursor, up to `WRITE_CAP` (256 KiB), and writes it with one
+//! `write_all` (`net_writes` counts them; `net_frames_sent` still counts
+//! frames). The chaos egress plan is still decided per frame inside that
+//! walk: a drop skips the frame, corruption or duplication alters its
+//! image in the batch, and a delay or a withheld (partitioned) frame
+//! ends the batch there. Clean and chaotic links share this one path.
 
 use crate::chaos::{ChaosHandle, EgressPlan, Rng, CLEAN_WRITE};
 use crate::cluster::ClusterConfig;
-use crate::frame::{encode_frame, FrameDecoder};
+use crate::frame::{encode_frame, seal_frame, FrameDecoder, HEADER_LEN};
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use psmr_common::metrics::{counters, global, histograms, ScopedCounter, ScopedHistogram};
@@ -48,6 +63,9 @@ use std::time::Duration;
 
 /// Frames a dialer retains for replay-on-reconnect, per peer.
 const RESEND_CAP: usize = 4096;
+/// Bytes one coalesced dialer write carries at most (a single larger
+/// frame still goes out whole, alone).
+const WRITE_CAP: usize = 256 * 1024;
 /// First retry delay after a failed dial.
 const BACKOFF_MIN: Duration = Duration::from_millis(10);
 /// Retry delays stop doubling here.
@@ -63,6 +81,9 @@ const KIND_HELLO: u8 = 1;
 const KIND_ACK: u8 = 2;
 /// `kind | seq u64 | chan u8 | from u64 | to u64` precedes a data body.
 const DATA_HEADER: usize = 1 + 8 + 1 + 8 + 8;
+/// Where the seq sits in an encoded data frame (after the frame header
+/// and the kind byte).
+const SEQ_AT: usize = HEADER_LEN + 1;
 /// How long a dialer waits for the HELLO ack before re-dialing.
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(5);
 
@@ -82,8 +103,32 @@ pub struct Inbound {
 /// dialer thread.
 struct LinkState {
     next_seq: u64,
-    /// `(seq, encoded frame)` — encoded once, replayed as-is.
+    /// `(seq, encoded frame)` — encoded once, replayed as-is. Always the
+    /// contiguous run `front_seq()..next_seq`: `send` appends, eviction
+    /// and the incarnation discard remove a prefix.
     buffer: VecDeque<(u64, Arc<Vec<u8>>)>,
+}
+
+impl LinkState {
+    /// Seq of the oldest retained frame (`next_seq` when empty).
+    fn front_seq(&self) -> u64 {
+        self.buffer.front().map_or(self.next_seq, |(seq, _)| *seq)
+    }
+
+    /// Clones into `out` the frames at or past `cursor`, oldest first,
+    /// up to [`WRITE_CAP`] bytes (at least one frame). A cursor below
+    /// the front — its frames were evicted — starts at the front.
+    fn frames_from(&self, cursor: u64, out: &mut Vec<(u64, Arc<Vec<u8>>)>) {
+        let skip = (cursor.saturating_sub(self.front_seq()) as usize).min(self.buffer.len());
+        let mut bytes = 0;
+        for (seq, frame) in self.buffer.range(skip..) {
+            if !out.is_empty() && bytes + frame.len() > WRITE_CAP {
+                break;
+            }
+            bytes += frame.len();
+            out.push((*seq, Arc::clone(frame)));
+        }
+    }
 }
 
 struct Link {
@@ -109,6 +154,7 @@ struct DialerMetrics {
     reconnects: ScopedCounter,
     backoff_sleeps: ScopedCounter,
     frames_sent: ScopedCounter,
+    writes: ScopedCounter,
     bytes_sent: ScopedCounter,
     frames_resent: ScopedCounter,
     handshake_ns: ScopedHistogram,
@@ -128,6 +174,7 @@ impl DialerMetrics {
             reconnects: scope.counter(counters::NET_RECONNECTS),
             backoff_sleeps: scope.counter(counters::NET_BACKOFF_SLEEPS),
             frames_sent: scope.counter(counters::NET_FRAMES_SENT),
+            writes: scope.counter(counters::NET_WRITES),
             bytes_sent: scope.counter(counters::NET_BYTES_SENT),
             frames_resent: scope.counter(counters::NET_FRAMES_RESENT),
             handshake_ns: scope.histogram(histograms::NET_HANDSHAKE_NS),
@@ -180,7 +227,9 @@ struct MeshInner {
     shutdown: AtomicBool,
     /// Index = peer id; `None` at `me`.
     links: Vec<Option<Link>>,
-    subscribers: Mutex<HashMap<u8, Sender<Inbound>>>,
+    /// Channel → consumer. [`dispatch`] clones the `Arc` out and
+    /// delivers without holding the lock.
+    subscribers: Mutex<HashMap<u8, Arc<Consumer>>>,
     /// Per sending process: its incarnation and the highest data-frame
     /// seq seen from it — the reconnect dup filter. A new incarnation
     /// resets the seq floor (restarted peers restart their counters).
@@ -189,6 +238,17 @@ struct MeshInner {
     /// and every inbound data frame. All clean by default.
     chaos: ChaosHandle,
 }
+
+/// Where one channel's inbound messages go.
+enum Consumer {
+    /// Queued for a consumer thread ([`TcpMesh::subscribe`]).
+    Queue(Sender<Inbound>),
+    /// Run on the reader thread ([`TcpMesh::subscribe_handler`]).
+    Handler(Box<Handler>),
+}
+
+/// A reader-thread consumer, called with `(from, to, body)`.
+type Handler = dyn Fn(u64, u64, &[u8]) + Send + Sync;
 
 /// This process's endpoint of the deployment mesh. Cloneable; all clones
 /// share the links.
@@ -323,30 +383,27 @@ impl TcpMesh {
         }
         if peer == self.inner.me {
             // Local loopback: reliable, no seq machinery.
-            dispatch(
-                &self.inner,
-                chan,
-                Inbound {
-                    from,
-                    to,
-                    body: body.to_vec(),
-                },
-            );
+            dispatch(&self.inner, chan, from, to, body);
             return true;
         }
         let Some(link) = self.inner.links.get(peer).and_then(|l| l.as_ref()) else {
             return false;
         };
-        let mut payload = Vec::with_capacity(DATA_HEADER + body.len());
+        // The whole wire image in one buffer: frame header, data header
+        // and body. Only the seq and the crc wait for the link lock.
+        let mut frame = Vec::with_capacity(HEADER_LEN + DATA_HEADER + body.len());
+        frame.extend_from_slice(&[0; HEADER_LEN]);
+        frame.push(KIND_DATA);
+        frame.extend_from_slice(&[0; 8]);
+        frame.push(chan);
+        frame.extend_from_slice(&from.to_le_bytes());
+        frame.extend_from_slice(&to.to_le_bytes());
+        frame.extend_from_slice(body);
         let mut state = link.state.lock();
         let seq = state.next_seq;
         state.next_seq += 1;
-        payload.push(KIND_DATA);
-        payload.extend_from_slice(&seq.to_le_bytes());
-        payload.push(chan);
-        payload.extend_from_slice(&from.to_le_bytes());
-        payload.extend_from_slice(&to.to_le_bytes());
-        payload.extend_from_slice(body);
+        frame[SEQ_AT..SEQ_AT + 8].copy_from_slice(&seq.to_le_bytes());
+        seal_frame(&mut frame);
         if state.buffer.len() >= RESEND_CAP {
             if let Some((evicted, _)) = state.buffer.pop_front() {
                 if evicted >= link.sent_watermark.load(Ordering::Relaxed) {
@@ -354,24 +411,46 @@ impl TcpMesh {
                 }
             }
         }
-        state
-            .buffer
-            .push_back((seq, Arc::new(encode_frame(&payload))));
+        state.buffer.push_back((seq, Arc::new(frame)));
         drop(state);
         let _ = link.wake.try_send(());
         true
     }
 
-    /// Registers (or replaces) the consumer of channel `chan`.
+    /// Registers (or replaces) the consumer of channel `chan`: a queue
+    /// drained by the caller's own thread.
     pub fn subscribe(&self, chan: u8) -> Receiver<Inbound> {
         let (tx, rx) = unbounded();
-        self.inner.subscribers.lock().insert(chan, tx);
+        self.set_consumer(chan, Consumer::Queue(tx));
         rx
+    }
+
+    /// Registers (or replaces) the consumer of channel `chan`: `handler`
+    /// is called with `(from, to, body)` of every message, in per-link
+    /// FIFO order, **on the mesh reader thread** that decoded it (on the
+    /// sending thread for a loopback send to this node itself). It must
+    /// not block: the link's next frame waits for it. It may subscribe,
+    /// send, or replace itself — no mesh lock is held while it runs.
+    /// [`TcpMesh::shutdown`] drops it.
+    pub fn subscribe_handler(
+        &self,
+        chan: u8,
+        handler: impl Fn(u64, u64, &[u8]) + Send + Sync + 'static,
+    ) {
+        self.set_consumer(chan, Consumer::Handler(Box::new(handler)));
+    }
+
+    fn set_consumer(&self, chan: u8, consumer: Consumer) {
+        self.inner
+            .subscribers
+            .lock()
+            .insert(chan, Arc::new(consumer));
     }
 
     /// Stops every mesh thread and joins them. Subscriber receivers
     /// disconnect (their senders are dropped), so consumer threads
-    /// blocked on `recv()` unblock too. Idempotent.
+    /// blocked on `recv()` unblock too, and handlers are dropped.
+    /// Idempotent.
     pub fn shutdown(&self) {
         self.inner.shutdown.store(true, Ordering::Relaxed);
         self.inner.subscribers.lock().clear();
@@ -395,11 +474,22 @@ fn fresh_incarnation() -> u64 {
     nanos ^ (u64::from(std::process::id()) << 48)
 }
 
-/// Hands one inbound message to the channel's subscriber (or drops it —
-/// same contract as `LiveNet` sending to an unregistered node).
-fn dispatch(inner: &MeshInner, chan: u8, msg: Inbound) {
-    if let Some(tx) = inner.subscribers.lock().get(&chan) {
-        let _ = tx.send(msg);
+/// Hands one inbound message to the channel's consumer (or drops it —
+/// same contract as `LiveNet` sending to an unregistered node). The
+/// consumer is cloned out first, so a handler runs without the
+/// subscriber lock.
+fn dispatch(inner: &MeshInner, chan: u8, from: u64, to: u64, body: &[u8]) {
+    let consumer = inner.subscribers.lock().get(&chan).cloned();
+    match consumer.as_deref() {
+        Some(Consumer::Queue(tx)) => {
+            let _ = tx.send(Inbound {
+                from,
+                to,
+                body: body.to_vec(),
+            });
+        }
+        Some(Consumer::Handler(handler)) => handler(from, to, body),
+        None => {}
     }
 }
 
@@ -407,7 +497,15 @@ fn dispatch(inner: &MeshInner, chan: u8, msg: Inbound) {
 /// buffer, then stream queued frames until the link drops.
 fn dialer_main(inner: &Arc<MeshInner>, peer: usize, addr: &str, wake: Receiver<()>) {
     let link = inner.links[peer].as_ref().expect("dialer has a link");
-    let metrics = DialerMetrics::new(peer);
+    let mut pump = Pump {
+        inner,
+        link,
+        peer,
+        metrics: DialerMetrics::new(peer),
+        frames: Vec::new(),
+        image: Vec::new(),
+        held: None,
+    };
     // Jitters the dial backoff so the followers of a restarted peer
     // spread their re-dials instead of arriving in lockstep.
     let mut rng = Rng::seeded(inner.incarnation ^ ((peer as u64) << 32));
@@ -420,6 +518,7 @@ fn dialer_main(inner: &Arc<MeshInner>, peer: usize, addr: &str, wake: Receiver<(
     let mut peer_incarnation: Option<u64> = None;
     while !inner.shutdown.load(Ordering::Relaxed) {
         let Some(stream) = conn.as_mut() else {
+            let metrics = &pump.metrics;
             match TcpStream::connect(addr) {
                 Ok(mut stream) => {
                     let _ = stream.set_nodelay(true);
@@ -473,138 +572,181 @@ fn dialer_main(inner: &Arc<MeshInner>, peer: usize, addr: &str, wake: Receiver<(
                     // Replay the whole retained buffer on this fresh
                     // connection; the receiver's seq filter drops what
                     // its incarnation already saw.
-                    cursor = state.buffer.front().map_or(state.next_seq, |(seq, _)| *seq);
+                    cursor = state.front_seq();
                     drop(state);
                     conn = Some(stream);
                 }
                 Err(_) => {
-                    // Sleep in short slices so shutdown stays prompt.
                     metrics.backoff_sleeps.inc();
-                    let mut left = rng.jittered(backoff);
-                    while left > Duration::ZERO && !inner.shutdown.load(Ordering::Relaxed) {
-                        let slice = left.min(POLL);
-                        std::thread::sleep(slice);
-                        left = left.saturating_sub(slice);
-                    }
+                    sleep_unless_shutdown(inner, rng.jittered(backoff));
                     backoff = (backoff * 2).min(BACKOFF_MAX);
                 }
             }
             continue;
         };
-        let next = {
-            let state = link.state.lock();
-            state
-                .buffer
-                .iter()
-                .find(|(seq, _)| *seq >= cursor)
-                .map(|(seq, frame)| (*seq, Arc::clone(frame)))
-        };
-        match next {
-            None => match wake.recv_timeout(POLL) {
+        pump.frames.clear();
+        link.state.lock().frames_from(cursor, &mut pump.frames);
+        if pump.frames.is_empty() {
+            match wake.recv_timeout(POLL) {
                 Ok(()) | Err(RecvTimeoutError::Timeout) => {}
                 Err(RecvTimeoutError::Disconnected) => return,
-            },
-            Some((seq, frame)) => {
-                let mut plan = inner.chaos.egress_plan(peer, frame.len());
-                // Frame-destroying faults (loss, corruption) hit a
-                // frame's *first* transmission only: a replayed frame
-                // (seq below the sent watermark) is the recovery path
-                // for a teardown that already happened, and re-rolling
-                // destructive dice on it would let a growing backlog
-                // make every replay fail — a wedged link instead of a
-                // faulty one. Partition, delay, and throttle still
-                // shape replays like any other bytes.
-                if seq < link.sent_watermark.load(Ordering::Relaxed) {
-                    match &mut plan {
-                        EgressPlan::Drop => plan = CLEAN_WRITE,
-                        EgressPlan::Write { corrupt_at, .. } => *corrupt_at = None,
-                        EgressPlan::Withhold => {}
-                    }
+            }
+            continue;
+        }
+        match pump.write(stream, cursor) {
+            Ok(next) => cursor = next,
+            Err(_) => {
+                conn = None;
+                pump.held = None;
+                link.connected.store(false, Ordering::Relaxed);
+            }
+        }
+    }
+}
+
+/// Sleeps `left` in [`POLL`] slices so shutdown stays prompt.
+fn sleep_unless_shutdown(inner: &MeshInner, mut left: Duration) {
+    while left > Duration::ZERO && !inner.shutdown.load(Ordering::Relaxed) {
+        let slice = left.min(POLL);
+        std::thread::sleep(slice);
+        left = left.saturating_sub(slice);
+    }
+}
+
+/// One dialer's write path: the frames of one wake, walked through the
+/// chaos policy into one coalesced write.
+struct Pump<'a> {
+    inner: &'a MeshInner,
+    link: &'a Link,
+    peer: usize,
+    metrics: DialerMetrics,
+    /// The frames past the cursor, cloned out of the link for one wake.
+    frames: Vec<(u64, Arc<Vec<u8>>)>,
+    /// The bytes of one coalesced write, reused across wakes.
+    image: Vec<u8>,
+    /// A delayed frame's plan, kept for the wake that writes it so the
+    /// frame's dice are rolled once.
+    held: Option<(u64, EgressPlan)>,
+}
+
+impl Pump<'_> {
+    /// Walks `self.frames` (oldest first, none below `cursor`'s frame),
+    /// writes what the walk keeps with one `write_all`, and returns the
+    /// cursor past the last frame written or dropped. On an error
+    /// nothing is committed: the reconnect replays from the front.
+    fn write(&mut self, stream: &mut TcpStream, cursor: u64) -> std::io::Result<u64> {
+        let metrics = &self.metrics;
+        let watermark = self.link.sent_watermark.load(Ordering::Relaxed);
+        self.image.clear();
+        let mut next = cursor;
+        let (mut fresh, mut resent, mut bytes, mut dropped) = (0u64, 0u64, 0u64, 0u64);
+        let mut withheld = false;
+        for (seq, frame) in &self.frames {
+            let (seq, frame) = (*seq, frame.as_slice());
+            let mut plan = match self.held.take() {
+                Some((held, plan)) if held == seq => plan,
+                _ => self.inner.chaos.egress_plan(self.peer, frame.len()),
+            };
+            // Frame-destroying faults (loss, corruption) hit a frame's
+            // *first* transmission only: a replayed frame (seq below the
+            // sent watermark) is the recovery path for a teardown that
+            // already happened, and re-rolling destructive dice on it
+            // would let a growing backlog make every replay fail — a
+            // wedged link instead of a faulty one. Partition, delay, and
+            // throttle still shape replays like any other bytes.
+            if seq < watermark {
+                match &mut plan {
+                    EgressPlan::Drop => plan = CLEAN_WRITE,
+                    EgressPlan::Write { corrupt_at, .. } => *corrupt_at = None,
+                    EgressPlan::Withhold => {}
                 }
-                match plan {
-                    EgressPlan::Withhold => {
-                        // Partitioned outbound: keep the frame queued (it is
-                        // not loss — it delivers when the partition heals)
-                        // and park briefly before re-checking the policy.
-                        metrics.chaos_partitioned.inc();
-                        std::thread::sleep(POLL);
-                    }
-                    EgressPlan::Drop => {
-                        // Injected loss: consume the frame exactly as if the
-                        // write happened, so the link's seq accounting stays
-                        // coherent and nothing ever replays it.
-                        metrics.chaos_dropped.inc();
-                        if seq >= link.sent_watermark.load(Ordering::Relaxed) {
-                            link.sent_watermark.store(seq + 1, Ordering::Relaxed);
+            }
+            match plan {
+                EgressPlan::Withhold => {
+                    // Partitioned outbound: the frame stays queued (it
+                    // is not loss — it delivers when the partition
+                    // heals); the batch ends before it.
+                    metrics.chaos_partitioned.inc();
+                    withheld = true;
+                    break;
+                }
+                EgressPlan::Drop => {
+                    // Injected loss: consumed exactly as if written, so
+                    // the link's seq accounting stays coherent and
+                    // nothing ever replays it.
+                    dropped += 1;
+                    next = seq + 1;
+                }
+                EgressPlan::Write {
+                    delay,
+                    throttled,
+                    corrupt_at,
+                    duplicate,
+                } => {
+                    if !delay.is_zero() {
+                        if !self.image.is_empty() {
+                            // The frames before it go out now; this one
+                            // waits out its delay on the next wake.
+                            self.held = Some((seq, plan));
+                            break;
                         }
-                        cursor = seq + 1;
-                    }
-                    EgressPlan::Write {
-                        delay,
-                        throttled,
-                        corrupt_at,
-                        duplicate,
-                    } => {
-                        if !delay.is_zero() {
-                            metrics.chaos_delayed.inc();
-                            if throttled {
-                                metrics.chaos_throttle_sleeps.inc();
-                            }
-                            // Sleep in short slices so shutdown stays prompt.
-                            let mut left = delay;
-                            while left > Duration::ZERO && !inner.shutdown.load(Ordering::Relaxed) {
-                                let slice = left.min(POLL);
-                                std::thread::sleep(slice);
-                                left = left.saturating_sub(slice);
-                            }
+                        metrics.chaos_delayed.inc();
+                        if throttled {
+                            metrics.chaos_throttle_sleeps.inc();
                         }
-                        // Corruption flips one byte in a scratch copy; the
-                        // canonical image stays in the resend buffer, so the
-                        // receiver's crc teardown + our reconnect replay
-                        // eventually delivers the frame intact. The flip
+                        sleep_unless_shutdown(self.inner, delay);
+                    }
+                    let at = self.image.len();
+                    self.image.extend_from_slice(frame);
+                    if let Some(roll) = corrupt_at {
+                        // One byte flips in the batch image; the
+                        // canonical frame stays in the resend buffer, so
+                        // the receiver's crc teardown + our reconnect
+                        // replay eventually delivers it intact. The flip
                         // lands past the 4-byte length field (crc or
                         // payload): a flipped *length* would desync the
-                        // decoder into silently awaiting a phantom frame —
-                        // no poison, no teardown, a wedged link — whereas a
-                        // crc/payload flip is always detected.
-                        let corrupted = corrupt_at.map(|at| {
-                            metrics.chaos_corrupted.inc();
-                            let mut copy: Vec<u8> = (*frame).clone();
-                            let idx = 4 + (at % (copy.len() as u64 - 4)) as usize;
-                            copy[idx] ^= 0x01;
-                            copy
-                        });
-                        let image: &[u8] = corrupted.as_deref().unwrap_or(&frame);
-                        let write = stream.write_all(image).and_then(|()| {
-                            if duplicate {
-                                // The receiver's seq filter drops the copy.
-                                metrics.chaos_duplicated.inc();
-                                stream.write_all(&frame)
-                            } else {
-                                Ok(())
-                            }
-                        });
-                        match write {
-                            Ok(()) => {
-                                metrics.bytes_sent.add(frame.len() as u64);
-                                let watermark = link.sent_watermark.load(Ordering::Relaxed);
-                                if seq < watermark {
-                                    metrics.frames_resent.inc();
-                                } else {
-                                    metrics.frames_sent.inc();
-                                    link.sent_watermark.store(seq + 1, Ordering::Relaxed);
-                                }
-                                cursor = seq + 1;
-                            }
-                            Err(_) => {
-                                conn = None;
-                                link.connected.store(false, Ordering::Relaxed);
-                            }
-                        }
+                        // decoder into silently awaiting a phantom frame
+                        // — no poison, no teardown, a wedged link —
+                        // whereas a crc/payload flip is always detected.
+                        metrics.chaos_corrupted.inc();
+                        self.image[at + 4 + (roll % (frame.len() as u64 - 4)) as usize] ^= 0x01;
+                    }
+                    if duplicate {
+                        // The receiver's seq filter drops the copy.
+                        metrics.chaos_duplicated.inc();
+                        self.image.extend_from_slice(frame);
+                    }
+                    bytes += frame.len() as u64;
+                    if seq < watermark {
+                        resent += 1;
+                    } else {
+                        fresh += 1;
+                    }
+                    next = seq + 1;
+                    if !delay.is_zero() {
+                        // A delayed frame ends its batch, so the next
+                        // frame's delay is served after this write.
+                        break;
                     }
                 }
             }
         }
+        if !self.image.is_empty() {
+            stream.write_all(&self.image)?;
+            metrics.writes.inc();
+            metrics.frames_sent.add(fresh);
+            metrics.frames_resent.add(resent);
+            metrics.bytes_sent.add(bytes);
+        }
+        metrics.chaos_dropped.add(dropped);
+        if next > watermark {
+            self.link.sent_watermark.store(next, Ordering::Relaxed);
+        }
+        if withheld {
+            // Park briefly before re-checking the policy.
+            std::thread::sleep(POLL);
+        }
+        Ok(next)
     }
 }
 
@@ -796,17 +938,51 @@ fn handle_payload(
                 }
                 *last = seq;
             }
-            dispatch(
-                inner,
-                chan,
-                Inbound {
-                    from,
-                    to,
-                    body: payload[DATA_HEADER..].to_vec(),
-                },
-            );
+            dispatch(inner, chan, from, to, &payload[DATA_HEADER..]);
             true
         }
         _ => false,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn state(front: u64, frames: usize, len: usize) -> LinkState {
+        LinkState {
+            next_seq: front + frames as u64,
+            buffer: (0..frames)
+                .map(|i| (front + i as u64, Arc::new(vec![0; len])))
+                .collect(),
+        }
+    }
+
+    fn seqs(state: &LinkState, cursor: u64) -> Vec<u64> {
+        let mut out = Vec::new();
+        state.frames_from(cursor, &mut out);
+        out.iter().map(|(seq, _)| *seq).collect()
+    }
+
+    #[test]
+    fn cursor_indexes_into_the_contiguous_buffer() {
+        let link = state(10, 5, 8);
+        assert_eq!(link.front_seq(), 10);
+        assert_eq!(seqs(&link, 12), [12, 13, 14]);
+        // Caught up: nothing to write.
+        assert!(seqs(&link, 15).is_empty());
+        // Frames below the front were evicted: start at the front.
+        assert_eq!(seqs(&link, 3), [10, 11, 12, 13, 14]);
+        assert_eq!(state(7, 0, 8).front_seq(), 7);
+    }
+
+    #[test]
+    fn one_wake_takes_at_most_the_write_cap_but_always_one_frame() {
+        let per_cap = 4;
+        let link = state(1, 10, WRITE_CAP / per_cap);
+        assert_eq!(seqs(&link, 1).len(), per_cap);
+        assert_eq!(seqs(&link, 9), [9, 10]);
+        let huge = state(1, 2, WRITE_CAP + 1);
+        assert_eq!(seqs(&huge, 1), [1]);
     }
 }

@@ -217,8 +217,9 @@ impl<M: Send + 'static> LiveNet<M> {
     }
 
     /// Delivers a message to a **locally registered** node, bypassing
-    /// the gateway — the injection point a TCP bridge's inbound thread
-    /// uses (never re-consulting the gateway, so bridged traffic cannot
+    /// the gateway — the injection point a TCP bridge's reader-thread
+    /// handler uses (it never blocks: inboxes are unbounded; and it never
+    /// re-consults the gateway, so bridged traffic cannot
     /// loop back out). Returns `false` when the destination has no local
     /// inbox or the net is shut down.
     pub fn deliver(&self, from: NodeId, to: NodeId, message: M) -> bool {

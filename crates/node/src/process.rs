@@ -3,9 +3,11 @@
 //! [`run_node`] assembles everything a `psmr-node` process hosts, from
 //! the cluster config and this process's id:
 //!
-//! * the [`TcpMesh`] endpoint plus two [`Bridge`]s — channel 0 carries
-//!   paxos traffic, channel 1 the state-transfer protocol — so the
-//!   consensus and recovery code run unmodified over real sockets;
+//! * the [`TcpMesh`] endpoint with two `LiveNet`s spliced onto it
+//!   ([`bridge::splice`]) — channel 0 carries paxos traffic, channel 1
+//!   the state-transfer protocol — so the consensus and recovery code
+//!   run unmodified over real sockets, delivered straight from the mesh
+//!   reader threads;
 //! * on node 0 (the orderer): the paxos group — coordinator, WAL, and
 //!   acceptor 0 — spawned with [`PaxosGroup::spawn_hosted`], the
 //!   decided-batch **relay server** (mesh channel 2), and the periodic
@@ -40,7 +42,7 @@ use psmr_core::service::Service;
 use psmr_kvstore::KvService;
 use psmr_net::codec::{decode_paxos, decode_transfer, encode_paxos, encode_transfer};
 use psmr_net::frame::encode_frame;
-use psmr_net::{Bridge, ClusterConfig, TcpMesh};
+use psmr_net::{bridge, ClusterConfig, TcpMesh};
 use psmr_netsim::{LiveNet, NodeId};
 use psmr_paxos::runtime::{
     coordinator_node, GroupHandle, Pacing, PaxosGroup, RemoteAcceptor, SubscribeError, WalMode,
@@ -122,8 +124,6 @@ impl Default for NodeOptions {
 /// signals).
 pub struct RunningNode {
     mesh: TcpMesh,
-    _paxos_bridge: Bridge,
-    _xfer_bridge: Bridge,
     _xfer_server: StateTransferServer,
     _group: Option<PaxosGroup>,
     _racceptor: Option<RemoteAcceptor>,
@@ -357,7 +357,7 @@ pub fn run_node(
     // Paxos plane (mesh channel 0). Node layout: coordinator of group 0
     // on node 0, acceptor i on node i.
     let paxos_net: LiveNet<NetMsg> = LiveNet::new();
-    let paxos_bridge = Bridge::splice(
+    bridge::splice(
         &paxos_net,
         &mesh,
         0,
@@ -378,7 +378,7 @@ pub fn run_node(
     // Transfer plane (mesh channel 1). Servers at NodeId(proc),
     // fetchers at NodeId(FETCHER_BASE + proc).
     let xfer_net: LiveNet<TransferMsg> = LiveNet::new();
-    let xfer_bridge = Bridge::splice(
+    bridge::splice(
         &xfer_net,
         &mesh,
         1,
@@ -599,8 +599,6 @@ pub fn run_node(
 
     Ok(RunningNode {
         mesh,
-        _paxos_bridge: paxos_bridge,
-        _xfer_bridge: xfer_bridge,
         _xfer_server: xfer_server,
         _group: group,
         _racceptor: racceptor,
