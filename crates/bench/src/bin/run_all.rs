@@ -14,7 +14,6 @@ fn main() {
     let _ = experiments::fig6(&args);
     let _ = experiments::fig7(&args);
     let _ = experiments::fig8(&args);
-    let _ = experiments::remap(&args);
     let _ = experiments::ckpt_load(&args);
     let _ = experiments::wal_overhead(&args);
     let _ = experiments::pipeline(&args, false);

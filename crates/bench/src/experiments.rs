@@ -272,77 +272,6 @@ pub fn fig7(args: &BenchArgs) -> Report {
     report
 }
 
-/// Extension (§IV-D future work): online C-G reconfiguration under an
-/// adversarial skew. The workload's hot keys all collide on worker group 0
-/// (`stride = MPL` under the `key mod k` rule); after a measurement the
-/// experiment installs a remap table spreading the hottest keys across
-/// groups **online** and measures again.
-pub fn remap(args: &BenchArgs) -> Report {
-    use psmr_core::engines::{Engine, PsmrEngine};
-    use psmr_core::remap::{RemapTable, RemappableMap, REMAP};
-    use psmr_kvstore::{fine_dependency_spec, KvService};
-
-    let mut report = Report::new("remap");
-    let mpl = 8usize;
-    let ranks = args.keys / mpl as u64;
-    // All sampled keys are multiples of mpl: every hot key lands on g_0.
-    let dist = KeyDist::strided(KeyDist::zipf(ranks, 1.0), mpl as u64);
-    let mix = KvMix::update_read();
-
-    let mut cfg = SystemConfig::new(mpl);
-    cfg.replicas(2);
-    let rmap = RemappableMap::new(fine_dependency_spec().into_map());
-    let keys = args.keys;
-    let engine = PsmrEngine::spawn_remappable(&cfg, rmap, move || {
-        KvService::with_keys_and_work(keys, crate::engines::EXEC_WORK)
-    });
-
-    // Moderate load: at full saturation the 24-core host is oversubscribed
-    // by the 70+ threads of an MPL-8 deployment and scheduler noise hides
-    // the routing effect this experiment isolates.
-    let mut run_opts = opts(args);
-    run_opts.clients = run_opts.clients.min(8);
-
-    let before = drive_kv(&engine, &mix, &dist, &run_opts);
-    report.line(&format!(
-        "before remap (hot keys collide on g0): {:.1} Kcps, {:.3} ms avg",
-        before.kcps, before.avg_latency_ms
-    ));
-
-    // Spread the 64 hottest keys round-robin across all groups, through
-    // the replicated REMAP command (installs at a deterministic point of
-    // the serialized stream on every replica).
-    let mut table = RemapTable {
-        epoch: 1,
-        ..Default::default()
-    };
-    for rank in 0..64u64 {
-        table.pins.insert(
-            rank * mpl as u64,
-            psmr_common::ids::GroupId::new((rank % mpl as u64) as usize),
-        );
-    }
-    let mut admin = engine.client();
-    let resp = admin.execute(REMAP, table.encode());
-    report.line(&format!("remap installed: {}", resp[0] == 1));
-    drop(admin);
-
-    let after = drive_kv(&engine, &mix, &dist, &run_opts);
-    report.line(&format!(
-        "after remap (hot keys spread):       {:.1} Kcps, {:.3} ms avg",
-        after.kcps, after.avg_latency_ms
-    ));
-    report.line(&format!(
-        "online reconfiguration recovered {:.2}x throughput",
-        after.kcps / before.kcps.max(f64::MIN_POSITIVE)
-    ));
-    report.metric("before_remap_kcps", before.kcps);
-    report.metric("after_remap_kcps", after.kcps);
-    engine.shutdown();
-    report.save();
-    report
-}
-
 /// Extension: checkpoint-under-load — what the recovery subsystem costs
 /// while the store is saturated, and how long a crash→restart→converge
 /// cycle takes end to end.

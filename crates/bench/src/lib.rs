@@ -16,7 +16,6 @@
 //! | `fig6` | mixed workloads (breakeven point) |
 //! | `fig7` | skewed workloads (uniform vs Zipf) |
 //! | `fig8` | NetFS reads and writes |
-//! | `remap` | extension: online C-G reconfiguration under skew |
 //! | `ckpt_load` | extension: checkpoint-under-load dip + recovery time |
 //! | `wal_overhead` | extension: durable-log cost (inline vs pipelined group commit) |
 //! | `pipeline` | extension: pipelined delivery path, batch size × pipeline on/off |

@@ -256,7 +256,6 @@ mod tests {
         for name in [
             "fig3",
             "fig4",
-            "remap",
             "ckpt_load",
             "wal_overhead",
             "pipeline",

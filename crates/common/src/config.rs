@@ -28,9 +28,6 @@ pub enum ConfigError {
     /// `wal_batch` is zero: the group-commit window would never admit an
     /// append, wedging the ordered log.
     ZeroWalBatch,
-    /// `wal_segment_bytes` is zero: every append would rotate into a
-    /// fresh segment, degenerating the log into one file per record.
-    ZeroWalSegment,
     /// `batch_bytes` is zero: no command would ever fit in a batch.
     ZeroBatchBytes,
     /// `client_window` is zero: clients could never have a request in
@@ -39,9 +36,6 @@ pub enum ConfigError {
     /// `delivery_queue` is zero: no decided batch could ever be handed to
     /// a subscriber, wedging delivery at the first round.
     ZeroDeliveryQueue,
-    /// `exec_ring` is zero: no request could ever be enqueued to an
-    /// execution worker, wedging the scheduler stage.
-    ZeroExecRing,
 }
 
 impl fmt::Display for ConfigError {
@@ -52,15 +46,11 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::ZeroRetention => write!(f, "log_retention must be at least 1 batch"),
             ConfigError::ZeroWalBatch => write!(f, "wal_batch must be at least 1 append"),
-            ConfigError::ZeroWalSegment => {
-                write!(f, "wal_segment_bytes must be at least 1")
-            }
             ConfigError::ZeroBatchBytes => write!(f, "batch_bytes must be at least 1"),
             ConfigError::ZeroClientWindow => write!(f, "client_window must be at least 1"),
             ConfigError::ZeroDeliveryQueue => {
                 write!(f, "delivery_queue must be at least 1 batch")
             }
-            ConfigError::ZeroExecRing => write!(f, "exec_ring must be at least 1 request"),
         }
     }
 }
@@ -99,11 +89,13 @@ pub struct SystemConfig {
     /// How long a coordinator waits for more traffic before closing a
     /// non-full batch.
     pub batch_delay: Duration,
-    /// Round-clock period of merged (P-SMR) streams: every group decides
-    /// exactly one round per tick — a *skip* when idle — so deterministic
-    /// merge advances in lockstep (Multi-Ring Paxos style). Lower values
-    /// reduce command latency but cost one consensus instance per group per
-    /// tick even when idle.
+    /// Idle skip period of merged (P-SMR) streams. Rounds are
+    /// demand-driven: the next round fires once the previous one is
+    /// decided on every group and taken by every worker, and only when a
+    /// command is waiting. With no traffic the clock still decides one
+    /// *skip* round per `skip_interval`. The same interval bounds how long
+    /// a stalled consumer can hold the next round back before the clock
+    /// re-checks it.
     pub skip_interval: Duration,
     /// Per-client window of outstanding commands (50 in the paper, §VI-B).
     pub client_window: usize,
@@ -142,9 +134,6 @@ pub struct SystemConfig {
     /// the batch. `1` syncs every append (safest, slowest). Ignored when
     /// `wal_pipeline` is on (the sync thread group-commits adaptively).
     pub wal_batch: usize,
-    /// Size threshold at which the write-ahead log rotates to a fresh
-    /// segment file. Trimming reclaims whole segments by unlink.
-    pub wal_segment_bytes: usize,
     /// Pipelined group commit: decided batches are appended to the WAL
     /// and fanned out to subscribers **immediately**, while the covering
     /// `fsync` runs on one sync thread **shared by every group of the
@@ -155,25 +144,12 @@ pub struct SystemConfig {
     /// command is never observable. Off by default (inline appends,
     /// `wal_batch`-windowed fsync). Only meaningful with `wal_dir` set.
     pub wal_pipeline: bool,
-    /// Minimum interval between two fsync passes of the deployment's
-    /// shared sync thread — the group-commit pacing (each pass syncs
-    /// every group with an open command window, so per-pass fsync work
-    /// scales with group count). Smaller values shrink the
-    /// response-holdback latency; larger values amortize each fsync over
-    /// more appends and spend less CPU on sync churn. Only meaningful
-    /// with `wal_pipeline`.
-    pub wal_sync_pace: Duration,
     /// Capacity, in decided batches, of each subscriber's delivery queue
     /// (the ring between a group's delivery and a replica worker). When a
     /// slow worker fills its ring the coordinator blocks, throttling
     /// ordering instead of growing memory without bound
     /// (`delivery_backpressure_stalls` counts those stalls).
     pub delivery_queue: usize,
-    /// Capacity, in requests, of each execution worker's ring (the
-    /// scheduler→worker queues of sP-SMR and no-rep). A full ring blocks
-    /// the scheduler — delivery throttles instead of buffering unboundedly
-    /// (`exec_backpressure_stalls` counts those stalls).
-    pub exec_ring: usize,
     /// Command-lifecycle trace sampling: one batch sequence in N per
     /// group (chosen by a hash of the sequence) is stamped through the
     /// pipeline stages (submitted → ordered → appended → delivered →
@@ -207,11 +183,8 @@ impl SystemConfig {
             transfer_timeout: Duration::from_millis(250),
             wal_dir: None,
             wal_batch: 16,
-            wal_segment_bytes: 4 * 1024 * 1024,
             wal_pipeline: false,
-            wal_sync_pace: Duration::from_millis(1),
             delivery_queue: 1024,
-            exec_ring: 4096,
             trace_sample: 32,
         }
     }
@@ -236,9 +209,6 @@ impl SystemConfig {
         if self.wal_batch == 0 {
             return Err(ConfigError::ZeroWalBatch);
         }
-        if self.wal_segment_bytes == 0 {
-            return Err(ConfigError::ZeroWalSegment);
-        }
         if self.batch_bytes == 0 {
             return Err(ConfigError::ZeroBatchBytes);
         }
@@ -247,9 +217,6 @@ impl SystemConfig {
         }
         if self.delivery_queue == 0 {
             return Err(ConfigError::ZeroDeliveryQueue);
-        }
-        if self.exec_ring == 0 {
-            return Err(ConfigError::ZeroExecRing);
         }
         Ok(())
     }
@@ -349,13 +316,6 @@ impl SystemConfig {
         self
     }
 
-    /// Sets the WAL segment-rotation threshold in bytes (zero is
-    /// rejected by [`SystemConfig::validate`]).
-    pub fn wal_segment_bytes(&mut self, bytes: usize) -> &mut Self {
-        self.wal_segment_bytes = bytes;
-        self
-    }
-
     /// Enables (or disables) pipelined group commit: fan-out proceeds
     /// while the covering `fsync` runs on the WAL sync thread, and client
     /// responses are gated on the durability watermark instead.
@@ -364,23 +324,10 @@ impl SystemConfig {
         self
     }
 
-    /// Sets the pipelined sync thread's group-commit pacing interval.
-    pub fn wal_sync_pace(&mut self, pace: Duration) -> &mut Self {
-        self.wal_sync_pace = pace;
-        self
-    }
-
     /// Sets the per-subscriber delivery-queue capacity in decided batches
     /// (zero is rejected by [`SystemConfig::validate`]).
     pub fn delivery_queue(&mut self, batches: usize) -> &mut Self {
         self.delivery_queue = batches;
-        self
-    }
-
-    /// Sets the per-worker execution-ring capacity in requests (zero is
-    /// rejected by [`SystemConfig::validate`]).
-    pub fn exec_ring(&mut self, requests: usize) -> &mut Self {
-        self.exec_ring = requests;
         self
     }
 
@@ -510,13 +457,10 @@ mod tests {
         let mut cfg = SystemConfig::new(2);
         assert_eq!(cfg.wal_dir, None);
         assert_eq!(cfg.wal_batch, 16);
-        assert_eq!(cfg.wal_segment_bytes, 4 * 1024 * 1024);
         cfg.wal_dir(Some(PathBuf::from("/tmp/psmr-wal")))
-            .wal_batch(4)
-            .wal_segment_bytes(1024);
+            .wal_batch(4);
         assert_eq!(cfg.wal_dir.as_deref(), Some("/tmp/psmr-wal".as_ref()));
         assert_eq!(cfg.wal_batch, 4);
-        assert_eq!(cfg.wal_segment_bytes, 1024);
         assert_eq!(cfg.validate(), Ok(()));
     }
 
@@ -550,12 +494,6 @@ mod tests {
         );
         check(
             |c| {
-                c.wal_segment_bytes(0);
-            },
-            ConfigError::ZeroWalSegment,
-        );
-        check(
-            |c| {
                 c.batch_bytes(0);
             },
             ConfigError::ZeroBatchBytes,
@@ -572,12 +510,6 @@ mod tests {
             },
             ConfigError::ZeroDeliveryQueue,
         );
-        check(
-            |c| {
-                c.exec_ring(0);
-            },
-            ConfigError::ZeroExecRing,
-        );
     }
 
     #[test]
@@ -585,11 +517,9 @@ mod tests {
         let mut cfg = SystemConfig::new(2);
         assert!(!cfg.wal_pipeline);
         assert_eq!(cfg.delivery_queue, 1024);
-        assert_eq!(cfg.exec_ring, 4096);
-        cfg.wal_pipeline(true).delivery_queue(8).exec_ring(16);
+        cfg.wal_pipeline(true).delivery_queue(8);
         assert!(cfg.wal_pipeline);
         assert_eq!(cfg.delivery_queue, 8);
-        assert_eq!(cfg.exec_ring, 16);
         assert_eq!(cfg.validate(), Ok(()));
     }
 

@@ -577,7 +577,7 @@ pub mod counters {
 pub mod histograms {
     /// Observed latency of WAL commit `fsync`s. Recorded per group
     /// (`wal_fsync_ns{group=G}`) with a global rollup — the input a
-    /// future adaptive `wal_sync_pace` controller needs.
+    /// future adaptive sync-pace controller needs.
     pub const WAL_FSYNC_NS: &str = "wal_fsync_ns";
     /// HELLO → ack round-trip of the mesh handshake, recorded per peer
     /// (`net_handshake_ns{peer=P}`) by the dialing side.

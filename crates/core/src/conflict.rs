@@ -17,6 +17,7 @@
 
 use psmr_common::ids::{CommandId, GroupId};
 use psmr_multicast::Destinations;
+use psmr_recovery::CHECKPOINT;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -170,11 +171,18 @@ impl std::fmt::Debug for CommandMap {
 impl CommandMap {
     /// The class of a command.
     ///
+    /// The reserved [`CHECKPOINT`] control command is `Global` under every
+    /// C-Dep: it must travel on the serialized group so all workers
+    /// quiesce at the same consistent cut.
+    ///
     /// # Panics
     ///
     /// Panics if the command was never declared: an undeclared command has
     /// no dependency information and executing it would be unsound.
     pub fn class(&self, cmd: CommandId) -> CommandClass {
+        if cmd == CHECKPOINT {
+            return CommandClass::Global;
+        }
         *self
             .classes
             .get(&cmd)

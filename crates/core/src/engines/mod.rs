@@ -27,7 +27,6 @@ pub use spsmr::SpSmrEngine;
 
 use crate::client::{ClientProxy, RequestSink};
 use crate::conflict::{CommandClass, CommandMap};
-use crate::remap::{RemapTable, RemappableMap, REMAP};
 use bytes::Bytes;
 use crossbeam::channel::Sender;
 use psmr_common::envelope::Request;
@@ -48,118 +47,11 @@ pub trait Engine {
     fn shutdown(self);
 }
 
-/// The C-G function an engine routes with: either a fixed compiled
-/// [`CommandMap`] or an online-reconfigurable [`RemappableMap`]
-/// (the §IV-D future-work extension).
-#[derive(Debug, Clone)]
-pub enum Router {
-    /// The paper's prototype: C-G computed offline, fixed for the run.
-    Fixed(CommandMap),
-    /// C-G with a runtime key→group overlay, updated through [`REMAP`]
-    /// commands on the serialized group.
-    Remappable(RemappableMap),
-}
-
-impl Router {
-    /// The class of a command (see [`CommandMap::class`]).
-    ///
-    /// The reserved [`psmr_recovery::CHECKPOINT`] control command is
-    /// `Global` under every router: it must travel on the serialized
-    /// group so all workers quiesce at the same consistent cut.
-    pub fn class(&self, cmd: psmr_common::ids::CommandId) -> CommandClass {
-        if cmd == psmr_recovery::CHECKPOINT {
-            return CommandClass::Global;
-        }
-        match self {
-            Router::Fixed(map) => map.class(cmd),
-            Router::Remappable(map) => map.class(cmd),
-        }
-    }
-
-    /// The C-G function (see [`CommandMap::destinations`]).
-    pub fn destinations(
-        &self,
-        cmd: psmr_common::ids::CommandId,
-        payload: &[u8],
-        mpl: usize,
-    ) -> Destinations {
-        match self {
-            Router::Fixed(map) => map.destinations(cmd, payload, mpl),
-            Router::Remappable(map) => map.destinations(cmd, payload, mpl),
-        }
-    }
-
-    /// Server-side γ derivation (see [`CommandMap::destinations_at`]).
-    /// Only consulted for commands delivered on the shared group, where
-    /// remap pins play no role (globally dependent commands involve every
-    /// group regardless).
-    pub fn destinations_at(
-        &self,
-        cmd: psmr_common::ids::CommandId,
-        payload: &[u8],
-        mpl: usize,
-        delivered_on: GroupId,
-    ) -> Destinations {
-        if cmd == psmr_recovery::CHECKPOINT {
-            return Destinations::all(mpl);
-        }
-        match self {
-            Router::Fixed(map) => map.destinations_at(cmd, payload, mpl, delivered_on),
-            Router::Remappable(map) => {
-                if cmd == REMAP {
-                    Destinations::all(mpl)
-                } else {
-                    map.base().destinations_at(cmd, payload, mpl, delivered_on)
-                }
-            }
-        }
-    }
-
-    /// Handles a delivered [`REMAP`] command: installs the table. Returns
-    /// `Some(response)` when the command was a remap, `None` otherwise.
-    pub fn try_install(&self, cmd: psmr_common::ids::CommandId, payload: &[u8]) -> Option<Vec<u8>> {
-        match self {
-            Router::Remappable(map) if cmd == REMAP => {
-                let installed = RemapTable::decode(payload)
-                    .map(|table| map.install(table))
-                    .unwrap_or(false);
-                Some(vec![u8::from(installed)])
-            }
-            _ => None,
-        }
-    }
-
-    /// The remap epoch in force and its encoded overlay table — what the
-    /// state-transfer handshake advertises to a restarting replica.
-    /// Fixed routers report `(0, empty)`.
-    pub fn epoch_table(&self) -> (u64, Vec<u8>) {
-        match self {
-            Router::Fixed(_) => (0, Vec::new()),
-            Router::Remappable(map) => {
-                let table = map.current_table();
-                (table.epoch, table.encode())
-            }
-        }
-    }
-
-    /// Adopts the overlay table a state-transfer handshake carried (the
-    /// remap-epoch half of recovery). Stale or malformed tables are
-    /// ignored — [`RemappableMap::install`] is epoch-monotonic — and
-    /// fixed routers have nothing to install.
-    pub fn install_fetched(&self, table: &[u8]) {
-        if let (Router::Remappable(map), false) = (self, table.is_empty()) {
-            if let Some(table) = RemapTable::decode(table) {
-                map.install(table);
-            }
-        }
-    }
-}
-
 /// Client sink of the multicast-backed engines that route by C-G
 /// (Algorithm 1 lines 1–3).
 pub(crate) struct CgSink {
     pub handle: MulticastHandle,
-    pub router: Router,
+    pub map: CommandMap,
     pub mpl: usize,
 }
 
@@ -170,11 +62,11 @@ impl RequestSink for CgSink {
         // "one [group] for serialized requests" (§VI-C) — even at MPL 1,
         // where the destination set is technically a singleton. This keeps
         // the serialized path (and its cost) identical across MPLs.
-        if matches!(self.router.class(request.command), CommandClass::Global) {
+        if matches!(self.map.class(request.command), CommandClass::Global) {
             self.handle.multicast_serial(payload);
         } else {
             let dests = self
-                .router
+                .map
                 .destinations(request.command, &request.payload, self.mpl);
             self.handle.multicast(&dests, payload);
         }

@@ -21,8 +21,8 @@
 //! replay and peer catch-up only replication can offer).
 
 use super::holdback::ResponseGate;
-use super::recover::{auto_checkpointer, fixed_epoch, CheckpointHook};
-use super::scheduler::ExecStage;
+use super::recover::{auto_checkpointer, CheckpointHook};
+use super::scheduler::{ExecStage, EXEC_RING};
 use super::{ChannelSink, Engine};
 use crate::client::ClientProxy;
 use crate::conflict::CommandMap;
@@ -89,24 +89,13 @@ impl NoRepEngine {
         let mut arrival_seed = 0;
         if let Some(loaded) = durable.as_ref().and_then(|d| d.load_latest()) {
             service
-                .restore(&loaded.checkpoint.snapshot)
+                .restore(&loaded.snapshot)
                 .expect("disk snapshot passed crc but not the service codec");
-            seed = loaded.checkpoint.id;
-            arrival_seed = loaded.checkpoint.cut.seq;
-            store.install(
-                loaded.checkpoint.cut,
-                loaded.checkpoint.id,
-                loaded.checkpoint.snapshot,
-            );
+            seed = loaded.id;
+            arrival_seed = loaded.cut.seq;
+            store.install(loaded.cut, loaded.id, loaded.snapshot);
         }
-        let hook = CheckpointHook::new(
-            &service,
-            Arc::clone(&store),
-            durable,
-            fixed_epoch(),
-            None,
-            seed,
-        );
+        let hook = CheckpointHook::new(&service, Arc::clone(&store), durable, None, seed);
         let mut engine = Self::spawn_inner(
             cfg,
             map,
@@ -145,7 +134,7 @@ impl NoRepEngine {
             service,
             map,
             ResponseGate::passthrough(Arc::clone(&router)),
-            cfg.exec_ring,
+            EXEC_RING,
             "norep",
         );
         let sched_router = Arc::clone(&router);

@@ -33,21 +33,16 @@
 //! peer fallback — own durable snapshot when the retained logs still
 //! cover it, chunked digest-verified state transfer from a live peer
 //! otherwise — replays the retained log suffix, and the replica
-//! converges with the rest. With
-//! [`PsmrEngine::spawn_recoverable_remappable`], the transfer handshake
-//! additionally carries the remap epoch in force, so a replica that
-//! checkpointed under an old C-Dep mapping rejoins under the current
-//! one.
+//! converges with the rest.
 
 use super::holdback::ResponseGate;
 use super::recover::{
     auto_checkpointer, CheckpointHook, EngineRecovery, RecoveryReport, ReplicaSlot, CRASH_POLL,
 };
 use super::sync::{SignalBoard, SignalEndpoint, SignalKind};
-use super::{CgSink, Engine, Router};
+use super::{CgSink, Engine};
 use crate::client::ClientProxy;
 use crate::conflict::CommandMap;
-use crate::remap::RemappableMap;
 use crate::service::{RecoverableService, ResponseRouter, Service, SharedRouter};
 use psmr_common::envelope::{Request, Response};
 use psmr_common::ids::{ClientId, GroupId, ReplicaId, WorkerId};
@@ -83,7 +78,7 @@ impl PsmrEngine {
     /// `factory` must produce identical initial states — replica
     /// determinism starts from equal initial states (§III).
     pub fn spawn<S: Service>(cfg: &SystemConfig, map: CommandMap, factory: impl Fn() -> S) -> Self {
-        Self::spawn_with_router(cfg, Router::Fixed(map), factory, Runtime::real())
+        Self::spawn_with_runtime(cfg, map, factory, Runtime::real())
     }
 
     /// Like [`PsmrEngine::spawn`] with an injected [`Runtime`]: every
@@ -95,27 +90,6 @@ impl PsmrEngine {
     pub fn spawn_with_runtime<S: Service>(
         cfg: &SystemConfig,
         map: CommandMap,
-        factory: impl Fn() -> S,
-        rt: Runtime,
-    ) -> Self {
-        Self::spawn_with_router(cfg, Router::Fixed(map), factory, rt)
-    }
-
-    /// Like [`PsmrEngine::spawn`] with an online-reconfigurable C-G: remap
-    /// tables submitted as [`crate::remap::REMAP`] commands install at a
-    /// deterministic point of the serialized stream on every replica
-    /// (§IV-D's future-work extension).
-    pub fn spawn_remappable<S: Service>(
-        cfg: &SystemConfig,
-        map: RemappableMap,
-        factory: impl Fn() -> S,
-    ) -> Self {
-        Self::spawn_with_router(cfg, Router::Remappable(map), factory, Runtime::real())
-    }
-
-    fn spawn_with_router<S: Service>(
-        cfg: &SystemConfig,
-        map: Router,
         factory: impl Fn() -> S,
         rt: Runtime,
     ) -> Self {
@@ -141,7 +115,7 @@ impl PsmrEngine {
         map: CommandMap,
         factory: impl Fn() -> S + Send + Sync + 'static,
     ) -> Self {
-        Self::spawn_recoverable_with_router(cfg, Router::Fixed(map), factory, Runtime::real())
+        Self::spawn_recoverable_with_runtime(cfg, map, factory, Runtime::real())
     }
 
     /// [`PsmrEngine::spawn_recoverable`] with an injected [`Runtime`]
@@ -153,37 +127,10 @@ impl PsmrEngine {
         factory: impl Fn() -> S + Send + Sync + 'static,
         rt: Runtime,
     ) -> Self {
-        Self::spawn_recoverable_with_router(cfg, Router::Fixed(map), factory, rt)
-    }
-
-    /// Like [`PsmrEngine::spawn_recoverable`] with an online-remappable
-    /// C-G (see [`PsmrEngine::spawn_remappable`]): the state-transfer
-    /// handshake carries the remap epoch and overlay table in force, so
-    /// a replica restarting across a remap rejoins under the current
-    /// mapping.
-    pub fn spawn_recoverable_remappable<S: RecoverableService>(
-        cfg: &SystemConfig,
-        map: RemappableMap,
-        factory: impl Fn() -> S + Send + Sync + 'static,
-    ) -> Self {
-        Self::spawn_recoverable_with_router(cfg, Router::Remappable(map), factory, Runtime::real())
-    }
-
-    fn spawn_recoverable_with_router<S: RecoverableService>(
-        cfg: &SystemConfig,
-        map: Router,
-        factory: impl Fn() -> S + Send + Sync + 'static,
-        rt: Runtime,
-    ) -> Self {
         let mut engine = Self::scaffold(cfg, map, rt);
         let dyn_factory: Arc<dyn Fn() -> Arc<dyn RecoverableService> + Send + Sync> =
             Arc::new(move || Arc::new(factory()) as Arc<dyn RecoverableService>);
-        let epoch_router = engine.sink.router.clone();
-        let mut recovery = EngineRecovery::build(
-            cfg,
-            Arc::clone(&dyn_factory),
-            Arc::new(move || epoch_router.epoch_table()),
-        );
+        let mut recovery = EngineRecovery::build(cfg, Arc::clone(&dyn_factory));
         recovery.set_clock(Arc::clone(&engine.system.runtime().clock));
         for replica in 0..cfg.n_replicas {
             let service = (dyn_factory)();
@@ -251,28 +198,6 @@ impl PsmrEngine {
         factory: impl Fn() -> S + Send + Sync + 'static,
         rt: Runtime,
     ) -> Result<(Self, Vec<RecoveryReport>), RecoveryError> {
-        Self::cold_start_with_router(cfg, Router::Fixed(map), factory, rt)
-    }
-
-    /// [`PsmrEngine::cold_start`] of a deployment spawned with
-    /// [`PsmrEngine::spawn_recoverable_remappable`]: each replica
-    /// re-installs the remap overlay table persisted with its snapshot
-    /// before replaying the log suffix, so pins taken before the
-    /// checkpoint route exactly as they did live.
-    pub fn cold_start_remappable<S: RecoverableService>(
-        cfg: &SystemConfig,
-        map: RemappableMap,
-        factory: impl Fn() -> S + Send + Sync + 'static,
-    ) -> Result<(Self, Vec<RecoveryReport>), RecoveryError> {
-        Self::cold_start_with_router(cfg, Router::Remappable(map), factory, Runtime::real())
-    }
-
-    fn cold_start_with_router<S: RecoverableService>(
-        cfg: &SystemConfig,
-        map: Router,
-        factory: impl Fn() -> S + Send + Sync + 'static,
-        rt: Runtime,
-    ) -> Result<(Self, Vec<RecoveryReport>), RecoveryError> {
         let mut engine = Self::scaffold(cfg, map, rt);
         // Replayed commands re-respond to the client ids of the dead
         // incarnation; fresh clients must not collide with them or a
@@ -289,26 +214,16 @@ impl PsmrEngine {
         engine.next_client = AtomicU64::new(stamp << 32);
         let dyn_factory: Arc<dyn Fn() -> Arc<dyn RecoverableService> + Send + Sync> =
             Arc::new(move || Arc::new(factory()) as Arc<dyn RecoverableService>);
-        let epoch_router = engine.sink.router.clone();
-        let mut recovery = EngineRecovery::build(
-            cfg,
-            Arc::clone(&dyn_factory),
-            Arc::new(move || epoch_router.epoch_table()),
-        );
+        let mut recovery = EngineRecovery::build(cfg, Arc::clone(&dyn_factory));
         recovery.set_clock(Arc::clone(&engine.system.runtime().clock));
         let mut reports = Vec::new();
         let mut failure = None;
-        let table_router = engine.sink.router.clone();
         for replica in 0..cfg.n_replicas {
             let recovered = {
                 let system = &engine.system;
                 recovery.cold_start(
                     replica,
                     cfg.all_group(),
-                    // Pins persisted with the snapshot predate the replayed
-                    // log suffix: re-install them before subscribing or
-                    // remapped commands re-route to their old group.
-                    &|table| table_router.install_fetched(table),
                     |cut| {
                         (0..cfg.mpl)
                             .map(|i| system.worker_stream_at(WorkerId::new(i), cut))
@@ -366,7 +281,7 @@ impl PsmrEngine {
 
     /// Builds the multicast substrate and client-side plumbing; replicas
     /// attach afterwards.
-    fn scaffold(cfg: &SystemConfig, map: Router, rt: Runtime) -> Self {
+    fn scaffold(cfg: &SystemConfig, map: CommandMap, rt: Runtime) -> Self {
         let system = MulticastSystem::spawn_with_runtime(cfg, rt);
         let router: SharedRouter = Arc::new(ResponseRouter::new());
         let gate = ResponseGate::for_view(
@@ -376,7 +291,7 @@ impl PsmrEngine {
         );
         let sink = Arc::new(CgSink {
             handle: system.handle(),
-            router: map,
+            map,
             mpl: cfg.mpl,
         });
         Self {
@@ -436,7 +351,7 @@ impl PsmrEngine {
                 service: service.clone(),
                 board: board.clone(),
                 endpoint,
-                map: self.sink.router.clone(),
+                map: self.sink.map.clone(),
                 gate: Arc::clone(&self.gate),
                 mpl,
                 all_group,
@@ -506,11 +421,10 @@ impl PsmrEngine {
     /// recover the newest usable checkpoint **disk-first with peer
     /// fallback** (own durable snapshot while the retained logs still
     /// cover its cut, digest-verified chunked state transfer from a live
-    /// peer otherwise), adopt the remap epoch the transfer handshake
-    /// carried, re-subscribe the `k` worker streams at the checkpoint's
-    /// cut, and replay the retained ordered-log suffix until the replica
-    /// converges with the live ones. Returns a [`RecoveryReport`] naming
-    /// the path taken.
+    /// peer otherwise), re-subscribe the `k` worker streams at the
+    /// checkpoint's cut, and replay the retained ordered-log suffix until
+    /// the replica converges with the live ones. Returns a
+    /// [`RecoveryReport`] naming the path taken.
     ///
     /// # Errors
     ///
@@ -535,18 +449,12 @@ impl PsmrEngine {
         let mpl = self.system.config().mpl;
         let all_group = self.system.config().all_group();
         let system = &self.system;
-        let router = self.sink.router.clone();
         let recovery = self.recovery.as_mut().expect("checked above");
-        let (service, streams, report) = recovery.recover(
-            idx,
-            &live_peers,
-            &|table| router.install_fetched(table),
-            |cut| {
-                (0..mpl)
-                    .map(|i| system.worker_stream_at(WorkerId::new(i), cut))
-                    .collect::<Result<Vec<_>, _>>()
-            },
-        )?;
+        let (service, streams, report) = recovery.recover(idx, &live_peers, |cut| {
+            (0..mpl)
+                .map(|i| system.worker_stream_at(WorkerId::new(i), cut))
+                .collect::<Result<Vec<_>, _>>()
+        })?;
         let hook = recovery.hook_for(
             idx,
             &service,
@@ -672,7 +580,7 @@ struct WorkerCtx<S> {
     service: S,
     board: SignalBoard,
     endpoint: SignalEndpoint,
-    map: Router,
+    map: CommandMap,
     gate: Arc<ResponseGate>,
     mpl: usize,
     all_group: GroupId,
@@ -751,10 +659,9 @@ fn worker_main<S: Service>(mut ctx: WorkerCtx<S>, mut stream: MergedStream) {
             if !ctx.endpoint.wait_ready_from_all(&others) {
                 return; // shutdown or crash
             }
-            // Control commands act on the replica instead of the service:
-            // CHECKPOINT snapshots the quiesced state at this exact cut,
-            // REMAP reconfigures the routing tables. Everything else
-            // executes normally.
+            // CHECKPOINT acts on the replica instead of the service: it
+            // snapshots the quiesced state at this exact cut. Everything
+            // else executes normally.
             trace::global().stamp(
                 delivered.group.as_raw(),
                 delivered.batch_seq,
@@ -768,14 +675,9 @@ fn worker_main<S: Service>(mut ctx: WorkerCtx<S>, mut stream: MergedStream) {
                     None => Vec::new(),
                 }
             } else {
-                match ctx.map.try_install(req.command, &req.payload) {
-                    Some(resp) => resp,
-                    None => {
-                        let resp = ctx.service.execute(req.command, &req.payload);
-                        ctx.executed.inc();
-                        resp
-                    }
-                }
+                let resp = ctx.service.execute(req.command, &req.payload);
+                ctx.executed.inc();
+                resp
             };
             trace::global().stamp(
                 delivered.group.as_raw(),

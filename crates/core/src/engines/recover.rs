@@ -21,9 +21,7 @@ use psmr_common::runtime::{ClockHandle, RealClock};
 use psmr_common::SystemConfig;
 use psmr_multicast::{Delivered, MulticastHandle};
 use psmr_netsim::NodeId;
-use psmr_recovery::transfer::{
-    fetch_latest_via, probe_latest_via, StateTransferServer, TransferNet, TransferSource,
-};
+use psmr_recovery::transfer::{fetch_latest_via, StateTransferServer, TransferNet};
 use psmr_recovery::{
     AutoCheckpointer, Checkpoint, CheckpointStore, DurableStore, RecoveryError, StreamCut,
     TransferError, CHECKPOINT,
@@ -44,35 +42,9 @@ const REFETCH_ATTEMPTS: usize = 3;
 /// Durable snapshot files each replica keeps on disk (the newest ones).
 const DISK_RETAIN: usize = 2;
 
-/// Supplies the remap epoch currently in force and its encoded overlay
-/// table — `(0, empty)` for fixed-C-G deployments.
-pub(crate) type EpochSource = Arc<dyn Fn() -> (u64, Vec<u8>) + Send + Sync>;
-
-/// An [`EpochSource`] for engines without online remapping.
-pub(crate) fn fixed_epoch() -> EpochSource {
-    Arc::new(|| (0, Vec::new()))
-}
-
 /// The state-transfer address of a replica.
 fn transfer_node(replica: usize) -> NodeId {
     NodeId::new(replica as u64)
-}
-
-/// Adapts one replica's checkpoint store (plus the deployment's epoch
-/// source) into what a [`StateTransferServer`] serves.
-struct StoreSource {
-    store: Arc<CheckpointStore>,
-    epoch: EpochSource,
-}
-
-impl TransferSource for StoreSource {
-    fn latest(&self) -> Option<Checkpoint> {
-        self.store.latest()
-    }
-
-    fn epoch_table(&self) -> (u64, Vec<u8>) {
-        (self.epoch)()
-    }
 }
 
 /// What an executor needs to take a checkpoint when the control command
@@ -85,7 +57,6 @@ pub(crate) struct CheckpointHook {
     snapshot: Arc<dyn Fn() -> Vec<u8> + Send + Sync>,
     store: Arc<CheckpointStore>,
     durable: Option<Arc<DurableStore>>,
-    epoch: EpochSource,
     trim: Option<MulticastHandle>,
     /// CHECKPOINT commands this replica has executed, seeded at restart
     /// with the recovery checkpoint's id. Replicas execute the same
@@ -104,7 +75,6 @@ impl CheckpointHook {
         service: &Arc<dyn RecoverableService>,
         store: Arc<CheckpointStore>,
         durable: Option<Arc<DurableStore>>,
-        epoch: EpochSource,
         trim: Option<MulticastHandle>,
         seed: u64,
     ) -> Self {
@@ -113,7 +83,6 @@ impl CheckpointHook {
             snapshot: Arc::new(move || svc.snapshot()),
             store,
             durable,
-            epoch,
             trim,
             executed: Arc::new(AtomicU64::new(seed)),
         }
@@ -144,16 +113,12 @@ impl CheckpointHook {
             Some(durable) => {
                 if self.store.install(cut, id, snapshot.clone()) {
                     global().counter(counters::CHECKPOINTS_TAKEN).inc();
-                    // The overlay table rides the snapshot file: a cold
-                    // start must re-install the remap pins in force at
-                    // this cut before replaying the log suffix.
-                    let (epoch, table) = (self.epoch)();
                     // Disk trouble must not take the replica down with
                     // it: the in-memory checkpoint is installed either
                     // way, and load-time crc checks keep a bad write
                     // from ever being trusted.
                     let checkpoint = Checkpoint { id, cut, snapshot };
-                    if durable.persist(&checkpoint, epoch, &table).is_ok() {
+                    if durable.persist(&checkpoint).is_ok() {
                         let _ = durable.retain_newest(DISK_RETAIN);
                     }
                 }
@@ -189,9 +154,6 @@ pub struct RecoveryReport {
     pub checkpoint_id: u64,
     /// The stream cut the replica resumed its subscriptions at.
     pub cut: StreamCut,
-    /// Remap epoch learned from the transfer handshake (falling back to
-    /// the epoch persisted with the disk snapshot when no peer answered).
-    pub epoch: u64,
     /// Peers abandoned mid-transfer before one served (0 when recovery
     /// came from disk or the first peer).
     pub transfer_fallbacks: u64,
@@ -218,7 +180,6 @@ pub(crate) struct EngineRecovery {
     pub replicas: Vec<ReplicaRecovery>,
     /// The network state transfers run over.
     net: TransferNet,
-    epoch: EpochSource,
     chunk_bytes: usize,
     timeout: Duration,
     /// Timebase the transfer timeouts are measured on (injected by
@@ -241,7 +202,6 @@ impl EngineRecovery {
     pub fn build(
         cfg: &SystemConfig,
         factory: Arc<dyn Fn() -> Arc<dyn RecoverableService> + Send + Sync>,
-        epoch: EpochSource,
     ) -> Self {
         let net: TransferNet = TransferNet::new();
         let replicas = (0..cfg.n_replicas)
@@ -256,10 +216,7 @@ impl EngineRecovery {
                 let server = StateTransferServer::spawn(
                     net.clone(),
                     transfer_node(idx),
-                    Arc::new(StoreSource {
-                        store: Arc::clone(&store),
-                        epoch: Arc::clone(&epoch),
-                    }),
+                    Arc::clone(&store),
                     cfg.transfer_chunk_bytes,
                 );
                 ReplicaRecovery {
@@ -273,7 +230,6 @@ impl EngineRecovery {
             factory,
             replicas,
             net,
-            epoch,
             chunk_bytes: cfg.transfer_chunk_bytes,
             timeout: cfg.transfer_timeout,
             clock: Arc::new(RealClock),
@@ -301,7 +257,6 @@ impl EngineRecovery {
             service,
             Arc::clone(&slot.store),
             slot.durable.clone(),
-            Arc::clone(&self.epoch),
             trim,
             seed,
         )
@@ -323,15 +278,8 @@ impl EngineRecovery {
     /// fresher checkpoint fetched from the first live peer that completes
     /// a digest-verified transfer), restore a fresh service from the
     /// chosen snapshot, and subscribe its streams at the cut through
-    /// `subscribe`.
-    ///
-    /// The handshake comes first and costs no snapshot bytes: a
-    /// [`probe_latest`] asks the peers for their newest checkpoint's
-    /// manifest, whose remap epoch and table are handed to
-    /// `install_table` before any stream is subscribed — a replica that
-    /// checkpointed under an old C-Dep mapping rejoins under the current
-    /// one. The full chunked transfer runs only if the disk candidate is
-    /// absent or its log suffix is gone.
+    /// `subscribe`. The chunked transfer runs only if the disk candidate
+    /// is absent or its log suffix is gone.
     ///
     /// A checkpoint installed *while we restore* trims the logs past the
     /// cut being restored; when `subscribe` loses that race the restart
@@ -350,53 +298,28 @@ impl EngineRecovery {
         &mut self,
         replica: usize,
         live_peers: &[usize],
-        install_table: &dyn Fn(&[u8]),
         mut subscribe: impl FnMut(StreamCut) -> Result<S, RecoveryError>,
     ) -> Result<(Arc<dyn RecoverableService>, S, RecoveryReport), RecoveryError> {
         let me = transfer_node(replica);
         self.net.restart(me);
         let durable = self.replicas[replica].durable.clone();
         let disk = durable.as_ref().and_then(|d| d.load_latest());
-        let disk_checkpoint = disk.as_ref().map(|d| d.checkpoint.id);
+        let disk_checkpoint = disk.as_ref().map(|d| d.id);
         let peer_nodes: Vec<NodeId> = live_peers.iter().map(|&p| transfer_node(p)).collect();
-        // The remap-epoch handshake: adopt the cluster's current mapping
-        // before subscribing any stream. Manifest only — no snapshot
-        // bytes move unless the disk candidate fails below. A disk-only
-        // recovery (no peer answering) keeps the epoch persisted with
-        // the snapshot.
-        let probed = probe_latest_via(&*self.clock, &self.net, me, &peer_nodes, self.timeout).ok();
-        if let Some(p) = &probed {
-            install_table(&p.table);
-        }
-        let cluster_epoch = probed.as_ref().map(|p| p.epoch);
-
         let mut newest_tried: Option<StreamCut> = None;
         if let Some(d) = disk {
-            let epoch = cluster_epoch.unwrap_or(d.epoch);
-            // No live peer answered the probe: the overlay table persisted
-            // with the snapshot is the best (and correct) routing state —
-            // it was in force at this cut.
-            if probed.is_none() {
-                install_table(&d.table);
-            }
-            let table = d.table;
-            newest_tried = Some(d.checkpoint.cut);
+            newest_tried = Some(d.cut);
             // An inner Err(()) means the cut was trimmed; fall through to
             // the peers.
-            if let Ok((service, streams, checkpoint)) =
-                self.try_restore(d.checkpoint, &mut subscribe)?
-            {
-                return Ok(self.finish(
+            if let Ok((service, streams, checkpoint)) = self.try_restore(d, &mut subscribe)? {
+                let report = self.finish(
                     replica,
-                    service,
-                    streams,
-                    checkpoint,
+                    &checkpoint,
                     RecoverySource::Disk,
-                    epoch,
-                    &table,
                     0,
                     disk_checkpoint,
-                ));
+                );
+                return Ok((service, streams, report));
             }
         }
 
@@ -424,24 +347,14 @@ impl EngineRecovery {
                 }
             }
             newest_tried = Some(f.checkpoint.cut);
-            install_table(&f.table);
             let peer = f.from.as_raw() as usize;
-            let (epoch, fallbacks) = (f.epoch, f.fallbacks);
-            let table = f.table;
             if let Ok((service, streams, checkpoint)) =
                 self.try_restore(f.checkpoint, &mut subscribe)?
             {
-                return Ok(self.finish(
-                    replica,
-                    service,
-                    streams,
-                    checkpoint,
-                    RecoverySource::Peer(peer),
-                    epoch,
-                    &table,
-                    fallbacks,
-                    disk_checkpoint,
-                ));
+                let source = RecoverySource::Peer(peer);
+                let report =
+                    self.finish(replica, &checkpoint, source, f.fallbacks, disk_checkpoint);
+                return Ok((service, streams, report));
             }
         }
         Err(RecoveryError::CutTrimmed {
@@ -464,13 +377,6 @@ impl EngineRecovery {
     /// report (the serialized group for P-SMR, `g0` for single-stream
     /// engines).
     ///
-    /// `install_table` receives the remap overlay table persisted with
-    /// the snapshot being restored, **before** its streams are
-    /// subscribed: pins taken before the checkpoint are not in the
-    /// replayed log suffix, so this hand-off is the only way they
-    /// survive a whole-deployment restart. The from-scratch path skips
-    /// it — a full log replay re-executes the REMAP commands themselves.
-    ///
     /// # Errors
     ///
     /// [`RecoveryError::CutTrimmed`] when snapshots exist but the WAL no
@@ -481,25 +387,22 @@ impl EngineRecovery {
         &mut self,
         replica: usize,
         scratch_group: GroupId,
-        install_table: &dyn Fn(&[u8]),
         mut subscribe_at: impl FnMut(StreamCut) -> Result<S, RecoveryError>,
         subscribe_start: impl FnOnce() -> Result<S, RecoveryError>,
     ) -> Result<(Arc<dyn RecoverableService>, S, RecoveryReport), RecoveryError> {
         let durable = self.replicas[replica].durable.clone();
         let candidates = durable.as_ref().map(|d| d.load_all()).unwrap_or_default();
-        let disk_checkpoint = candidates.first().map(|d| d.checkpoint.id);
+        let disk_checkpoint = candidates.first().map(|d| d.id);
         let mut newest_tried: Option<StreamCut> = None;
         for candidate in candidates {
-            let epoch = candidate.epoch;
             if newest_tried.is_none() {
-                newest_tried = Some(candidate.checkpoint.cut);
+                newest_tried = Some(candidate.cut);
             }
-            install_table(&candidate.table);
             // Inner Err(()) = this cut's suffix is unavailable; an older
             // snapshot may still sit inside the replayed stream (e.g.
             // when the newest outlived a partially lost WAL directory).
             if let Ok((service, streams, checkpoint)) =
-                self.try_restore(candidate.checkpoint, &mut subscribe_at)?
+                self.try_restore(candidate, &mut subscribe_at)?
             {
                 self.replicas[replica].store.install(
                     checkpoint.cut,
@@ -510,7 +413,6 @@ impl EngineRecovery {
                     source: RecoverySource::Disk,
                     checkpoint_id: checkpoint.id,
                     cut: checkpoint.cut,
-                    epoch,
                     transfer_fallbacks: 0,
                     disk_checkpoint,
                 };
@@ -533,7 +435,6 @@ impl EngineRecovery {
                 seq: 0,
                 offset: 0,
             },
-            epoch: 0,
             transfer_fallbacks: 0,
             disk_checkpoint: None,
         };
@@ -574,35 +475,27 @@ impl EngineRecovery {
     /// Installs the recovered replica back into the fabric: a fresh store
     /// seeded with the recovery checkpoint, the checkpoint persisted to
     /// its own disk (so the *next* restart finds it locally), and a new
-    /// transfer server.
-    #[allow(clippy::too_many_arguments)]
-    fn finish<S>(
+    /// transfer server. Returns the restart's report.
+    fn finish(
         &mut self,
         replica: usize,
-        service: Arc<dyn RecoverableService>,
-        streams: S,
-        checkpoint: Checkpoint,
+        checkpoint: &Checkpoint,
         source: RecoverySource,
-        epoch: u64,
-        table: &[u8],
         transfer_fallbacks: u64,
         disk_checkpoint: Option<u64>,
-    ) -> (Arc<dyn RecoverableService>, S, RecoveryReport) {
+    ) -> RecoveryReport {
         let durable = self.replicas[replica].durable.clone();
         let store = Arc::new(CheckpointStore::new());
         store.install(checkpoint.cut, checkpoint.id, checkpoint.snapshot.clone());
         if let (Some(durable), RecoverySource::Peer(_)) = (&durable, source) {
-            if durable.persist(&checkpoint, epoch, table).is_ok() {
+            if durable.persist(checkpoint).is_ok() {
                 let _ = durable.retain_newest(DISK_RETAIN);
             }
         }
         let server = StateTransferServer::spawn(
             self.net.clone(),
             transfer_node(replica),
-            Arc::new(StoreSource {
-                store: Arc::clone(&store),
-                epoch: Arc::clone(&self.epoch),
-            }),
+            Arc::clone(&store),
             self.chunk_bytes,
         );
         self.replicas[replica] = ReplicaRecovery {
@@ -610,15 +503,13 @@ impl EngineRecovery {
             durable,
             server: Some(server),
         };
-        let report = RecoveryReport {
+        RecoveryReport {
             source,
             checkpoint_id: checkpoint.id,
             cut: checkpoint.cut,
-            epoch,
             transfer_fallbacks,
             disk_checkpoint,
-        };
-        (service, streams, report)
+        }
     }
 
     /// Severs the transfer-fabric link `from → to` after `budget` more
@@ -710,7 +601,6 @@ impl ReplicaSlot {
 mod tests {
     use super::*;
     use crate::service::Service;
-    use parking_lot::Mutex;
     use psmr_common::ids::{CommandId, GroupId};
     use psmr_recovery::{RestoreError, Snapshot};
 
@@ -746,7 +636,7 @@ mod tests {
         store: Arc<CheckpointStore>,
         seed: u64,
     ) -> CheckpointHook {
-        CheckpointHook::new(service, store, None, fixed_epoch(), None, seed)
+        CheckpointHook::new(service, store, None, None, seed)
     }
 
     /// Replicas derive checkpoint ids from their own execution count, so
@@ -803,10 +693,10 @@ mod tests {
     /// typed error instead of looping on the stale checkpoint.
     #[test]
     fn recover_surfaces_cut_trimmed_when_trims_race() {
-        let mut recovery = EngineRecovery::build(&test_cfg(), null_factory(), fixed_epoch());
+        let mut recovery = EngineRecovery::build(&test_cfg(), null_factory());
         recovery.replicas[0].store.install(cut_at(5), 1, vec![7]);
         recovery.on_crash(1);
-        let result = recovery.recover::<()>(1, &[0], &|_| {}, |cut| {
+        let result = recovery.recover::<()>(1, &[0], |cut| {
             Err(RecoveryError::LogTrimmed {
                 group: cut.group,
                 needed: cut.seq,
@@ -822,9 +712,9 @@ mod tests {
     /// No disk snapshot, no live peer: nothing to restart from.
     #[test]
     fn recover_without_disk_or_peers_is_no_checkpoint() {
-        let mut recovery = EngineRecovery::build(&test_cfg(), null_factory(), fixed_epoch());
+        let mut recovery = EngineRecovery::build(&test_cfg(), null_factory());
         recovery.on_crash(1);
-        let result = recovery.recover::<()>(1, &[], &|_| {}, |_| Ok(()));
+        let result = recovery.recover::<()>(1, &[], |_| Ok(()));
         let Err(err) = result else {
             panic!("expected NoCheckpoint");
         };
@@ -840,7 +730,7 @@ mod tests {
         let mut cfg = test_cfg();
         let dir = unique_dir("disk-first");
         cfg.snapshot_dir(Some(dir.clone()));
-        let mut recovery = EngineRecovery::build(&cfg, null_factory(), fixed_epoch());
+        let mut recovery = EngineRecovery::build(&cfg, null_factory());
         let checkpoint = Checkpoint {
             id: 3,
             cut: cut_at(7),
@@ -850,12 +740,12 @@ mod tests {
             .durable
             .as_ref()
             .expect("durable configured")
-            .persist(&checkpoint, 0, &[])
+            .persist(&checkpoint)
             .unwrap();
         recovery.replicas[0].store.install(cut_at(7), 3, vec![7]);
         recovery.on_crash(1);
         let (_, (), report) = recovery
-            .recover(1, &[0], &|_| {}, |_| Ok(()))
+            .recover(1, &[0], |_| Ok(()))
             .expect("recover from disk");
         assert_eq!(report.source, RecoverySource::Disk);
         assert_eq!(report.checkpoint_id, 3);
@@ -873,7 +763,7 @@ mod tests {
         let mut cfg = test_cfg();
         let dir = unique_dir("peer-fallback");
         cfg.snapshot_dir(Some(dir.clone()));
-        let mut recovery = EngineRecovery::build(&cfg, null_factory(), fixed_epoch());
+        let mut recovery = EngineRecovery::build(&cfg, null_factory());
         let stale = Checkpoint {
             id: 2,
             cut: cut_at(4),
@@ -883,12 +773,12 @@ mod tests {
             .durable
             .as_ref()
             .expect("durable configured")
-            .persist(&stale, 0, &[])
+            .persist(&stale)
             .unwrap();
         recovery.replicas[0].store.install(cut_at(9), 5, vec![7]);
         recovery.on_crash(1);
         let (_, (), report) = recovery
-            .recover(1, &[0], &|_| {}, |cut| {
+            .recover(1, &[0], |cut| {
                 if cut.seq < 9 {
                     Err(RecoveryError::LogTrimmed {
                         group: cut.group,
@@ -908,7 +798,7 @@ mod tests {
             .unwrap()
             .load_latest()
             .expect("fetched checkpoint persisted locally");
-        assert_eq!(on_disk.checkpoint.id, 5);
+        assert_eq!(on_disk.id, 5);
         recovery.stop();
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -921,48 +811,30 @@ mod tests {
         let mut cfg = test_cfg();
         let dir = unique_dir("cold-start");
         cfg.snapshot_dir(Some(dir.clone()));
-        let mut recovery = EngineRecovery::build(&cfg, null_factory(), fixed_epoch());
+        let mut recovery = EngineRecovery::build(&cfg, null_factory());
         recovery.replicas[0]
             .durable
             .as_ref()
             .expect("durable configured")
-            .persist(
-                &Checkpoint {
-                    id: 2,
-                    cut: cut_at(6),
-                    snapshot: vec![7],
-                },
-                5,
-                b"overlay",
-            )
+            .persist(&Checkpoint {
+                id: 2,
+                cut: cut_at(6),
+                snapshot: vec![7],
+            })
             .unwrap();
-        let installed = Arc::new(Mutex::new(Vec::new()));
-        let sink = Arc::clone(&installed);
         let (_, (), report) = recovery
-            .cold_start(
-                0,
-                GroupId::new(1),
-                &move |t: &[u8]| sink.lock().push(t.to_vec()),
-                |_| Ok(()),
-                || Ok(()),
-            )
+            .cold_start(0, GroupId::new(1), |_| Ok(()), || Ok(()))
             .expect("cold start from disk");
         assert_eq!(report.source, RecoverySource::Disk);
         assert_eq!(report.checkpoint_id, 2);
-        assert_eq!(report.epoch, 5, "epoch persisted with the snapshot");
         assert_eq!(
             recovery.replicas[0].store.latest_id(),
             2,
             "recovered checkpoint seeds the fresh store"
         );
-        assert_eq!(
-            installed.lock().as_slice(),
-            &[b"overlay".to_vec()],
-            "the persisted overlay table is handed over before subscribing"
-        );
         // Replica 1 never persisted anything: scratch replay.
         let (_, (), report) = recovery
-            .cold_start(1, GroupId::new(1), &|_| {}, |_| Ok(()), || Ok(()))
+            .cold_start(1, GroupId::new(1), |_| Ok(()), || Ok(()))
             .expect("cold start from the log alone");
         assert_eq!(report.source, RecoverySource::WalOnly);
         assert_eq!(report.checkpoint_id, 0);
@@ -979,25 +851,20 @@ mod tests {
         let mut cfg = test_cfg();
         let dir = unique_dir("cold-trimmed");
         cfg.snapshot_dir(Some(dir.clone()));
-        let mut recovery = EngineRecovery::build(&cfg, null_factory(), fixed_epoch());
+        let mut recovery = EngineRecovery::build(&cfg, null_factory());
         recovery.replicas[0]
             .durable
             .as_ref()
             .expect("durable configured")
-            .persist(
-                &Checkpoint {
-                    id: 1,
-                    cut: cut_at(9),
-                    snapshot: vec![7],
-                },
-                0,
-                &[],
-            )
+            .persist(&Checkpoint {
+                id: 1,
+                cut: cut_at(9),
+                snapshot: vec![7],
+            })
             .unwrap();
         let result = recovery.cold_start::<()>(
             0,
             GroupId::new(1),
-            &|_| {},
             |cut| {
                 Err(RecoveryError::LogTrimmed {
                     group: cut.group,
@@ -1014,8 +881,8 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// The hook persists installed checkpoints (with the epoch in force)
-    /// to the replica's durable store and prunes old files.
+    /// The hook persists installed checkpoints to the replica's durable
+    /// store and prunes old files.
     #[test]
     fn checkpoint_hook_persists_durably() {
         let dir = std::env::temp_dir().join(format!("psmr-hook-durable-{}", std::process::id()));
@@ -1023,15 +890,13 @@ mod tests {
         let durable = Arc::new(DurableStore::open(&dir).unwrap());
         let store = Arc::new(CheckpointStore::new());
         let service: Arc<dyn RecoverableService> = Arc::new(Null);
-        let epoch: EpochSource = Arc::new(|| (42, vec![1]));
-        let hook = CheckpointHook::new(&service, store, Some(Arc::clone(&durable)), epoch, None, 0);
+        let hook = CheckpointHook::new(&service, store, Some(Arc::clone(&durable)), None, 0);
         for seq in 1..=4 {
             hook.execute(&delivered(seq * 10));
         }
         let latest = durable.load_latest().expect("persisted");
-        assert_eq!(latest.checkpoint.id, 4);
-        assert_eq!(latest.epoch, 42);
-        assert_eq!(latest.checkpoint.snapshot, vec![7]);
+        assert_eq!(latest.id, 4);
+        assert_eq!(latest.snapshot, vec![7]);
         // retain_newest keeps the directory bounded.
         assert_eq!(durable.retain_newest(DISK_RETAIN).unwrap(), 0);
         std::fs::remove_dir_all(&dir).unwrap();

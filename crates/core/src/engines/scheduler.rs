@@ -32,6 +32,10 @@ struct Sched {
     seq: u64,
 }
 
+/// Capacity, in requests, of each execution worker's ring in the
+/// engines that use an [`ExecStage`] (sP-SMR and no-rep).
+pub(crate) const EXEC_RING: usize = 4096;
+
 /// A scheduler plus `k` worker threads executing against one replica's
 /// service instance, fed through **bounded rings**: a full ring blocks
 /// the scheduler (counted under `exec_backpressure_stalls`), so a slow
@@ -232,7 +236,7 @@ mod tests {
     }
 
     fn stage() -> (ExecStage, Arc<Recorder>, SharedRouter) {
-        stage_with_ring(4096)
+        stage_with_ring(EXEC_RING)
     }
 
     fn req(cmd: CommandId, key: u64, id: u64) -> Request {

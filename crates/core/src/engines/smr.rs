@@ -84,8 +84,7 @@ impl SmrEngine {
         let mut engine = Self::scaffold(cfg);
         let dyn_factory: Arc<dyn Fn() -> Arc<dyn RecoverableService> + Send + Sync> =
             Arc::new(move || Arc::new(factory()) as Arc<dyn RecoverableService>);
-        let mut recovery =
-            EngineRecovery::build(cfg, Arc::clone(&dyn_factory), super::recover::fixed_epoch());
+        let mut recovery = EngineRecovery::build(cfg, Arc::clone(&dyn_factory));
         recovery.set_clock(Arc::clone(&engine.system.runtime().clock));
         for replica in 0..cfg.n_replicas {
             let service = (dyn_factory)();
@@ -124,20 +123,16 @@ impl SmrEngine {
         engine.next_client = AtomicU64::new(engine.system.next_seq(GroupId::new(0)) << 32);
         let dyn_factory: Arc<dyn Fn() -> Arc<dyn RecoverableService> + Send + Sync> =
             Arc::new(move || Arc::new(factory()) as Arc<dyn RecoverableService>);
-        let mut recovery =
-            EngineRecovery::build(cfg, Arc::clone(&dyn_factory), super::recover::fixed_epoch());
+        let mut recovery = EngineRecovery::build(cfg, Arc::clone(&dyn_factory));
         recovery.set_clock(Arc::clone(&engine.system.runtime().clock));
         let mut reports = Vec::new();
         let mut failure = None;
         for replica in 0..cfg.n_replicas {
             let recovered = {
                 let system = &engine.system;
-                // Single-stream SMR has no remap router; the persisted
-                // overlay table (always empty here) has nowhere to go.
                 recovery.cold_start(
                     replica,
                     GroupId::new(0),
-                    &|_| {},
                     |cut| system.single_stream_at(cut),
                     || system.single_stream_from_start(),
                 )
@@ -282,12 +277,8 @@ impl SmrEngine {
             .collect();
         let system = &self.system;
         let recovery = self.recovery.as_mut().expect("checked above");
-        let (service, stream, report) = recovery.recover(
-            idx,
-            &live_peers,
-            &|_table| {}, // SMR routes everything through one stream
-            |cut| system.single_stream_at(cut),
-        )?;
+        let (service, stream, report) =
+            recovery.recover(idx, &live_peers, |cut| system.single_stream_at(cut))?;
         let hook = recovery.hook_for(
             idx,
             &service,

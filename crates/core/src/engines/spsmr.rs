@@ -18,7 +18,7 @@ use super::holdback::ResponseGate;
 use super::recover::{
     auto_checkpointer, CheckpointHook, EngineRecovery, RecoveryReport, ReplicaSlot, CRASH_POLL,
 };
-use super::scheduler::ExecStage;
+use super::scheduler::{ExecStage, EXEC_RING};
 use super::{Engine, TotalOrderSink};
 use crate::client::ClientProxy;
 use crate::conflict::CommandMap;
@@ -41,7 +41,6 @@ pub struct SpSmrEngine {
     sink: Arc<TotalOrderSink>,
     map: CommandMap,
     mpl: usize,
-    exec_ring: usize,
     replicas: Vec<ReplicaSlot>,
     recovery: Option<EngineRecovery>,
     next_client: AtomicU64,
@@ -71,8 +70,7 @@ impl SpSmrEngine {
         let mut engine = Self::scaffold(cfg, map);
         let dyn_factory: Arc<dyn Fn() -> Arc<dyn RecoverableService> + Send + Sync> =
             Arc::new(move || Arc::new(factory()) as Arc<dyn RecoverableService>);
-        let mut recovery =
-            EngineRecovery::build(cfg, Arc::clone(&dyn_factory), super::recover::fixed_epoch());
+        let mut recovery = EngineRecovery::build(cfg, Arc::clone(&dyn_factory));
         recovery.set_clock(Arc::clone(&engine.system.runtime().clock));
         for replica in 0..cfg.n_replicas {
             let service = (dyn_factory)();
@@ -117,21 +115,16 @@ impl SpSmrEngine {
         engine.next_client = AtomicU64::new(engine.system.next_seq(GroupId::new(0)) << 32);
         let dyn_factory: Arc<dyn Fn() -> Arc<dyn RecoverableService> + Send + Sync> =
             Arc::new(move || Arc::new(factory()) as Arc<dyn RecoverableService>);
-        let mut recovery =
-            EngineRecovery::build(cfg, Arc::clone(&dyn_factory), super::recover::fixed_epoch());
+        let mut recovery = EngineRecovery::build(cfg, Arc::clone(&dyn_factory));
         recovery.set_clock(Arc::clone(&engine.system.runtime().clock));
         let mut reports = Vec::new();
         let mut failure = None;
         for replica in 0..cfg.n_replicas {
             let recovered = {
                 let system = &engine.system;
-                // sP-SMR's map is fixed at spawn (no remap router); the
-                // persisted overlay table (always empty here) has nowhere
-                // to go.
                 recovery.cold_start(
                     replica,
                     GroupId::new(0),
-                    &|_| {},
                     |cut| system.single_stream_at(cut),
                     || system.single_stream_from_start(),
                 )
@@ -207,7 +200,6 @@ impl SpSmrEngine {
             sink,
             map,
             mpl: cfg.mpl,
-            exec_ring: cfg.exec_ring,
             replicas: Vec::new(),
             recovery: None,
             next_client: AtomicU64::new(0),
@@ -228,7 +220,7 @@ impl SpSmrEngine {
             service,
             self.map.clone(),
             Arc::clone(&self.gate),
-            self.exec_ring,
+            EXEC_RING,
             &format!("spsmr-r{replica}"),
         );
         let ctx = SchedulerCtx {
@@ -291,12 +283,8 @@ impl SpSmrEngine {
             .collect();
         let system = &self.system;
         let recovery = self.recovery.as_mut().expect("checked above");
-        let (service, stream, report) = recovery.recover(
-            idx,
-            &live_peers,
-            &|_table| {}, // sP-SMR routes everything through one stream
-            |cut| system.single_stream_at(cut),
-        )?;
+        let (service, stream, report) =
+            recovery.recover(idx, &live_peers, |cut| system.single_stream_at(cut))?;
         let hook = recovery.hook_for(
             idx,
             &service,

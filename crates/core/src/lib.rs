@@ -70,11 +70,9 @@ pub mod client;
 pub mod conflict;
 pub mod engines;
 pub mod linear;
-pub mod remap;
 pub mod service;
 
 pub use client::ClientProxy;
 pub use conflict::{CommandClass, CommandMap, DependencySpec};
 pub use engines::{Engine, NoRepEngine, PsmrEngine, SmrEngine, SpSmrEngine};
-pub use remap::{RemapTable, RemappableMap, REMAP};
 pub use service::Service;

@@ -19,6 +19,15 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+/// Size at which a group's write-ahead log rotates to a fresh segment
+/// file; trimming reclaims whole segments by unlink.
+const WAL_SEGMENT_BYTES: usize = 4 * 1024 * 1024;
+
+/// Minimum interval between two fsync passes of a pipelined deployment's
+/// shared sync thread — the group-commit pacing. Each pass syncs every
+/// group with an open command window.
+const WAL_SYNC_PACE: Duration = Duration::from_millis(1);
+
 /// Opens group `gid`'s write-ahead log (when the deployment configured a
 /// WAL directory, `<wal_dir>/g<gid>`) in the mode `cfg.wal_pipeline`
 /// selects. Pipelined logs never fsync on the append path — the per-group
@@ -40,7 +49,7 @@ fn group_wal_mode(
         return WalMode::None;
     };
     let opts = WalOptions {
-        segment_bytes: cfg.wal_segment_bytes,
+        segment_bytes: WAL_SEGMENT_BYTES,
         batch: if cfg.wal_pipeline {
             usize::MAX
         } else {
@@ -76,7 +85,7 @@ fn group_wal_mode(
 /// pipelining is off or no WAL is configured).
 fn deployment_syncer(cfg: &SystemConfig, rt: &Runtime) -> Option<Arc<WalSyncer>> {
     (cfg.wal_pipeline && cfg.wal_dir.is_some())
-        .then(|| WalSyncer::spawn_rt(cfg.wal_sync_pace, rt.clone()))
+        .then(|| WalSyncer::spawn_rt(WAL_SYNC_PACE, rt.clone()))
 }
 
 /// The destination set `γ` of a multicast (Algorithm 1, line 2).

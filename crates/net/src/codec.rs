@@ -204,12 +204,9 @@ pub fn encode_transfer(msg: &TransferMsg) -> Vec<u8> {
     let mut out = Vec::new();
     match msg {
         TransferMsg::Fetch => out.push(0),
-        TransferMsg::Probe => out.push(1),
         TransferMsg::Offer {
             id,
             cut,
-            epoch,
-            table,
             len,
             chunks,
             digest,
@@ -217,8 +214,6 @@ pub fn encode_transfer(msg: &TransferMsg) -> Vec<u8> {
             out.push(2);
             out.extend_from_slice(&id.to_le_bytes());
             put_cut(&mut out, cut);
-            out.extend_from_slice(&epoch.to_le_bytes());
-            put_bytes_u32(&mut out, table);
             out.extend_from_slice(&len.to_le_bytes());
             out.extend_from_slice(&chunks.to_le_bytes());
             out.extend_from_slice(&digest.to_le_bytes());
@@ -238,12 +233,9 @@ pub fn decode_transfer(bytes: &[u8]) -> Option<TransferMsg> {
     let mut rd = Rd::new(bytes);
     let msg = match rd.u8()? {
         0 => TransferMsg::Fetch,
-        1 => TransferMsg::Probe,
         2 => TransferMsg::Offer {
             id: rd.u64()?,
             cut: rd_cut(&mut rd)?,
-            epoch: rd.u64()?,
-            table: rd.bytes_u32()?.to_vec(),
             len: rd.u64()?,
             chunks: rd.u32()?,
             digest: rd.u64()?,
@@ -308,7 +300,6 @@ mod tests {
     fn transfer_messages_round_trip() {
         let cases = vec![
             TransferMsg::Fetch,
-            TransferMsg::Probe,
             TransferMsg::Offer {
                 id: 4,
                 cut: StreamCut {
@@ -316,8 +307,6 @@ mod tests {
                     seq: 19,
                     offset: 3,
                 },
-                epoch: 7,
-                table: vec![1, 2, 3],
                 len: 999,
                 chunks: 4,
                 digest: 0xDEAD_BEEF,

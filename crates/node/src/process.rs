@@ -50,7 +50,7 @@ use psmr_paxos::runtime::{
 use psmr_paxos::NetMsg;
 use psmr_recovery::{
     fetch_latest, AutoCheckpointer, Checkpoint, CheckpointStore, DurableStore, Snapshot,
-    StateTransferServer, StreamCut, TransferMsg, TransferSource, CHECKPOINT,
+    StateTransferServer, StreamCut, TransferMsg, CHECKPOINT,
 };
 use psmr_wal::{Wal, WalOptions};
 use std::collections::HashMap;
@@ -253,7 +253,7 @@ impl Core {
         let id = self.store.latest_id() + 1;
         self.store.install(cut, id, snapshot.clone());
         let checkpoint = Checkpoint { id, cut, snapshot };
-        if self.durable.persist(&checkpoint, 0, &[]).is_ok() {
+        if self.durable.persist(&checkpoint).is_ok() {
             let _ = self.durable.retain_newest(DISK_RETAIN);
         }
         if let Some(handle) = &self.handle {
@@ -405,31 +405,24 @@ pub fn run_node(
     let mut resume = None;
     let mut restored_dedup = DedupTable::new();
     if let Some(d) = durable.load_latest() {
-        let (dedup, service_bytes) = decode_node_snapshot(&d.checkpoint.snapshot)
+        let (dedup, service_bytes) = decode_node_snapshot(&d.snapshot)
             .ok_or_else(|| "malformed node snapshot image".to_string())?;
         service
             .restore(service_bytes)
             .map_err(|e| format!("restore durable snapshot: {e}"))?;
         restored_dedup = dedup;
-        store.install(
-            d.checkpoint.cut,
-            d.checkpoint.id,
-            d.checkpoint.snapshot.clone(),
-        );
-        resume = Some(d.checkpoint.cut);
+        store.install(d.cut, d.id, d.snapshot.clone());
+        resume = Some(d.cut);
         logger::info(
             me,
-            &format!(
-                "restored durable checkpoint {} at seq {}",
-                d.checkpoint.id, d.checkpoint.cut.seq
-            ),
+            &format!("restored durable checkpoint {} at seq {}", d.id, d.cut.seq),
         );
     }
 
     let xfer_server = StateTransferServer::spawn(
         xfer_net.clone(),
         NodeId::new(me as u64),
-        Arc::new(StoreSource(Arc::clone(&store))),
+        Arc::clone(&store),
         4096,
     );
 
@@ -605,20 +598,6 @@ pub fn run_node(
         _driver: driver,
         _metrics_recorder: metrics_recorder,
     })
-}
-
-/// A node's checkpoint store as a state-transfer source (this
-/// deployment routes with a fixed C-G: epoch 0, empty table).
-struct StoreSource(Arc<CheckpointStore>);
-
-impl TransferSource for StoreSource {
-    fn latest(&self) -> Option<Checkpoint> {
-        self.0.latest()
-    }
-
-    fn epoch_table(&self) -> (u64, Vec<u8>) {
-        (0, Vec::new())
-    }
 }
 
 /// Reads the exported trace prefix for `seq`, preferring the executor's
@@ -816,7 +795,7 @@ fn follower_ingest(
                                     if let Some((dedup, Ok(()))) = restored {
                                         core.dedup = dedup;
                                         core.store.install(ckpt.cut, ckpt.id, ckpt.snapshot.clone());
-                                        let _ = core.durable.persist(&ckpt, 0, &[]);
+                                        let _ = core.durable.persist(&ckpt);
                                         let _ = core.durable.retain_newest(DISK_RETAIN);
                                         core.resume = Some(ckpt.cut);
                                         next = ckpt.cut.seq;

@@ -452,7 +452,7 @@ fn syncer_main(shared: &SyncerShared) {
         }
         if !stopping {
             // Pace the commits: everything appended while we sleep joins
-            // this pass's group commit. `wal_sync_pace` is measured on
+            // this pass's group commit. The pace is measured on
             // the injected clock, so a virtual-time test controls when
             // passes run.
             let since = clock.now().saturating_duration_since(last_pass);

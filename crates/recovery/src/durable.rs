@@ -1,17 +1,23 @@
 //! Durable (on-disk) snapshots.
 //!
 //! A [`DurableStore`] persists each coordinated checkpoint — snapshot
-//! bytes plus its [`StreamCut`] manifest and the remap epoch in force —
-//! as one self-describing file. Writes go to a temporary file first and
-//! are published with an **atomic rename**, so a crash mid-write never
-//! leaves a half-visible checkpoint: the store either still serves the
-//! previous file or already serves the complete new one. Loads verify a
-//! CRC-32 over the snapshot body and skip (never trust) corrupt files.
+//! bytes plus its [`StreamCut`] manifest — as one self-describing file.
+//! Writes go to a temporary file first and are published with an
+//! **atomic rename**, so a crash mid-write never leaves a half-visible
+//! checkpoint: the store either still serves the previous file or
+//! already serves the complete new one. Loads verify a CRC-32 over the
+//! snapshot body and skip (never trust) corrupt files.
 //!
 //! This is the "recover from your own disk" half of the recovery story:
 //! a fully-restarted replica process restores from the newest valid file
 //! in its own directory, then catches up from live peers (see
 //! [`crate::transfer`]) when the cluster has checkpointed past it.
+//!
+//! The v2 header still carries an epoch and a length-prefixed table
+//! ahead of the body, from a retired extension that changed the C-G
+//! online. They are written as 0 and empty, so files stay
+//! byte-compatible, and are discarded on load; v1 files (no table field)
+//! load too.
 
 use crate::{Checkpoint, StreamCut};
 use psmr_common::ids::GroupId;
@@ -22,11 +28,10 @@ use std::path::{Path, PathBuf};
 
 /// File magic: identifies a durable P-SMR snapshot.
 const MAGIC: &[u8; 8] = b"PSMRSNAP";
-/// On-disk layout version: v2 adds the remap overlay table so repartition
-/// pins survive a cold start (see `table` in [`DurableCheckpoint`]).
+/// On-disk layout version written by [`DurableStore::persist`].
 const VERSION: u32 = 2;
-/// The pre-table layout; still decoded (with an empty table) so existing
-/// snapshot files stay loadable.
+/// The pre-table layout; still decoded so existing snapshot files stay
+/// loadable.
 const VERSION_V1: u32 = 1;
 /// Fixed v2 header length: magic + version + id + cut (group, seq,
 /// offset) + epoch + table length + body length + crc over table ++ body.
@@ -37,21 +42,6 @@ const HEADER_LEN_V1: usize = 8 + 4 + 8 + 8 + 8 + 8 + 8 + 8 + 4;
 /// CRC-32 of the snapshot body — the shared [`psmr_common::crc::crc32`],
 /// the same checksum the WAL record frames use.
 pub use psmr_common::crc::crc32;
-
-/// A checkpoint as recovered from disk: the in-memory artifact plus the
-/// remap epoch that was in force when it was persisted.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DurableCheckpoint {
-    /// The persisted checkpoint (id, cut, snapshot bytes).
-    pub checkpoint: Checkpoint,
-    /// Remap epoch in force when the checkpoint was taken.
-    pub epoch: u64,
-    /// Serialized remap overlay table in force at `epoch` (empty when no
-    /// remap happened, and for files persisted by the v1 layout). A cold
-    /// start installs this before replaying the log suffix, so commands
-    /// pinned to a remapped group re-route exactly as they did live.
-    pub table: Vec<u8>,
-}
 
 /// One replica's on-disk checkpoint repository.
 ///
@@ -70,9 +60,8 @@ pub struct DurableCheckpoint {
 ///     cut: StreamCut { group: GroupId::new(2), seq: 9, offset: 0 },
 ///     snapshot: vec![1, 2, 3],
 /// };
-/// store.persist(&ckpt, 0, &[]).unwrap();
-/// let back = store.load_latest().unwrap();
-/// assert_eq!(back.checkpoint, ckpt);
+/// store.persist(&ckpt).unwrap();
+/// assert_eq!(store.load_latest(), Some(ckpt));
 /// std::fs::remove_dir_all(&dir).unwrap();
 /// ```
 #[derive(Debug)]
@@ -97,27 +86,20 @@ impl DurableStore {
         &self.dir
     }
 
-    /// Persists one checkpoint (tagged with the remap `epoch` in force
-    /// and its serialized overlay `table`): writes `ckpt-<id>.psmr.tmp`,
-    /// fsyncs, then atomically renames it into place. Returns the
-    /// published path.
+    /// Persists one checkpoint: writes `ckpt-<id>.psmr.tmp`, fsyncs, then
+    /// atomically renames it into place. Returns the published path.
     ///
     /// # Errors
     ///
     /// Returns the underlying error of the failed write/rename; a failed
     /// persist leaves no partial file visible to [`DurableStore::load_latest`].
-    pub fn persist(
-        &self,
-        checkpoint: &Checkpoint,
-        epoch: u64,
-        table: &[u8],
-    ) -> io::Result<PathBuf> {
+    pub fn persist(&self, checkpoint: &Checkpoint) -> io::Result<PathBuf> {
         let name = format!("ckpt-{:020}.psmr", checkpoint.id);
         let tmp = self.dir.join(format!("{name}.tmp"));
         let published = self.dir.join(name);
         {
             let mut file = fs::File::create(&tmp)?;
-            file.write_all(&encode(checkpoint, epoch, table))?;
+            file.write_all(&encode(checkpoint))?;
             file.sync_all()?;
         }
         fs::rename(&tmp, &published)?;
@@ -131,7 +113,7 @@ impl DurableStore {
     /// counted under `snapshot_load_failures`), never trusted — a
     /// damaged newest file therefore **falls back to the next-older
     /// valid checkpoint** instead of erroring the restart.
-    pub fn load_latest(&self) -> Option<DurableCheckpoint> {
+    pub fn load_latest(&self) -> Option<Checkpoint> {
         let newest = self.load_all().into_iter().next();
         if newest.is_some() {
             global().counter(counters::SNAPSHOTS_LOADED).inc();
@@ -143,7 +125,7 @@ impl DurableStore {
     /// candidate list a cold start walks when the newest snapshot's log
     /// suffix turns out unusable. Corrupt files are skipped exactly as
     /// in [`DurableStore::load_latest`].
-    pub fn load_all(&self) -> Vec<DurableCheckpoint> {
+    pub fn load_all(&self) -> Vec<Checkpoint> {
         let mut valid = Vec::new();
         for path in self.snapshot_files() {
             match read_file(&path) {
@@ -153,18 +135,7 @@ impl DurableStore {
                 }
             }
         }
-        valid.sort_by(|a, b| {
-            (
-                b.checkpoint.cut.seq,
-                b.checkpoint.cut.offset,
-                b.checkpoint.id,
-            )
-                .cmp(&(
-                    a.checkpoint.cut.seq,
-                    a.checkpoint.cut.offset,
-                    a.checkpoint.id,
-                ))
-        });
+        valid.sort_by_key(|c| std::cmp::Reverse((c.cut.seq, c.cut.offset, c.id)));
         valid
     }
 
@@ -197,31 +168,30 @@ impl DurableStore {
     }
 }
 
-/// Serializes a checkpoint into the v2 on-disk layout (see module docs).
-fn encode(checkpoint: &Checkpoint, epoch: u64, table: &[u8]) -> Vec<u8> {
+/// Serializes a checkpoint into the v2 on-disk layout, epoch 0 and an
+/// empty table (see module docs).
+fn encode(checkpoint: &Checkpoint) -> Vec<u8> {
     let body = &checkpoint.snapshot;
-    let mut out = Vec::with_capacity(HEADER_LEN + table.len() + body.len());
+    let mut out = Vec::with_capacity(HEADER_LEN + body.len());
     out.extend_from_slice(MAGIC);
     out.extend_from_slice(&VERSION.to_le_bytes());
     out.extend_from_slice(&checkpoint.id.to_le_bytes());
     out.extend_from_slice(&(checkpoint.cut.group.as_raw() as u64).to_le_bytes());
     out.extend_from_slice(&checkpoint.cut.seq.to_le_bytes());
     out.extend_from_slice(&(checkpoint.cut.offset as u64).to_le_bytes());
-    out.extend_from_slice(&epoch.to_le_bytes());
-    out.extend_from_slice(&(table.len() as u64).to_le_bytes());
+    out.extend_from_slice(&0u64.to_le_bytes()); // epoch
+    out.extend_from_slice(&0u64.to_le_bytes()); // table length
     out.extend_from_slice(&(body.len() as u64).to_le_bytes());
-    let mut crc_input = Vec::with_capacity(table.len() + body.len());
-    crc_input.extend_from_slice(table);
-    crc_input.extend_from_slice(body);
-    out.extend_from_slice(&crc32(&crc_input).to_le_bytes());
-    out.extend_from_slice(table);
+    // The crc covers table ++ body; the table is empty.
+    out.extend_from_slice(&crc32(body).to_le_bytes());
     out.extend_from_slice(body);
     out
 }
 
-/// Parses and verifies the on-disk layout — v2, or v1 (no table field,
-/// decoded with an empty table). `None` on any mismatch.
-fn decode(bytes: &[u8]) -> Option<DurableCheckpoint> {
+/// Parses and verifies the on-disk layout — v2, or v1 (no table field).
+/// The epoch and the (crc-covered) table are discarded. `None` on any
+/// mismatch.
+fn decode(bytes: &[u8]) -> Option<Checkpoint> {
     if bytes.len() < HEADER_LEN_V1 || &bytes[..8] != MAGIC {
         return None;
     }
@@ -234,7 +204,7 @@ fn decode(bytes: &[u8]) -> Option<DurableCheckpoint> {
         seq: u64_at(28),
         offset: usize::try_from(u64_at(36)).ok()?,
     };
-    let epoch = u64_at(44);
+    // u64_at(44) is the epoch.
     let (table_len, body_len, crc, payload) = match version {
         VERSION => {
             if bytes.len() < HEADER_LEN {
@@ -253,19 +223,15 @@ fn decode(bytes: &[u8]) -> Option<DurableCheckpoint> {
     if payload.len() != table_len + body_len || crc32(payload) != crc {
         return None;
     }
-    Some(DurableCheckpoint {
-        checkpoint: Checkpoint {
-            id,
-            cut,
-            snapshot: payload[table_len..].to_vec(),
-        },
-        epoch,
-        table: payload[..table_len].to_vec(),
+    Some(Checkpoint {
+        id,
+        cut,
+        snapshot: payload[table_len..].to_vec(),
     })
 }
 
 /// Reads and decodes one snapshot file; `None` on any I/O or format error.
-fn read_file(path: &Path) -> Option<DurableCheckpoint> {
+fn read_file(path: &Path) -> Option<Checkpoint> {
     let mut bytes = Vec::new();
     fs::File::open(path).ok()?.read_to_end(&mut bytes).ok()?;
     decode(&bytes)
@@ -306,18 +272,39 @@ mod tests {
         assert_eq!(crc32(b""), 0);
     }
 
+    /// A snapshot file built byte by byte in the v2 layout: magic,
+    /// version, id, cut (group 4, `seq`, offset 1), `epoch`, table
+    /// length, body length, crc over table ++ body, table, body.
+    fn v2_fixture(id: u64, seq: u64, epoch: u64, table: &[u8], body: &[u8]) -> Vec<u8> {
+        let mut v2 = Vec::new();
+        v2.extend_from_slice(b"PSMRSNAP");
+        v2.extend_from_slice(&2u32.to_le_bytes());
+        v2.extend_from_slice(&id.to_le_bytes());
+        v2.extend_from_slice(&4u64.to_le_bytes());
+        v2.extend_from_slice(&seq.to_le_bytes());
+        v2.extend_from_slice(&1u64.to_le_bytes());
+        v2.extend_from_slice(&epoch.to_le_bytes());
+        v2.extend_from_slice(&(table.len() as u64).to_le_bytes());
+        v2.extend_from_slice(&(body.len() as u64).to_le_bytes());
+        let crc_input: Vec<u8> = table.iter().chain(body).copied().collect();
+        v2.extend_from_slice(&crc32(&crc_input).to_le_bytes());
+        v2.extend_from_slice(table);
+        v2.extend_from_slice(body);
+        v2
+    }
+
+    /// Persisted files round-trip, and their bytes are the v2 layout
+    /// with the epoch field 0 and an empty table, so older builds still
+    /// read them.
     #[test]
     fn persist_then_load_round_trips_with_epoch() {
         let dir = unique_dir("roundtrip");
         let store = DurableStore::open(&dir).unwrap();
         assert!(store.load_latest().is_none(), "empty store");
-        store.persist(&ckpt(1, 5, vec![1, 2, 3]), 7, &[]).unwrap();
-        store.persist(&ckpt(2, 9, vec![4, 5]), 8, b"pins").unwrap();
-        let latest = store.load_latest().expect("two files on disk");
-        assert_eq!(latest.checkpoint.id, 2);
-        assert_eq!(latest.checkpoint.cut.seq, 9);
-        assert_eq!(latest.checkpoint.snapshot, vec![4, 5]);
-        assert_eq!(latest.epoch, 8);
+        store.persist(&ckpt(1, 5, vec![1, 2, 3])).unwrap();
+        let path = store.persist(&ckpt(2, 9, vec![4, 5])).unwrap();
+        assert_eq!(store.load_latest(), Some(ckpt(2, 9, vec![4, 5])));
+        assert_eq!(fs::read(&path).unwrap(), v2_fixture(2, 9, 0, &[], &[4, 5]));
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -326,9 +313,9 @@ mod tests {
         let dir = unique_dir("corrupt");
         let store = DurableStore::open(&dir).unwrap();
         let good = ckpt(1, 5, vec![9; 64]);
-        store.persist(&good, 0, &[]).unwrap();
+        store.persist(&good).unwrap();
         // A newer-looking file with a flipped body byte: crc must reject it.
-        let mut bytes = encode(&ckpt(2, 9, vec![7; 64]), 0, &[]);
+        let mut bytes = encode(&ckpt(2, 9, vec![7; 64]));
         let last = bytes.len() - 1;
         bytes[last] ^= 0xFF;
         fs::write(dir.join("ckpt-00000000000000000002.psmr"), bytes).unwrap();
@@ -336,7 +323,7 @@ mod tests {
         fs::write(dir.join("ckpt-garbage.psmr"), b"not a snapshot").unwrap();
         let failures_before = global().value(counters::SNAPSHOT_LOAD_FAILURES);
         let latest = store.load_latest().expect("the good file survives");
-        assert_eq!(latest.checkpoint, good);
+        assert_eq!(latest, good);
         assert!(global().value(counters::SNAPSHOT_LOAD_FAILURES) >= failures_before + 2);
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -349,15 +336,14 @@ mod tests {
         let dir = unique_dir("truncated-newest");
         let store = DurableStore::open(&dir).unwrap();
         let older = ckpt(1, 5, vec![1; 128]);
-        store.persist(&older, 3, &[]).unwrap();
-        let newest_path = store.persist(&ckpt(2, 9, vec![2; 128]), 3, &[]).unwrap();
+        store.persist(&older).unwrap();
+        let newest_path = store.persist(&ckpt(2, 9, vec![2; 128])).unwrap();
         // Tear the newest file as a crashed write would.
         let bytes = fs::read(&newest_path).unwrap();
         fs::write(&newest_path, &bytes[..bytes.len() / 2]).unwrap();
 
         let loaded = store.load_latest().expect("older checkpoint survives");
-        assert_eq!(loaded.checkpoint, older);
-        assert_eq!(loaded.epoch, 3);
+        assert_eq!(loaded, older);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -367,19 +353,19 @@ mod tests {
         let dir = unique_dir("bitflip-newest");
         let store = DurableStore::open(&dir).unwrap();
         let older = ckpt(1, 5, vec![1; 64]);
-        store.persist(&older, 0, &[]).unwrap();
-        let newest_path = store.persist(&ckpt(2, 9, vec![2; 64]), 0, &[]).unwrap();
+        store.persist(&older).unwrap();
+        let newest_path = store.persist(&ckpt(2, 9, vec![2; 64])).unwrap();
         let mut bytes = fs::read(&newest_path).unwrap();
         let mid = HEADER_LEN + 32;
         bytes[mid] ^= 0x01;
         fs::write(&newest_path, &bytes).unwrap();
 
         let loaded = store.load_latest().expect("older checkpoint survives");
-        assert_eq!(loaded.checkpoint, older);
+        assert_eq!(loaded, older);
         // load_all exposes the full candidate list, newest valid first.
         let all = store.load_all();
         assert_eq!(all.len(), 1, "the corrupt file is not a candidate");
-        assert_eq!(all[0].checkpoint.id, 1);
+        assert_eq!(all[0].id, 1);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -388,11 +374,9 @@ mod tests {
         let dir = unique_dir("load-all");
         let store = DurableStore::open(&dir).unwrap();
         for (id, seq) in [(2u64, 20u64), (1, 10), (3, 30)] {
-            store
-                .persist(&ckpt(id, seq, vec![id as u8]), 0, &[])
-                .unwrap();
+            store.persist(&ckpt(id, seq, vec![id as u8])).unwrap();
         }
-        let ids: Vec<u64> = store.load_all().iter().map(|d| d.checkpoint.id).collect();
+        let ids: Vec<u64> = store.load_all().iter().map(|d| d.id).collect();
         assert_eq!(ids, vec![3, 2, 1]);
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -404,7 +388,7 @@ mod tests {
         // A crash between write and rename leaves only the .tmp behind.
         fs::write(
             dir.join("ckpt-00000000000000000001.psmr.tmp"),
-            encode(&ckpt(1, 5, vec![1]), 0, &[]),
+            encode(&ckpt(1, 5, vec![1])),
         )
         .unwrap();
         assert!(store.load_latest().is_none());
@@ -416,43 +400,39 @@ mod tests {
         let dir = unique_dir("retain");
         let store = DurableStore::open(&dir).unwrap();
         for id in 1..=5 {
-            store
-                .persist(&ckpt(id, id * 10, vec![id as u8]), 0, &[])
-                .unwrap();
+            store.persist(&ckpt(id, id * 10, vec![id as u8])).unwrap();
         }
         assert_eq!(store.retain_newest(2).unwrap(), 3);
         let latest = store.load_latest().expect("newest kept");
-        assert_eq!(latest.checkpoint.id, 5);
+        assert_eq!(latest.id, 5);
         assert_eq!(store.retain_newest(2).unwrap(), 0, "idempotent");
         fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// The remap overlay table rides the snapshot file: it round-trips
-    /// through persist/load and sits under the same crc as the body.
+    /// A v2 file written by an older build with a non-zero epoch and a
+    /// table round-trips through the store: the body loads, and the
+    /// table stays under the crc, so a flipped table byte rejects the
+    /// whole file.
     #[test]
     fn table_round_trips_and_is_crc_protected() {
         let dir = unique_dir("table");
         let store = DurableStore::open(&dir).unwrap();
         let table = vec![0xAB; 37];
-        let path = store
-            .persist(&ckpt(1, 5, vec![1, 2, 3]), 4, &table)
-            .unwrap();
+        let path = dir.join("ckpt-00000000000000000001.psmr");
+        let mut bytes = v2_fixture(1, 5, 4, &table, &[1, 2, 3]);
+        fs::write(&path, &bytes).unwrap();
         let loaded = store.load_latest().expect("persisted");
-        assert_eq!(loaded.table, table);
-        assert_eq!(loaded.epoch, 4);
-        assert_eq!(loaded.checkpoint.snapshot, vec![1, 2, 3]);
+        assert_eq!(loaded, ckpt(1, 5, vec![1, 2, 3]));
         // Flip one table byte: the whole file must be rejected, not
-        // loaded with a silently-wrong routing overlay.
-        let mut bytes = fs::read(&path).unwrap();
+        // loaded past a damaged header region.
         bytes[HEADER_LEN + 10] ^= 0x04;
         fs::write(&path, bytes).unwrap();
         assert!(store.load_latest().is_none(), "corrupt table rejected");
         fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// Files written by the pre-table v1 layout still load — with an
-    /// empty table, the correct value for their era (remap state was not
-    /// persisted at all).
+    /// Files written by the pre-table v1 layout still load; the epoch
+    /// field is discarded as it is for v2 files.
     #[test]
     fn v1_files_decode_with_an_empty_table() {
         let body = vec![6u8; 16];
@@ -467,21 +447,20 @@ mod tests {
         v1.extend_from_slice(&(body.len() as u64).to_le_bytes());
         v1.extend_from_slice(&crc32(&body).to_le_bytes());
         v1.extend_from_slice(&body);
-        let loaded = decode(&v1).expect("v1 layout stays loadable");
-        assert_eq!(loaded.checkpoint.id, 3);
-        assert_eq!(loaded.checkpoint.cut.seq, 9);
-        assert_eq!(loaded.checkpoint.snapshot, body);
-        assert_eq!(loaded.epoch, 5);
-        assert_eq!(loaded.table, Vec::<u8>::new());
+        assert_eq!(
+            decode(&v1),
+            Some(ckpt(3, 9, body)),
+            "v1 layout stays loadable"
+        );
     }
 
     #[test]
     fn truncated_header_and_wrong_version_are_rejected() {
         assert_eq!(decode(b"PSMRSNAP"), None);
-        let mut bytes = encode(&ckpt(1, 1, vec![1]), 0, &[]);
+        let mut bytes = encode(&ckpt(1, 1, vec![1]));
         bytes[8] = 99; // version
         assert_eq!(decode(&bytes), None);
-        let ok = encode(&ckpt(1, 1, vec![1]), 0, &[]);
+        let ok = encode(&ckpt(1, 1, vec![1]));
         assert_eq!(decode(&ok[..ok.len() - 1]), None, "truncated body");
     }
 }

@@ -30,9 +30,8 @@
 //!   recovers from its own directory,
 //! * [`transfer`] — [`StateTransferServer`] / [`fetch_latest`]: a
 //!   restarting replica pulls the latest checkpoint from a live peer in
-//!   digest-verified chunks, learning the current remap epoch from the
-//!   offer handshake and falling back to the next peer when one crashes
-//!   mid-transfer.
+//!   digest-verified chunks, falling back to the next peer when one
+//!   crashes mid-transfer.
 //!
 //! The engine-side halves (quiescing workers, replaying the
 //! `(snapshot, log suffix)` pair into a restarted replica) live in
@@ -44,10 +43,10 @@
 pub mod durable;
 pub mod transfer;
 
-pub use durable::{DurableCheckpoint, DurableStore};
+pub use durable::DurableStore;
 pub use transfer::{
-    fetch_latest, fetch_latest_via, probe_latest, probe_latest_via, FetchedState, ProbedState,
-    StateTransferServer, TransferError, TransferMsg, TransferNet, TransferSource,
+    fetch_latest, fetch_latest_via, FetchedState, StateTransferServer, TransferError, TransferMsg,
+    TransferNet,
 };
 
 use parking_lot::Mutex;
@@ -60,10 +59,12 @@ use std::time::Duration;
 
 /// The reserved control command that triggers a coordinated checkpoint.
 ///
-/// Classified `Global` by every engine router: it travels on the
-/// serialized group and synchronizes all workers, which is exactly the
-/// quiescence checkpointing needs. Services must not declare their own
-/// command with this id (the neighbouring `u32::MAX` is `REMAP`).
+/// Classified `Global` under every C-Dep (`psmr-core`'s
+/// `CommandMap::class`): it travels on the serialized group and
+/// synchronizes all workers, which is exactly the quiescence
+/// checkpointing needs. Services must not declare their own command with
+/// this id. The value is fixed: WAL records and snapshot files already on
+/// disk carry it.
 pub const CHECKPOINT: CommandId = CommandId::new(u32::MAX - 1);
 
 /// Snapshot/restore extension of the `Service` abstraction.
@@ -440,7 +441,7 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_command_id_is_reserved_next_to_remap() {
+    fn checkpoint_command_id_is_stable() {
         assert_eq!(CHECKPOINT.as_raw(), u32::MAX - 1);
     }
 

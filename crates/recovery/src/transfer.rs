@@ -9,26 +9,18 @@
 //! ```text
 //! fetcher                         serving peer
 //!    │ ───────── Fetch ──────────────▶ │
-//!    │ ◀──────── Offer ─────────────── │  id, cut, epoch, remap table,
-//!    │ ◀──────── Chunk 0 ───────────── │  total length, chunk count,
-//!    │ ◀──────── Chunk 1 ───────────── │  digest
+//!    │ ◀──────── Offer ─────────────── │  id, cut, total length,
+//!    │ ◀──────── Chunk 0 ───────────── │  chunk count, digest
+//!    │ ◀──────── Chunk 1 ───────────── │
 //!    │            …                    │
 //!    │ ◀──────── Chunk n-1 ─────────── │
 //! ```
 //!
-//! The **offer is the remap-epoch handshake**: it carries the epoch (and
-//! encoded overlay table) currently in force at the serving peer, so a
-//! replica that checkpointed under an old C-Dep mapping learns the
-//! current one before it re-subscribes its worker streams. Snapshots are
-//! streamed in chunks and verified against an end-to-end digest; a peer
-//! that crashes mid-transfer shows up as a per-message timeout and the
-//! fetcher **falls back to the next peer**.
-//!
-//! A [`TransferMsg::Probe`] requests the offer **without** the chunks —
-//! the handshake alone, for disk-first recoveries that may never need
-//! the bytes ([`probe_latest`]).
+//! Snapshots are streamed in chunks and verified against an end-to-end
+//! digest; a peer that crashes mid-transfer shows up as a per-message
+//! timeout and the fetcher **falls back to the next peer**.
 
-use crate::{Checkpoint, StreamCut};
+use crate::{Checkpoint, CheckpointStore, StreamCut};
 use psmr_common::metrics::{counters, global};
 use psmr_common::runtime::{recv_timeout_via, Clock, RealClock};
 use psmr_netsim::live::LiveNet;
@@ -50,23 +42,13 @@ pub type TransferNet = LiveNet<TransferMsg>;
 pub enum TransferMsg {
     /// Fetcher → peer: send me your latest checkpoint.
     Fetch,
-    /// Fetcher → peer: send me your latest checkpoint's **manifest
-    /// only** (an [`TransferMsg::Offer`] with no chunks following) — the
-    /// remap-epoch handshake without moving snapshot bytes. Used by
-    /// disk-first recoveries that may never need the transfer itself.
-    Probe,
-    /// Peer → fetcher: the transfer manifest and remap-epoch handshake;
-    /// `chunks` chunk messages follow.
+    /// Peer → fetcher: the transfer manifest; `chunks` chunk messages
+    /// follow.
     Offer {
         /// Checkpoint number of the offered snapshot.
         id: u64,
         /// Stream position the snapshot was cut at.
         cut: StreamCut,
-        /// Remap epoch currently in force at the serving peer.
-        epoch: u64,
-        /// Encoded remap overlay table for that epoch (empty when the
-        /// deployment routes with a fixed C-G).
-        table: Vec<u8>,
         /// Total snapshot length in bytes.
         len: u64,
         /// Number of chunk messages that follow.
@@ -83,17 +65,6 @@ pub enum TransferMsg {
     },
     /// Peer → fetcher: the peer is alive but has no checkpoint yet.
     NotFound,
-}
-
-/// What a serving peer hands to its [`StateTransferServer`]: the latest
-/// checkpoint it holds and the remap epoch currently in force.
-pub trait TransferSource: Send + Sync {
-    /// The newest checkpoint this peer can serve, if any.
-    fn latest(&self) -> Option<Checkpoint>;
-
-    /// The remap epoch in force and its encoded overlay table (epoch 0
-    /// with an empty table for fixed C-G deployments).
-    fn epoch_table(&self) -> (u64, Vec<u8>);
 }
 
 /// FNV-1a 64-bit digest — the end-to-end integrity check of a transfer.
@@ -132,16 +103,11 @@ impl fmt::Display for TransferError {
 
 impl std::error::Error for TransferError {}
 
-/// A completed fetch: the checkpoint plus everything the handshake
-/// taught us.
+/// A completed fetch: the checkpoint and where it came from.
 #[derive(Debug, Clone)]
 pub struct FetchedState {
     /// The transferred (digest-verified) checkpoint.
     pub checkpoint: Checkpoint,
-    /// Remap epoch in force at the serving peer.
-    pub epoch: u64,
-    /// Encoded remap overlay table for that epoch (empty = fixed C-G).
-    pub table: Vec<u8>,
     /// The peer that served the transfer.
     pub from: NodeId,
     /// Peers given up on before this one served (timeouts, digest
@@ -163,11 +129,12 @@ pub struct StateTransferServer {
 
 impl StateTransferServer {
     /// Spawns the serving thread: registers `node` on `net` and answers
-    /// every fetch from `source`, `chunk_bytes` per chunk message.
+    /// every fetch with the newest checkpoint in `store`, `chunk_bytes`
+    /// per chunk message.
     pub fn spawn(
         net: TransferNet,
         node: NodeId,
-        source: Arc<dyn TransferSource>,
+        store: Arc<CheckpointStore>,
         chunk_bytes: usize,
     ) -> Self {
         let stop = Arc::new(AtomicBool::new(false));
@@ -183,14 +150,8 @@ impl StateTransferServer {
                         Err(crossbeam::channel::RecvTimeoutError::Timeout) => continue,
                         Err(crossbeam::channel::RecvTimeoutError::Disconnected) => return,
                     };
-                    match msg {
-                        TransferMsg::Fetch => {
-                            serve_one(&net, node, from, &*source, chunk_bytes, true)
-                        }
-                        TransferMsg::Probe => {
-                            serve_one(&net, node, from, &*source, chunk_bytes, false)
-                        }
-                        _ => {}
+                    if let TransferMsg::Fetch = msg {
+                        serve_one(&net, node, from, &store, chunk_bytes);
                     }
                 }
             })
@@ -220,33 +181,29 @@ impl Drop for StateTransferServer {
     }
 }
 
-/// Answers one fetch (offer, then the chunks) or probe (offer only).
+/// Answers one fetch: the offer, then the chunks.
 fn serve_one(
     net: &TransferNet,
     me: NodeId,
     fetcher: NodeId,
-    source: &dyn TransferSource,
+    store: &CheckpointStore,
     chunk_bytes: usize,
-    stream_chunks: bool,
 ) {
-    let Some(checkpoint) = source.latest() else {
+    let Some(checkpoint) = store.latest() else {
         net.send(me, fetcher, TransferMsg::NotFound);
         return;
     };
-    let (epoch, table) = source.epoch_table();
     let snapshot = &checkpoint.snapshot;
     let chunks = snapshot.len().div_ceil(chunk_bytes).max(1) as u32;
     let offer = TransferMsg::Offer {
         id: checkpoint.id,
         cut: checkpoint.cut,
-        epoch,
-        table,
         len: snapshot.len() as u64,
         chunks,
         digest: digest64(snapshot),
     };
-    if !net.send(me, fetcher, offer) || !stream_chunks {
-        return; // probe done, or fetcher gone mid-transfer
+    if !net.send(me, fetcher, offer) {
+        return; // fetcher gone mid-transfer
     }
     global().counter(counters::TRANSFERS_SERVED).inc();
     for (index, chunk) in snapshot.chunks(chunk_bytes).enumerate() {
@@ -343,20 +300,18 @@ fn fetch_from(
         return None; // peer already known-dead
     }
     // Await the offer, ignoring stragglers from previously abandoned peers.
-    let (id, cut, epoch, table, len, chunks, digest) = loop {
+    let (id, cut, len, chunks, digest) = loop {
         match recv_timeout_via(clock, inbox, timeout) {
             Ok((
                 from,
                 TransferMsg::Offer {
                     id,
                     cut,
-                    epoch,
-                    table,
                     len,
                     chunks,
                     digest,
                 },
-            )) if from == peer => break (id, cut, epoch, table, len, chunks, digest),
+            )) if from == peer => break (id, cut, len, chunks, digest),
             Ok((from, TransferMsg::NotFound)) if from == peer => return None,
             Ok(_) => continue, // stale message from an abandoned peer
             Err(_) => return None,
@@ -382,115 +337,15 @@ fn fetch_from(
     }
     Some(FetchedState {
         checkpoint: Checkpoint { id, cut, snapshot },
-        epoch,
-        table,
         from: peer,
         fallbacks: 0,
-    })
-}
-
-/// The manifest a probe learned: everything an [`TransferMsg::Offer`]
-/// carries except the snapshot bytes themselves.
-#[derive(Debug, Clone)]
-pub struct ProbedState {
-    /// Checkpoint number of the peer's newest checkpoint.
-    pub id: u64,
-    /// Stream position that checkpoint was cut at.
-    pub cut: StreamCut,
-    /// Remap epoch in force at the serving peer.
-    pub epoch: u64,
-    /// Encoded remap overlay table for that epoch (empty = fixed C-G).
-    pub table: Vec<u8>,
-    /// The peer that answered.
-    pub from: NodeId,
-}
-
-/// Asks peers (in order) for their newest checkpoint's **manifest
-/// only** — the remap-epoch handshake without moving snapshot bytes.
-/// Counters are untouched: a probe is not a transfer.
-///
-/// # Errors
-///
-/// [`TransferError::NoPeers`] when `peers` is empty;
-/// [`TransferError::AllPeersFailed`] when no peer answered with an
-/// offer (dead, timed out, or nothing checkpointed yet).
-pub fn probe_latest(
-    net: &TransferNet,
-    me: NodeId,
-    peers: &[NodeId],
-    timeout: Duration,
-) -> Result<ProbedState, TransferError> {
-    probe_latest_via(&RealClock, net, me, peers, timeout)
-}
-
-/// [`probe_latest`] with the per-message timeout interpreted in
-/// `clock`'s timebase (see [`fetch_latest_via`]).
-pub fn probe_latest_via(
-    clock: &dyn Clock,
-    net: &TransferNet,
-    me: NodeId,
-    peers: &[NodeId],
-    timeout: Duration,
-) -> Result<ProbedState, TransferError> {
-    if peers.is_empty() {
-        return Err(TransferError::NoPeers);
-    }
-    let inbox = net.register(me);
-    for &peer in peers {
-        if !net.send(me, peer, TransferMsg::Probe) {
-            continue; // peer already known-dead
-        }
-        loop {
-            match recv_timeout_via(clock, &inbox, timeout) {
-                Ok((
-                    from,
-                    TransferMsg::Offer {
-                        id,
-                        cut,
-                        epoch,
-                        table,
-                        ..
-                    },
-                )) if from == peer => {
-                    return Ok(ProbedState {
-                        id,
-                        cut,
-                        epoch,
-                        table,
-                        from: peer,
-                    })
-                }
-                Ok((from, TransferMsg::NotFound)) if from == peer => break,
-                Ok(_) => continue, // straggler from an abandoned peer
-                Err(_) => break,
-            }
-        }
-    }
-    Err(TransferError::AllPeersFailed {
-        attempted: peers.len(),
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CheckpointStore;
     use psmr_common::ids::GroupId;
-
-    struct StoreSource {
-        store: CheckpointStore,
-        epoch: u64,
-    }
-
-    impl TransferSource for StoreSource {
-        fn latest(&self) -> Option<Checkpoint> {
-            self.store.latest()
-        }
-
-        fn epoch_table(&self) -> (u64, Vec<u8>) {
-            (self.epoch, vec![self.epoch as u8])
-        }
-    }
 
     fn cut(seq: u64) -> StreamCut {
         StreamCut {
@@ -500,12 +355,12 @@ mod tests {
         }
     }
 
-    fn source(epoch: u64, snapshot: Option<Vec<u8>>) -> Arc<StoreSource> {
+    fn source(snapshot: Option<Vec<u8>>) -> Arc<CheckpointStore> {
         let store = CheckpointStore::new();
         if let Some(snapshot) = snapshot {
             store.install(cut(3), 1, snapshot);
         }
-        Arc::new(StoreSource { store, epoch })
+        Arc::new(store)
     }
 
     fn n(i: u64) -> NodeId {
@@ -524,13 +379,11 @@ mod tests {
         let net: TransferNet = LiveNet::new();
         let snapshot: Vec<u8> = (0..=255u8).cycle().take(10_000).collect();
         let server =
-            StateTransferServer::spawn(net.clone(), n(0), source(4, Some(snapshot.clone())), 512);
+            StateTransferServer::spawn(net.clone(), n(0), source(Some(snapshot.clone())), 512);
         let fetched = fetch_latest(&net, n(9), &[n(0)], Duration::from_secs(2)).expect("transfer");
         assert_eq!(fetched.checkpoint.snapshot, snapshot);
         assert_eq!(fetched.checkpoint.id, 1);
         assert_eq!(fetched.checkpoint.cut, cut(3));
-        assert_eq!(fetched.epoch, 4, "handshake carries the epoch");
-        assert_eq!(fetched.table, vec![4], "…and the encoded table");
         assert_eq!(fetched.from, n(0));
         assert_eq!(fetched.fallbacks, 0);
         server.stop();
@@ -539,8 +392,7 @@ mod tests {
     #[test]
     fn empty_and_tiny_snapshots_transfer() {
         let net: TransferNet = LiveNet::new();
-        let server =
-            StateTransferServer::spawn(net.clone(), n(0), source(0, Some(Vec::new())), 512);
+        let server = StateTransferServer::spawn(net.clone(), n(0), source(Some(Vec::new())), 512);
         let fetched = fetch_latest(&net, n(9), &[n(0)], Duration::from_secs(2)).expect("transfer");
         assert!(fetched.checkpoint.snapshot.is_empty());
         server.stop();
@@ -561,8 +413,7 @@ mod tests {
         // Peer 0 is registered then crashes; peer 1 serves.
         let _dead_inbox = net.register(n(0));
         net.crash(n(0));
-        let server =
-            StateTransferServer::spawn(net.clone(), n(1), source(0, Some(vec![5; 100])), 16);
+        let server = StateTransferServer::spawn(net.clone(), n(1), source(Some(vec![5; 100])), 16);
         let fetched =
             fetch_latest(&net, n(9), &[n(0), n(1)], Duration::from_millis(200)).expect("fallback");
         assert_eq!(fetched.from, n(1));
@@ -574,10 +425,9 @@ mod tests {
     fn peer_crashing_mid_transfer_falls_back() {
         let net: TransferNet = LiveNet::new();
         let snapshot = vec![7u8; 4096];
-        let bad =
-            StateTransferServer::spawn(net.clone(), n(0), source(0, Some(snapshot.clone())), 64);
+        let bad = StateTransferServer::spawn(net.clone(), n(0), source(Some(snapshot.clone())), 64);
         let good =
-            StateTransferServer::spawn(net.clone(), n(1), source(0, Some(snapshot.clone())), 64);
+            StateTransferServer::spawn(net.clone(), n(1), source(Some(snapshot.clone())), 64);
         // Peer 0's link to the fetcher dies after the offer + 3 chunks.
         net.sever_after(n(0), n(9), 4);
         let fetched =
@@ -590,43 +440,10 @@ mod tests {
     }
 
     #[test]
-    fn probe_learns_the_manifest_without_moving_bytes() {
-        let net: TransferNet = LiveNet::new();
-        let server =
-            StateTransferServer::spawn(net.clone(), n(0), source(6, Some(vec![9; 4096])), 64);
-        let probed =
-            probe_latest(&net, n(9), &[n(0)], Duration::from_millis(300)).expect("probe answered");
-        assert_eq!(probed.id, 1);
-        assert_eq!(probed.cut, cut(3));
-        assert_eq!(probed.epoch, 6);
-        assert_eq!(probed.table, vec![6]);
-        assert_eq!(probed.from, n(0));
-        // No chunk follows a probe: the inbox stays silent.
-        let inbox = net.register(n(9));
-        assert!(
-            inbox.recv_timeout(Duration::from_millis(60)).is_err(),
-            "probe must not stream snapshot bytes"
-        );
-        // An empty peer answers NotFound; a dead list errors.
-        let lonely: TransferNet = LiveNet::new();
-        let empty = StateTransferServer::spawn(lonely.clone(), n(0), source(0, None), 64);
-        assert_eq!(
-            probe_latest(&lonely, n(9), &[n(0)], Duration::from_millis(150)).unwrap_err(),
-            TransferError::AllPeersFailed { attempted: 1 }
-        );
-        assert_eq!(
-            probe_latest(&lonely, n(9), &[], Duration::from_millis(10)).unwrap_err(),
-            TransferError::NoPeers
-        );
-        empty.stop();
-        server.stop();
-    }
-
-    #[test]
     fn peer_without_a_checkpoint_is_skipped() {
         let net: TransferNet = LiveNet::new();
-        let empty = StateTransferServer::spawn(net.clone(), n(0), source(0, None), 64);
-        let full = StateTransferServer::spawn(net.clone(), n(1), source(0, Some(vec![1, 2])), 64);
+        let empty = StateTransferServer::spawn(net.clone(), n(0), source(None), 64);
+        let full = StateTransferServer::spawn(net.clone(), n(1), source(Some(vec![1, 2])), 64);
         let fetched =
             fetch_latest(&net, n(9), &[n(0), n(1)], Duration::from_millis(300)).expect("skip");
         assert_eq!(fetched.from, n(1));
@@ -634,7 +451,7 @@ mod tests {
         full.stop();
 
         let lonely: TransferNet = LiveNet::new();
-        let empty = StateTransferServer::spawn(lonely.clone(), n(0), source(0, None), 64);
+        let empty = StateTransferServer::spawn(lonely.clone(), n(0), source(None), 64);
         assert_eq!(
             fetch_latest(&lonely, n(9), &[n(0)], Duration::from_millis(150)).unwrap_err(),
             TransferError::AllPeersFailed { attempted: 1 }

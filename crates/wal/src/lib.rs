@@ -249,7 +249,7 @@ impl Wal {
     /// recorded into (segment-seal syncs on rotation are not commit
     /// syncs and are not recorded). Deployments attach a per-group
     /// scoped histogram (`wal_fsync_ns{group=G}`) at spawn — the
-    /// observed-sync-cost input an adaptive `wal_sync_pace` needs.
+    /// observed-sync-cost input an adaptive sync pace needs.
     pub fn observe_fsync(&self, histogram: ScopedHistogram) {
         *self.fsync_observer.lock() = Some(histogram);
     }

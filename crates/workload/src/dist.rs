@@ -24,18 +24,6 @@ pub enum KeyDist {
         /// Normalization constant `H_{n,theta}` (precomputed).
         harmonic: f64,
     },
-    /// An inner distribution with every sampled key multiplied by
-    /// `stride`. With `stride` equal to the multiprogramming level, all hot
-    /// keys of a Zipf inner distribution collide on worker group 0 under
-    /// the `key mod k` C-G rule — the adversarial case for P-SMR's static
-    /// load balancing (§IV-D) used by the online-remap extension
-    /// experiment.
-    Strided {
-        /// The distribution of the pre-stride rank.
-        inner: Box<KeyDist>,
-        /// Multiplier applied to every sample.
-        stride: u64,
-    },
 }
 
 impl KeyDist {
@@ -66,24 +54,10 @@ impl KeyDist {
         KeyDist::Zipf { n, theta, harmonic }
     }
 
-    /// Strides an existing distribution (see [`KeyDist::Strided`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stride` is zero.
-    pub fn strided(inner: KeyDist, stride: u64) -> Self {
-        assert!(stride > 0, "stride must be positive");
-        KeyDist::Strided {
-            inner: Box::new(inner),
-            stride,
-        }
-    }
-
     /// Key-space size (largest producible key + 1).
     pub fn n(&self) -> u64 {
         match self {
             KeyDist::Uniform { n } | KeyDist::Zipf { n, .. } => *n,
-            KeyDist::Strided { inner, stride } => inner.n() * stride,
         }
     }
 
@@ -91,7 +65,6 @@ impl KeyDist {
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
         match *self {
             KeyDist::Uniform { n } => rng.gen_range(0..n),
-            KeyDist::Strided { ref inner, stride } => inner.sample(rng) * stride,
             KeyDist::Zipf { n, theta, harmonic } => {
                 // Inversion by bisection on the CDF: O(log n) per sample
                 // with no per-key tables. The CDF at rank r is
@@ -212,22 +185,6 @@ mod tests {
     fn n_accessor() {
         assert_eq!(KeyDist::uniform(42).n(), 42);
         assert_eq!(KeyDist::zipf(42, 1.0).n(), 42);
-        assert_eq!(KeyDist::strided(KeyDist::uniform(42), 8).n(), 336);
-    }
-
-    #[test]
-    fn strided_samples_are_multiples() {
-        let dist = KeyDist::strided(KeyDist::zipf(1000, 1.0), 8);
-        let mut rng = StdRng::seed_from_u64(1);
-        for _ in 0..500 {
-            assert_eq!(dist.sample(&mut rng) % 8, 0, "all keys hit group 0 mod 8");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "stride must be positive")]
-    fn zero_stride_rejected() {
-        let _ = KeyDist::strided(KeyDist::uniform(1), 0);
     }
 
     #[test]

@@ -15,11 +15,10 @@
 //! `wal_batch - 1` appends since the last fsync); `wal_batch = 1`
 //! closes that window.
 
-use psmr_suite::common::ids::{GroupId, ReplicaId};
+use psmr_suite::common::ids::ReplicaId;
 use psmr_suite::common::metrics::{counters, global};
 use psmr_suite::common::SystemConfig;
 use psmr_suite::core::engines::{Engine, PsmrEngine, RecoverySource, SmrEngine, SpSmrEngine};
-use psmr_suite::core::remap::{RemapTable, RemappableMap, REMAP};
 use psmr_suite::kvstore::{fine_dependency_spec, KvOp, KvResult, KvService};
 use psmr_suite::sim::check::{assert_linearizable, client_session, kv, KEYS};
 use std::path::PathBuf;
@@ -320,7 +319,9 @@ fn pipelined_crash_before_fsync_never_released_the_lost_suffix() {
 
 /// Cold start **before any checkpoint was ever taken**: the durable
 /// ordered logs alone rebuild the whole deployment from scratch
-/// (`RecoverySource::WalOnly`).
+/// (`RecoverySource::WalOnly`). A second blackout after the deployment's
+/// only checkpoint then restores every replica from that one on-disk
+/// snapshot plus the WAL suffix behind it.
 #[test]
 fn psmr_cold_starts_from_the_wal_alone_without_any_checkpoint() {
     let mut config = cfg(2, "walonly");
@@ -346,7 +347,7 @@ fn psmr_cold_starts_from_the_wal_alone_without_any_checkpoint() {
     engine.crash_all_replicas();
     engine.shutdown();
 
-    let (engine, reports) =
+    let (mut engine, reports) =
         PsmrEngine::cold_start(&config, fine_dependency_spec().into_map(), || {
             KvService::with_keys(KEYS)
         })
@@ -364,120 +365,45 @@ fn psmr_cold_starts_from_the_wal_alone_without_any_checkpoint() {
             "key {key} rebuilt purely from the replayed log"
         );
     }
-    drop(client);
-    engine.shutdown();
-    cleanup("walonly");
-}
-
-/// Cold start **after a remap**: the REMAP command sits *behind* the
-/// checkpoint's cut, so the replayed log suffix never re-executes it —
-/// the overlay table persisted inside the snapshot file (v2 layout) is
-/// the only thing that can restore the pins. A restarted deployment
-/// must come back at the remapped epoch with every pin in force, or
-/// post-restart traffic on pinned keys re-routes to the pre-remap
-/// group.
-#[test]
-fn psmr_cold_start_preserves_remap_pins_across_the_blackout() {
-    let mut config = cfg(4, "remap-cold");
-    // The test drives the only checkpoint, strictly after the remap:
-    // deterministic "pins live only in the snapshot" setup.
-    config.checkpoint_interval(None);
-    let rmap = RemappableMap::new(fine_dependency_spec().into_map());
-    let mut engine =
-        PsmrEngine::spawn_recoverable_remappable(&config, rmap, || KvService::with_keys(KEYS));
-    let mut client = engine.client();
-    for k in 0..8u64 {
-        assert_eq!(
-            kv(
-                &mut client,
-                KvOp::Update {
-                    key: k,
-                    value: 1000 + k
-                }
-            ),
-            KvResult::Ok
-        );
-    }
-    // Pin keys 0..8 onto group 3 at epoch 1.
-    let mut table = RemapTable {
-        epoch: 1,
-        ..Default::default()
-    };
-    for k in 0..8u64 {
-        table.pins.insert(k, GroupId::new(3));
-    }
-    assert_eq!(
-        client.execute(REMAP, table.encode())[0],
-        1,
-        "remap installs"
-    );
-    // Rerouted writes, then the checkpoint that captures table + state.
-    for k in 0..8u64 {
-        assert_eq!(
-            kv(
-                &mut client,
-                KvOp::Update {
-                    key: k,
-                    value: 2000 + k
-                }
-            ),
-            KvResult::Ok
-        );
-    }
     let resp = client.execute(psmr_suite::recovery::CHECKPOINT, Vec::new());
-    assert!(u64::from_le_bytes(resp[..8].try_into().unwrap()) >= 1);
+    let ckpt_id = u64::from_le_bytes(resp[..8].try_into().unwrap());
+    // Writes past the checkpoint live only in the WAL at the blackout.
+    for key in 0..KEYS {
+        assert_eq!(
+            kv(
+                &mut client,
+                KvOp::Update {
+                    key,
+                    value: 2000 + key
+                }
+            ),
+            KvResult::Ok
+        );
+    }
     await_persisted(config.snapshot_dir.as_ref().unwrap(), 2);
     drop(client);
     engine.crash_all_replicas();
     engine.shutdown();
 
-    // Incarnation 2 boots with a *fresh* map (epoch 0, no pins): only
-    // the table inside the snapshot file can bring the remap back.
-    let rmap = RemappableMap::new(fine_dependency_spec().into_map());
-    let probe = rmap.clone();
     let (engine, reports) =
-        PsmrEngine::cold_start_remappable(&config, rmap, || KvService::with_keys(KEYS))
-            .expect("cold start across the remap");
-    assert!(reports.iter().all(|r| r.source == RecoverySource::Disk));
-    let restored = probe.current_table();
-    assert_eq!(
-        restored.epoch, 1,
-        "persisted remap epoch survives the blackout"
-    );
-    for k in 0..8u64 {
-        assert_eq!(
-            restored.pins.get(&k),
-            Some(&GroupId::new(3)),
-            "pin for key {k} survives the blackout"
-        );
-    }
+        PsmrEngine::cold_start(&config, fine_dependency_spec().into_map(), || {
+            KvService::with_keys(KEYS)
+        })
+        .expect("cold start from the only checkpoint");
+    assert!(reports
+        .iter()
+        .all(|r| r.source == RecoverySource::Disk && r.checkpoint_id == ckpt_id));
     await_convergence(|r| engine.replica_service(r));
-    // Pinned keys read their pre-crash values and stay serializable
-    // under fresh dependent traffic.
     let mut client = engine.client();
-    for k in 0..8u64 {
+    for key in 0..KEYS {
         assert_eq!(
-            kv(&mut client, KvOp::Read { key: k }),
-            KvResult::Value(2000 + k)
-        );
-        assert_eq!(
-            kv(
-                &mut client,
-                KvOp::Update {
-                    key: k,
-                    value: 3000 + k
-                }
-            ),
-            KvResult::Ok
-        );
-        assert_eq!(
-            kv(&mut client, KvOp::Read { key: k }),
-            KvResult::Value(3000 + k)
+            kv(&mut client, KvOp::Read { key }),
+            KvResult::Value(2000 + key)
         );
     }
     drop(client);
     engine.shutdown();
-    cleanup("remap-cold");
+    cleanup("walonly");
 }
 
 /// The same blackout on classical SMR: single stream, same durability

@@ -18,6 +18,27 @@ fn cfg(mpl: usize) -> SystemConfig {
     cfg
 }
 
+/// The reserved CHECKPOINT command is `Global` under both services'
+/// C-Dep, though neither declares it, so the P-SMR client sink sends it
+/// on `g_all` and every worker derives all groups for it at delivery:
+/// the whole replica quiesces at the checkpoint's cut.
+#[test]
+fn checkpoint_is_global_under_every_service_c_dep() {
+    use psmr_suite::core::CommandClass;
+    use psmr_suite::recovery::CHECKPOINT;
+    for map in [
+        fine_dependency_spec().into_map(),
+        psmr_suite::netfs::dependency_spec().into_map(),
+    ] {
+        assert_eq!(map.class(CHECKPOINT), CommandClass::Global);
+        for mpl in [1, 2, 4] {
+            let all_group = SystemConfig::new(mpl).all_group();
+            let dests = map.destinations_at(CHECKPOINT, &[], mpl, all_group);
+            assert_eq!(dests.groups().len(), mpl, "all groups at mpl {mpl}");
+        }
+    }
+}
+
 /// The same deterministic script must yield identical responses on every
 /// engine (they implement the same sequential service).
 #[test]
