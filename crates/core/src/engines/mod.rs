@@ -7,22 +7,29 @@
 //! | [`SmrEngine`] | sequential | sequential | §III |
 //! | [`NoRepEngine`] | none (direct channel) | parallel (scheduler + k workers) | §VI-B |
 //!
-//! (Table I of the paper.) The lock-based `BDB` baseline has no ordering
-//! layer at all and lives with the key-value store in `psmr-kvstore`.
+//! (Table I of the paper.) The three replicated rows are one engine,
+//! [`ReplicatedEngine`]: they share the ordering layer and one replica
+//! lifecycle (spawn, checkpoint, crash, restart, cold start) and differ
+//! only in the multicast layout and the executor each replica runs over
+//! its streams — P-SMR's `k` workers on `k` merged streams, sP-SMR's
+//! scheduler feeding `k` workers, SMR's single thread. The lock-based
+//! `BDB` baseline has no ordering layer at all and lives with the
+//! key-value store in `psmr-kvstore`; no-rep has none either and keeps
+//! its own server loop.
 
 pub(crate) mod holdback;
 pub mod norep;
 pub mod psmr;
 pub(crate) mod recover;
+pub mod replicated;
 pub(crate) mod scheduler;
-pub mod smr;
 pub mod spsmr;
 pub mod sync;
 
 pub use norep::NoRepEngine;
 pub use psmr::PsmrEngine;
 pub use recover::{RecoveryReport, RecoverySource};
-pub use smr::SmrEngine;
+pub use replicated::{ReplicatedEngine, SmrEngine};
 pub use spsmr::SpSmrEngine;
 
 use crate::client::{ClientProxy, RequestSink};
@@ -30,8 +37,7 @@ use crate::conflict::{CommandClass, CommandMap};
 use bytes::Bytes;
 use crossbeam::channel::Sender;
 use psmr_common::envelope::Request;
-use psmr_common::ids::GroupId;
-use psmr_multicast::{Destinations, MulticastHandle};
+use psmr_multicast::MulticastHandle;
 
 /// A running replicated (or baseline) deployment that clients can connect
 /// to.
@@ -74,17 +80,14 @@ impl RequestSink for CgSink {
 }
 
 /// Client sink of the single-stream engines (SMR, sP-SMR): every command
-/// goes through the one totally ordered group.
+/// goes through the one totally ordered group, which is also `g_all`.
 pub(crate) struct TotalOrderSink {
     pub handle: MulticastHandle,
 }
 
 impl RequestSink for TotalOrderSink {
     fn submit(&self, request: &Request) {
-        self.handle.multicast(
-            &Destinations::one(GroupId::new(0)),
-            Bytes::from(request.encode()),
-        );
+        self.handle.multicast_serial(Bytes::from(request.encode()));
     }
 }
 

@@ -18,7 +18,8 @@
 //! # Checkpointing and recovery
 //!
 //! Deployments spawned with [`PsmrEngine::spawn_recoverable`] support the
-//! crash/recovery scenario family. A [`psmr_recovery::CHECKPOINT`]
+//! crash/recovery scenario family, through the lifecycle every replicated
+//! engine shares ([`ReplicatedEngine`]). A [`psmr_recovery::CHECKPOINT`]
 //! control command is classified `Global`, so it travels on `g_all` and
 //! synchronizes all `k` workers exactly like any dependent command — the
 //! synchronous-mode barrier *is* the quiescence point. The elected
@@ -35,41 +36,30 @@
 //! otherwise — replays the retained log suffix, and the replica
 //! converges with the rest.
 
-use super::holdback::ResponseGate;
-use super::recover::{
-    auto_checkpointer, CheckpointHook, EngineRecovery, RecoveryReport, ReplicaSlot, CRASH_POLL,
-};
+use super::recover::{RecoveryReport, CRASH_POLL};
+use super::replicated::{Executor, ReplicaCtx, ReplicatedEngine};
 use super::sync::{SignalBoard, SignalEndpoint, SignalKind};
-use super::{CgSink, Engine};
-use crate::client::ClientProxy;
 use crate::conflict::CommandMap;
-use crate::service::{RecoverableService, ResponseRouter, Service, SharedRouter};
+use crate::service::{RecoverableService, Service};
 use psmr_common::envelope::{Request, Response};
-use psmr_common::ids::{ClientId, GroupId, ReplicaId, WorkerId};
+use psmr_common::ids::{GroupId, WorkerId};
 use psmr_common::metrics::{counters, global, ScopedCounter};
 use psmr_common::runtime::Runtime;
 use psmr_common::trace::{self, Stage};
 use psmr_common::SystemConfig;
-use psmr_multicast::{MergedStream, MulticastSystem};
-use psmr_recovery::{CheckpointStore, RecoveryError, CHECKPOINT};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use psmr_multicast::MergedStream;
+use psmr_recovery::{RecoveryError, CHECKPOINT};
+use std::sync::atomic::Ordering;
+use std::thread::JoinHandle;
+
+/// Technique marker of [`PsmrEngine`].
+#[derive(Debug)]
+pub enum Psmr {}
 
 /// A running P-SMR deployment.
 ///
 /// See the [crate-level quickstart](crate) for an end-to-end example.
-pub struct PsmrEngine {
-    system: MulticastSystem,
-    router: SharedRouter,
-    /// Response path of every worker: passthrough normally, durability-
-    /// gated when `cfg.wal_pipeline` is on.
-    gate: Arc<ResponseGate>,
-    sink: Arc<CgSink>,
-    boards: Vec<SignalBoard>,
-    replicas: Vec<ReplicaSlot>,
-    recovery: Option<EngineRecovery>,
-    next_client: AtomicU64,
-}
+pub type PsmrEngine = ReplicatedEngine<Psmr>;
 
 impl PsmrEngine {
     /// Spawns `cfg.n_replicas` replicas with `cfg.mpl` worker threads each,
@@ -93,14 +83,7 @@ impl PsmrEngine {
         factory: impl Fn() -> S,
         rt: Runtime,
     ) -> Self {
-        let mut engine = Self::scaffold(cfg, map, rt);
-        for replica in 0..cfg.n_replicas {
-            let service = Arc::new(factory());
-            let slot = engine.spawn_replica(cfg, replica, service, None, None);
-            engine.replicas.push(slot);
-        }
-        engine.system.start();
-        engine
+        Self::launch(cfg, Executor::Psmr(map), rt, factory)
     }
 
     /// Spawns a deployment whose replicas can be checkpointed, crashed
@@ -127,28 +110,7 @@ impl PsmrEngine {
         factory: impl Fn() -> S + Send + Sync + 'static,
         rt: Runtime,
     ) -> Self {
-        let mut engine = Self::scaffold(cfg, map, rt);
-        let dyn_factory: Arc<dyn Fn() -> Arc<dyn RecoverableService> + Send + Sync> =
-            Arc::new(move || Arc::new(factory()) as Arc<dyn RecoverableService>);
-        let mut recovery = EngineRecovery::build(cfg, Arc::clone(&dyn_factory));
-        recovery.set_clock(Arc::clone(&engine.system.runtime().clock));
-        for replica in 0..cfg.n_replicas {
-            let service = (dyn_factory)();
-            let hook = recovery.hook_for(replica, &service, Some(engine.sink.handle.clone()), 0);
-            let slot =
-                engine.spawn_replica(cfg, replica, service.clone(), Some(service), Some(hook));
-            engine.replicas.push(slot);
-        }
-        engine.system.start();
-        recovery.checkpointer = cfg.checkpoint_interval.map(|interval| {
-            auto_checkpointer(
-                Arc::clone(&engine.sink) as _,
-                interval,
-                Arc::clone(&engine.system.runtime().clock),
-            )
-        });
-        engine.recovery = Some(recovery);
-        engine
+        Self::launch_recoverable(cfg, Executor::Psmr(map), rt, factory)
     }
 
     /// **Cold-starts a whole deployment from disk** — every replica
@@ -165,10 +127,10 @@ impl PsmrEngine {
     /// its retained stream (the sequence numbering *continues* — cuts
     /// taken before the crash stay comparable); each replica then
     /// restores its newest valid durable snapshot, re-subscribes its
-    /// `k` worker streams at the snapshot's cut, and replays the WAL
-    /// suffix through the ordinary worker loop until it has re-executed
-    /// everything the dead deployment ever ordered. A replica with no
-    /// snapshot at all replays the entire log from scratch
+    /// streams at the snapshot's cut, and replays the WAL suffix through
+    /// its ordinary executor until it has re-executed everything the
+    /// dead deployment ever ordered. A replica with no snapshot at all
+    /// replays the entire log from scratch
     /// ([`RecoverySource::WalOnly`](super::RecoverySource::WalOnly)).
     ///
     /// Returns the running engine plus one [`RecoveryReport`] per
@@ -198,394 +160,55 @@ impl PsmrEngine {
         factory: impl Fn() -> S + Send + Sync + 'static,
         rt: Runtime,
     ) -> Result<(Self, Vec<RecoveryReport>), RecoveryError> {
-        let mut engine = Self::scaffold(cfg, map, rt);
-        // Replayed commands re-respond to the client ids of the dead
-        // incarnation; fresh clients must not collide with them or a
-        // replayed response answers a new request. Stream positions are
-        // monotonic across incarnations, so the furthest one stamps a
-        // disjoint client-id range per cold start. The *maximum* over
-        // all groups matters: a crash can land after a per-worker group
-        // appended its round but before g_all appended its own, and a
-        // g_all-only stamp would then repeat.
-        let stamp = (0..cfg.group_count())
-            .map(|g| engine.system.next_seq(GroupId::new(g)))
-            .max()
-            .unwrap_or(1);
-        engine.next_client = AtomicU64::new(stamp << 32);
-        let dyn_factory: Arc<dyn Fn() -> Arc<dyn RecoverableService> + Send + Sync> =
-            Arc::new(move || Arc::new(factory()) as Arc<dyn RecoverableService>);
-        let mut recovery = EngineRecovery::build(cfg, Arc::clone(&dyn_factory));
-        recovery.set_clock(Arc::clone(&engine.system.runtime().clock));
-        let mut reports = Vec::new();
-        let mut failure = None;
-        for replica in 0..cfg.n_replicas {
-            let recovered = {
-                let system = &engine.system;
-                recovery.cold_start(
-                    replica,
-                    cfg.all_group(),
-                    |cut| {
-                        (0..cfg.mpl)
-                            .map(|i| system.worker_stream_at(WorkerId::new(i), cut))
-                            .collect::<Result<Vec<_>, _>>()
-                    },
-                    || {
-                        (0..cfg.mpl)
-                            .map(|i| system.worker_stream_from_start(WorkerId::new(i)))
-                            .collect::<Result<Vec<_>, _>>()
-                    },
-                )
-            };
-            let (service, streams, report) = match recovered {
-                Ok(recovered) => recovered,
-                Err(e) => {
-                    failure = Some(e);
-                    break;
-                }
-            };
-            let hook = recovery.hook_for(
-                replica,
-                &service,
-                Some(engine.sink.handle.clone()),
-                report.checkpoint_id,
-            );
-            let slot = engine.spawn_replica_at(
-                cfg.mpl,
-                cfg.all_group(),
-                replica,
-                streams,
-                service.clone(),
-                Some(service),
-                Some(hook),
-            );
-            engine.replicas.push(slot);
-            reports.push(report);
-        }
-        if let Some(e) = failure {
-            engine.recovery = Some(recovery);
-            engine.shutdown();
-            return Err(e);
-        }
-        engine.system.start();
-        recovery.checkpointer = cfg.checkpoint_interval.map(|interval| {
-            auto_checkpointer(
-                Arc::clone(&engine.sink) as _,
-                interval,
-                Arc::clone(&engine.system.runtime().clock),
-            )
-        });
-        engine.recovery = Some(recovery);
-        global().counter(counters::COLD_STARTS).inc();
-        Ok((engine, reports))
-    }
-
-    /// Builds the multicast substrate and client-side plumbing; replicas
-    /// attach afterwards.
-    fn scaffold(cfg: &SystemConfig, map: CommandMap, rt: Runtime) -> Self {
-        let system = MulticastSystem::spawn_with_runtime(cfg, rt);
-        let router: SharedRouter = Arc::new(ResponseRouter::new());
-        let gate = ResponseGate::for_view(
-            Arc::clone(&router),
-            system.durability(),
-            Arc::clone(&system.runtime().clock),
-        );
-        let sink = Arc::new(CgSink {
-            handle: system.handle(),
-            map,
-            mpl: cfg.mpl,
-        });
-        Self {
-            system,
-            router,
-            gate,
-            sink,
-            boards: Vec::new(),
-            replicas: Vec::new(),
-            recovery: None,
-            next_client: AtomicU64::new(0),
-        }
-    }
-
-    /// Spawns the `k` worker threads of one replica over fresh
-    /// subscriptions (initial spawn). Restart uses
-    /// [`PsmrEngine::spawn_replica_at`] with resumed streams instead.
-    fn spawn_replica<S: Service + Clone>(
-        &mut self,
-        cfg: &SystemConfig,
-        replica: usize,
-        service: S,
-        dyn_service: Option<Arc<dyn RecoverableService>>,
-        hook: Option<CheckpointHook>,
-    ) -> ReplicaSlot {
-        let streams = (0..cfg.mpl)
-            .map(|i| self.system.worker_stream(WorkerId::new(i)))
-            .collect();
-        self.spawn_replica_at(
-            cfg.mpl,
-            cfg.all_group(),
-            replica,
-            streams,
-            service,
-            dyn_service,
-            hook,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn spawn_replica_at<S: Service + Clone>(
-        &mut self,
-        mpl: usize,
-        all_group: GroupId,
-        replica: usize,
-        streams: Vec<MergedStream>,
-        service: S,
-        dyn_service: Option<Arc<dyn RecoverableService>>,
-        hook: Option<CheckpointHook>,
-    ) -> ReplicaSlot {
-        let (board, endpoints) = SignalBoard::new(mpl);
-        let kill = Arc::new(AtomicBool::new(false));
-        let mut threads = Vec::with_capacity(mpl);
-        for ((i, endpoint), stream) in endpoints.into_iter().enumerate().zip(streams) {
-            let ctx = WorkerCtx {
-                me: WorkerId::new(i),
-                service: service.clone(),
-                board: board.clone(),
-                endpoint,
-                map: self.sink.map.clone(),
-                gate: Arc::clone(&self.gate),
-                mpl,
-                all_group,
-                kill: Arc::clone(&kill),
-                hook: hook.clone(),
-                executed: global()
-                    .scoped("replica", replica as u64)
-                    .and("worker", i as u64)
-                    .counter(counters::COMMANDS_EXECUTED),
-            };
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("psmr-r{replica}-t{i}"))
-                    .spawn(move || worker_main(ctx, stream))
-                    .expect("spawn P-SMR worker"),
-            );
-        }
-        self.boards.push(board);
-        ReplicaSlot {
-            threads,
-            kill,
-            service: dyn_service,
-            crashed: false,
-        }
-    }
-
-    /// Crash-stops one replica mid-run: its worker threads exit, its
-    /// service state is discarded, and the rest of the deployment keeps
-    /// serving. Idempotent for an already-crashed replica.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RecoveryError::UnknownReplica`] for an out-of-range id.
-    pub fn crash_replica(&mut self, replica: ReplicaId) -> Result<(), RecoveryError> {
-        let idx = replica.as_raw();
-        let board = self
-            .boards
-            .get(idx)
-            .cloned()
-            .ok_or(RecoveryError::UnknownReplica { replica: idx })?;
-        let slot = self
-            .replicas
-            .get_mut(idx)
-            .ok_or(RecoveryError::UnknownReplica { replica: idx })?;
-        slot.crash(|| board.shutdown());
-        if let Some(recovery) = self.recovery.as_mut() {
-            recovery.on_crash(idx);
-        }
-        Ok(())
-    }
-
-    /// Crash-stops **every replica at once** — the whole-deployment
-    /// power failure. The state-transfer fabric goes dark with them
-    /// (`LiveNet::crash_all`), so nothing is left to answer a fetch:
-    /// the only way back is [`PsmrEngine::cold_start`] over the same
-    /// `wal_dir`/`snapshot_dir` after shutting this instance down.
-    pub fn crash_all_replicas(&mut self) {
-        for idx in 0..self.replicas.len() {
-            let _ = self.crash_replica(ReplicaId::new(idx));
-        }
-        if let Some(recovery) = self.recovery.as_mut() {
-            recovery.crash_everything();
-        }
-    }
-
-    /// Restarts a crashed replica the way a redeployed process would:
-    /// recover the newest usable checkpoint **disk-first with peer
-    /// fallback** (own durable snapshot while the retained logs still
-    /// cover its cut, digest-verified chunked state transfer from a live
-    /// peer otherwise), re-subscribe the `k` worker streams at the
-    /// checkpoint's cut, and replay the retained ordered-log suffix until
-    /// the replica converges with the live ones. Returns a
-    /// [`RecoveryReport`] naming the path taken.
-    ///
-    /// # Errors
-    ///
-    /// Requires a recoverable deployment, a previously crashed replica, a
-    /// recovery point (disk snapshot or live peer with a checkpoint), and
-    /// retained logs covering its cut ([`RecoveryError::CutTrimmed`] when
-    /// concurrent checkpoints trim every candidate cut mid-restart).
-    pub fn restart_replica(&mut self, replica: ReplicaId) -> Result<RecoveryReport, RecoveryError> {
-        let idx = replica.as_raw();
-        if idx >= self.replicas.len() {
-            return Err(RecoveryError::UnknownReplica { replica: idx });
-        }
-        if !self.replicas[idx].crashed {
-            return Err(RecoveryError::NotCrashed);
-        }
-        if self.recovery.is_none() {
-            return Err(RecoveryError::NotRecoverable);
-        }
-        let live_peers: Vec<usize> = (0..self.replicas.len())
-            .filter(|&p| p != idx && !self.replicas[p].crashed)
-            .collect();
-        let mpl = self.system.config().mpl;
-        let all_group = self.system.config().all_group();
-        let system = &self.system;
-        let recovery = self.recovery.as_mut().expect("checked above");
-        let (service, streams, report) = recovery.recover(idx, &live_peers, |cut| {
-            (0..mpl)
-                .map(|i| system.worker_stream_at(WorkerId::new(i), cut))
-                .collect::<Result<Vec<_>, _>>()
-        })?;
-        let hook = recovery.hook_for(
-            idx,
-            &service,
-            Some(self.sink.handle.clone()),
-            report.checkpoint_id,
-        );
-        let slot = self.spawn_replica_at(
-            mpl,
-            all_group,
-            idx,
-            streams,
-            service.clone(),
-            Some(service),
-            Some(hook),
-        );
-        // The replacement board was pushed at the end; move it into the
-        // replica's slot so a later crash shuts down the right workers.
-        let board = self.boards.pop().expect("spawn_replica_at pushed a board");
-        self.boards[idx] = board;
-        self.replicas[idx] = slot;
-        global().counter(counters::REPLICA_RESTARTS).inc();
-        Ok(report)
-    }
-
-    /// The checkpoint store of one live replica (recoverable deployments
-    /// only): every replica installs the same checkpoints, so any live
-    /// store answers "what is the deployment's newest recovery point".
-    pub fn checkpoint_store(&self) -> Option<Arc<CheckpointStore>> {
-        let recovery = self.recovery.as_ref()?;
-        self.replicas
-            .iter()
-            .position(|slot| !slot.crashed)
-            .map(|idx| Arc::clone(&recovery.replicas[idx].store))
-    }
-
-    /// The live service instance of one replica (recoverable deployments;
-    /// `None` for crashed replicas). Lets tests compare replica states
-    /// through deterministic snapshots.
-    pub fn replica_service(&self, replica: ReplicaId) -> Option<Arc<dyn RecoverableService>> {
-        self.replicas.get(replica.as_raw())?.service.clone()
-    }
-
-    /// Whether the replica is currently crashed.
-    pub fn is_crashed(&self, replica: ReplicaId) -> bool {
-        self.replicas
-            .get(replica.as_raw())
-            .is_some_and(|slot| slot.crashed)
-    }
-
-    /// Crash-stops one acceptor of one Paxos group through the group's
-    /// [`psmr_netsim::live::LiveNet`] — engine-level fault injection.
-    pub fn crash_acceptor(&self, group: GroupId, acceptor: usize) {
-        self.system.crash_acceptor(group, acceptor);
-    }
-
-    /// Fault injection for pipelined deployments: freezes (or thaws)
-    /// every group's WAL sync thread. While held, fsyncs never land, the
-    /// durability watermarks stop, and the response gate holds every new
-    /// acknowledgment — the window a crash-between-fan-out-and-fsync
-    /// test needs to keep open. No-op without `cfg.wal_pipeline`.
-    pub fn hold_wal_sync(&self, hold: bool) {
-        self.system.hold_wal_sync(hold);
-    }
-
-    /// Shuts the deployment down **through a power failure**: every
-    /// group stops and each WAL's un-fsynced suffix is discarded
-    /// (`psmr_wal::Wal::discard_unsynced`), modeling power loss with
-    /// the group-commit windows open. Returns the total records
-    /// discarded. Recover with [`PsmrEngine::cold_start`] over the same
-    /// directories.
-    pub fn shutdown_power_fail(mut self) -> u64 {
-        if let Some(recovery) = self.recovery.take() {
-            recovery.stop();
-        }
-        let dropped = self.system.shutdown_power_fail();
-        for (slot, board) in self.replicas.iter_mut().zip(&self.boards) {
-            slot.stop(|| board.shutdown());
-        }
-        self.gate.stop();
-        dropped
-    }
-
-    /// Severs the state-transfer link `from → to` after `budget` more
-    /// messages — engine-level fault injection modeling a serving peer
-    /// that dies mid-transfer (the fetcher times out and falls back to
-    /// its next peer). No-op on non-recoverable deployments.
-    pub fn sever_transfer_link(&self, from: ReplicaId, to: ReplicaId, budget: u64) {
-        if let Some(recovery) = &self.recovery {
-            recovery.sever_transfer_link(from.as_raw(), to.as_raw(), budget);
-        }
-    }
-
-    /// Decided batches currently retained by `group` for catch-up.
-    pub fn retained_len(&self, group: GroupId) -> usize {
-        self.system.retained_len(group)
+        Self::launch_cold(cfg, Executor::Psmr(map), rt, factory)
     }
 }
 
-impl Engine for PsmrEngine {
-    fn client(&self) -> ClientProxy {
-        let id = ClientId::new(self.next_client.fetch_add(1, Ordering::Relaxed));
-        ClientProxy::new(id, Arc::clone(&self.sink) as _, Arc::clone(&self.router))
+/// Spawns the `k` worker threads of one replica, worker `t_i` on
+/// `streams[i]`, and returns them with the signal board they synchronize
+/// on.
+pub(crate) fn spawn_workers<S: Service + Clone>(
+    replica: usize,
+    streams: Vec<MergedStream>,
+    map: &CommandMap,
+    all_group: GroupId,
+    ctx: ReplicaCtx<S>,
+) -> (Vec<JoinHandle<()>>, SignalBoard) {
+    let mpl = streams.len();
+    let (board, endpoints) = SignalBoard::new(mpl);
+    let mut threads = Vec::with_capacity(mpl);
+    for ((i, endpoint), stream) in endpoints.into_iter().enumerate().zip(streams) {
+        let ctx = WorkerCtx {
+            me: WorkerId::new(i),
+            shared: ctx.clone(),
+            board: board.clone(),
+            endpoint,
+            map: map.clone(),
+            mpl,
+            all_group,
+            executed: global()
+                .scoped("replica", replica as u64)
+                .and("worker", i as u64)
+                .counter(counters::COMMANDS_EXECUTED),
+        };
+        threads.push(
+            std::thread::Builder::new()
+                .name(format!("psmr-r{replica}-t{i}"))
+                .spawn(move || worker_main(ctx, stream))
+                .expect("spawn P-SMR worker"),
+        );
     }
-
-    fn label(&self) -> &'static str {
-        "P-SMR"
-    }
-
-    fn shutdown(mut self) {
-        if let Some(recovery) = self.recovery.take() {
-            recovery.stop();
-        }
-        self.system.shutdown();
-        for (slot, board) in self.replicas.iter_mut().zip(&self.boards) {
-            slot.stop(|| board.shutdown());
-        }
-        self.gate.stop();
-    }
+    (threads, board)
 }
 
 struct WorkerCtx<S> {
     me: WorkerId,
-    service: S,
+    shared: ReplicaCtx<S>,
     board: SignalBoard,
     endpoint: SignalEndpoint,
     map: CommandMap,
-    gate: Arc<ResponseGate>,
     mpl: usize,
     all_group: GroupId,
-    kill: Arc<AtomicBool>,
-    hook: Option<CheckpointHook>,
     /// Per-replica/per-worker executed-command counter, resolved once at
     /// spawn so the hot path never formats a label.
     executed: ScopedCounter,
@@ -596,7 +219,7 @@ struct WorkerCtx<S> {
 fn worker_main<S: Service>(mut ctx: WorkerCtx<S>, mut stream: MergedStream) {
     let my_group = GroupId::from(ctx.me);
     loop {
-        if ctx.kill.load(Ordering::Relaxed) {
+        if ctx.shared.kill.load(Ordering::Relaxed) {
             return;
         }
         let delivered = match stream.next_timeout(CRASH_POLL) {
@@ -622,14 +245,14 @@ fn worker_main<S: Service>(mut ctx: WorkerCtx<S>, mut stream: MergedStream) {
                 delivered.batch_seq,
                 Stage::ExecStart,
             );
-            let resp = ctx.service.execute(req.command, &req.payload);
+            let resp = ctx.shared.service.execute(req.command, &req.payload);
             ctx.executed.inc();
             trace::global().stamp(
                 delivered.group.as_raw(),
                 delivered.batch_seq,
                 Stage::Executed,
             );
-            ctx.gate.respond_at(
+            ctx.shared.gate.respond_at(
                 delivered.group,
                 delivered.batch_seq,
                 req.client,
@@ -668,14 +291,9 @@ fn worker_main<S: Service>(mut ctx: WorkerCtx<S>, mut stream: MergedStream) {
                 Stage::ExecStart,
             );
             let resp = if req.command == CHECKPOINT {
-                match &ctx.hook {
-                    Some(hook) => hook.execute(&delivered),
-                    // Non-recoverable deployment: acknowledge with an
-                    // empty id so clients are not wedged.
-                    None => Vec::new(),
-                }
+                ctx.shared.checkpoint(&delivered)
             } else {
-                let resp = ctx.service.execute(req.command, &req.payload);
+                let resp = ctx.shared.service.execute(req.command, &req.payload);
                 ctx.executed.inc();
                 resp
             };
@@ -684,7 +302,7 @@ fn worker_main<S: Service>(mut ctx: WorkerCtx<S>, mut stream: MergedStream) {
                 delivered.batch_seq,
                 Stage::Executed,
             );
-            ctx.gate.respond_at(
+            ctx.shared.gate.respond_at(
                 delivered.group,
                 delivered.batch_seq,
                 req.client,

@@ -12,6 +12,7 @@
 //! disk snapshot when the retained logs still cover it, and falls back
 //! to fetching a fresher checkpoint from a live peer otherwise.
 
+use super::sync::SignalBoard;
 use crate::client::RequestSink;
 use crate::service::RecoverableService;
 use psmr_common::envelope::Request;
@@ -249,7 +250,7 @@ impl EngineRecovery {
         &self,
         replica: usize,
         service: &Arc<dyn RecoverableService>,
-        trim: Option<MulticastHandle>,
+        trim: MulticastHandle,
         seed: u64,
     ) -> CheckpointHook {
         let slot = &self.replicas[replica];
@@ -257,7 +258,7 @@ impl EngineRecovery {
             service,
             Arc::clone(&slot.store),
             slot.durable.clone(),
-            trim,
+            Some(trim),
             seed,
         )
     }
@@ -374,8 +375,7 @@ impl EngineRecovery {
     /// single-replica restarts.
     ///
     /// `scratch_group` tags the synthetic stream cut of a from-scratch
-    /// report (the serialized group for P-SMR, `g0` for single-stream
-    /// engines).
+    /// report (the layout's serialized group).
     ///
     /// # Errors
     ///
@@ -560,37 +560,37 @@ pub(crate) fn auto_checkpointer(
 }
 
 /// One replica's runtime state, uniform across engines: its threads, the
-/// flag that crash-stops them, and (for recoverable deployments) the
-/// live service instance so tests can compare replica states.
+/// flag that crash-stops them, the signal board of a P-SMR replica's
+/// workers (woken on crash), and (for recoverable deployments) the live
+/// service instance so tests can compare replica states.
 pub(crate) struct ReplicaSlot {
     pub threads: Vec<JoinHandle<()>>,
     pub kill: Arc<AtomicBool>,
+    pub board: Option<SignalBoard>,
     pub service: Option<Arc<dyn RecoverableService>>,
     pub crashed: bool,
 }
 
 impl ReplicaSlot {
-    /// Crash-stops the replica: raises the kill flag, runs `unblock`
-    /// (engine-specific wakeup of parked threads), joins every thread
-    /// and discards the replica's service state.
-    pub fn crash(&mut self, unblock: impl FnOnce()) {
+    /// Crash-stops the replica: stops its threads and discards its
+    /// service state.
+    pub fn crash(&mut self) {
         if self.crashed {
             return;
         }
-        self.kill.store(true, Ordering::Relaxed);
-        unblock();
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
+        self.stop();
         self.service = None;
         self.crashed = true;
     }
 
-    /// Joins the replica's threads at shutdown (same path as crash, but
-    /// keeps the slot's bookkeeping untouched).
-    pub fn stop(&mut self, unblock: impl FnOnce()) {
+    /// Raises the kill flag, wakes workers parked on the signal board and
+    /// joins every thread (shutdown; [`ReplicaSlot::crash`] adds the
+    /// bookkeeping).
+    pub fn stop(&mut self) {
         self.kill.store(true, Ordering::Relaxed);
-        unblock();
+        if let Some(board) = &self.board {
+            board.shutdown();
+        }
         for t in self.threads.drain(..) {
             let _ = t.join();
         }

@@ -52,9 +52,9 @@ pub(crate) struct ExecStage {
 impl ExecStage {
     /// Spawns the worker pool for `service`; each worker's ring holds at
     /// most `ring` requests and responses flow through `gate`.
-    pub fn spawn(
+    pub fn spawn<S: Service + Clone>(
         k: usize,
-        service: Arc<dyn Service>,
+        service: S,
         map: CommandMap,
         gate: Arc<ResponseGate>,
         ring: usize,
@@ -68,7 +68,7 @@ impl ExecStage {
         for i in 0..k {
             let (tx, rx): (Sender<Sched>, Receiver<Sched>) = bounded(ring.max(1));
             workers.push(tx);
-            let service = Arc::clone(&service);
+            let service = service.clone();
             let gate = Arc::clone(&gate);
             let outstanding = Arc::clone(&outstanding);
             handles.push(

@@ -1,7 +1,10 @@
 //! # psmr-core — Parallel State-Machine Replication
 //!
 //! The paper's contribution (§IV) and the baselines it is evaluated
-//! against:
+//! against. The three replicated techniques are one engine,
+//! [`engines::ReplicatedEngine`]: one ordering layer and one replica
+//! lifecycle (spawn, checkpoint, crash, restart, cold start), with three
+//! executors — the way a replica consumes the ordered stream:
 //!
 //! * [`engines::PsmrEngine`] — **P-SMR**: parallel delivery *and* parallel
 //!   execution. Each replica runs `k` worker threads; worker `t_i`
@@ -9,14 +12,15 @@
 //!   between *parallel mode* (singleton destination sets) and *synchronous
 //!   mode* (multi-group commands synchronized with signals), exactly as in
 //!   Algorithm 1.
+//! * [`engines::SpSmrEngine`] — semi-parallel SMR (sP-SMR, the model of
+//!   CBASE, reference 4 of the paper): a single totally ordered stream, a
+//!   scheduler thread that dispatches independent commands to worker
+//!   threads and serializes dependent ones.
 //! * [`engines::SmrEngine`] — classical SMR: sequential delivery, one
 //!   executor thread per replica.
-//! * [`engines::SpSmrEngine`] — semi-parallel SMR (sP-SMR, the model of
-//!   CBASE, reference 4 of the paper): a single totally ordered stream, a scheduler thread that
-//!   dispatches independent commands to worker threads and serializes
-//!   dependent ones.
-//! * [`engines::NoRepEngine`] — a non-replicated scheduler/worker server
-//!   (the `no-rep` baseline).
+//!
+//! Outside that lifecycle, [`engines::NoRepEngine`] is a non-replicated
+//! scheduler/worker server (the `no-rep` baseline) with no ordering layer.
 //!
 //! Supporting machinery:
 //!

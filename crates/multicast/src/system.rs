@@ -170,7 +170,6 @@ impl Destinations {
 #[derive(Debug)]
 pub struct MulticastSystem {
     groups: Vec<PaxosGroup>,
-    cfg: SystemConfig,
     /// The shared round clock of the deployment (absent for single-stream
     /// layouts): one thread whose every tick closes one round on every
     /// group, so all streams advance in lockstep. It fires the next round
@@ -326,11 +325,21 @@ fn round_clock_main(
     }
 }
 
+/// Where a replica's subscriptions start.
+#[derive(Debug, Clone, Copy)]
+enum Position {
+    /// With the live feed, before the start.
+    Fresh,
+    /// Right behind a checkpoint command.
+    At(StreamCut),
+    /// At sequence number 1, replaying everything retained.
+    Start,
+}
+
 /// Cloneable sender side of a [`MulticastSystem`] used by client proxies.
 #[derive(Debug, Clone)]
 pub struct MulticastHandle {
     handles: Vec<GroupHandle>,
-    all_group: GroupId,
 }
 
 impl MulticastSystem {
@@ -413,7 +422,6 @@ impl MulticastSystem {
         };
         Self {
             groups,
-            cfg: cfg.clone(),
             ticker: Some(TickerHandle {
                 ctl,
                 thread: Some(thread),
@@ -424,8 +432,10 @@ impl MulticastSystem {
     }
 
     /// Spawns a single totally-ordered stream (the SMR / sP-SMR layout):
-    /// one group, no skips needed. Durable-log behavior matches
-    /// [`MulticastSystem::spawn`], with only `g0`'s log in play.
+    /// one group, no skips needed. `g0` is both the only stream and
+    /// `g_all`, so serialized multicasts land on it too. Durable-log
+    /// behavior matches [`MulticastSystem::spawn`], with only `g0`'s log
+    /// in play.
     ///
     /// # Panics
     ///
@@ -445,21 +455,16 @@ impl MulticastSystem {
         cfg.validate()
             .unwrap_or_else(|e| panic!("invalid SystemConfig: {e}"));
         trace::global().set_sample(cfg.trace_sample);
-        let mut single = cfg.clone();
-        single.mpl = 1;
         let syncer = deployment_syncer(cfg, &rt);
-        // Layout: g_0 doubles as the only stream; group count is still
-        // mpl+1 but only g_0 is used. Spawn just g_0 to avoid idle threads.
         let groups = vec![PaxosGroup::spawn_with_wal_mode(
             0,
-            &single,
+            cfg,
             LiveNet::with_runtime(rt.clone()),
             Pacing::Batched,
             group_wal_mode(cfg, 0, &syncer, &rt),
         )];
         Self {
             groups,
-            cfg: single,
             ticker: None,
             syncer,
             rt,
@@ -512,16 +517,22 @@ impl MulticastSystem {
         handles.iter().map(|h| h.power_fail()).sum()
     }
 
-    /// The configuration the system was spawned with.
-    pub fn config(&self) -> &SystemConfig {
-        &self.cfg
+    /// Number of groups this layout runs: `mpl + 1` for P-SMR, 1 for the
+    /// single layout.
+    pub fn group_count(&self) -> usize {
+        self.groups.len()
+    }
+
+    /// The serialized group, the last one: `g_all` on the P-SMR layout,
+    /// `g0` on the single layout. Checkpoint cuts sit on it.
+    pub fn all_group(&self) -> GroupId {
+        GroupId::new(self.groups.len() - 1)
     }
 
     /// Returns a cloneable multicast handle for client proxies.
     pub fn handle(&self) -> MulticastHandle {
         MulticastHandle {
             handles: self.groups.iter().map(|g| g.handle()).collect(),
-            all_group: self.cfg.all_group(),
         }
     }
 
@@ -549,38 +560,39 @@ impl MulticastSystem {
     /// or if the system was spawned with [`MulticastSystem::spawn_single`].
     pub fn worker_stream(&self, worker: WorkerId) -> MergedStream {
         assert!(
-            worker.as_raw() < self.cfg.mpl,
-            "worker {worker} outside MPL {}",
-            self.cfg.mpl
-        );
-        assert!(
             self.groups.len() > 1,
             "worker streams require the P-SMR layout (use spawn, not spawn_single)"
         );
-        let gi = GroupId::from(worker);
-        let gall = self.cfg.all_group();
-        self.attach(MergedStream::new(vec![
-            (gi, self.groups[gi.as_raw()].subscribe()),
-            (gall, self.groups[gall.as_raw()].subscribe()),
-        ]))
+        let mpl = self.groups.len() - 1;
+        assert!(worker.as_raw() < mpl, "worker {worker} outside MPL {mpl}");
+        self.subscribe(worker.as_raw(), Position::Fresh)
+            .expect("fresh subscriptions replay nothing")
     }
 
     /// Subscribes to the single totally-ordered stream of a
     /// [`MulticastSystem::spawn_single`] deployment.
     pub fn single_stream(&self) -> MergedStream {
-        self.attach(MergedStream::new(vec![(
-            GroupId::new(0),
-            self.groups[0].subscribe(),
-        )]))
+        self.subscribe(0, Position::Fresh)
+            .expect("fresh subscriptions replay nothing")
     }
 
-    /// Re-subscribes worker `t_i` **after** the system started, resuming
+    /// Subscribes one replica to every stream it consumes, before the
+    /// start: `k` merged streams (`g_i` with `g_all`, worker order) on
+    /// the P-SMR layout, the one stream on the single layout. Every call
+    /// creates independent subscriptions, so all replicas see identical
+    /// sequences.
+    pub fn replica_streams(&self) -> Vec<MergedStream> {
+        self.subscribe_replica(Position::Fresh)
+            .expect("fresh subscriptions replay nothing")
+    }
+
+    /// Re-subscribes one replica's streams **after** the start, resuming
     /// right behind the checkpoint command at `cut` (which sat on the
-    /// shared group). This is the catch-up path of a restarted replica:
-    /// the per-worker stream replays from `cut.seq + 1` and the shared
-    /// stream from `cut.seq` (suppressing the commands up to and
-    /// including the cut), reproducing exactly the merge position every
-    /// worker held when the checkpoint was taken.
+    /// serialized group). This is the catch-up path of a restarted
+    /// replica: the cut's own group replays from `cut.seq` (suppressing
+    /// the commands up to and including the cut) and every other group
+    /// from `cut.seq + 1`, reproducing exactly the merge position each
+    /// stream held when the checkpoint was taken.
     ///
     /// # Errors
     ///
@@ -589,117 +601,69 @@ impl MulticastSystem {
     ///
     /// # Panics
     ///
-    /// Panics under the same conditions as
-    /// [`MulticastSystem::worker_stream`], or if `cut` is not on the
-    /// shared group.
-    pub fn worker_stream_at(
-        &self,
-        worker: WorkerId,
-        cut: StreamCut,
-    ) -> Result<MergedStream, RecoveryError> {
-        assert!(
-            worker.as_raw() < self.cfg.mpl,
-            "worker {worker} outside MPL {}",
-            self.cfg.mpl
-        );
-        assert!(
-            self.groups.len() > 1,
-            "worker streams require the P-SMR layout (use spawn, not spawn_single)"
-        );
-        let gall = self.cfg.all_group();
+    /// Panics if `cut` is not on [`MulticastSystem::all_group`].
+    pub fn replica_streams_at(&self, cut: StreamCut) -> Result<Vec<MergedStream>, RecoveryError> {
         assert_eq!(
-            cut.group, gall,
-            "P-SMR checkpoints travel on the shared group"
+            cut.group,
+            self.all_group(),
+            "checkpoints travel on the serialized group"
         );
-        let gi = GroupId::from(worker);
-        let sub = |group: GroupId, from: u64| {
-            self.groups[group.as_raw()]
-                .handle()
-                .subscribe_from(from)
-                .map_err(|_| RecoveryError::LogTrimmed {
-                    group,
-                    needed: from,
-                })
-        };
-        let streams = vec![(gi, sub(gi, cut.seq + 1)?), (gall, sub(gall, cut.seq)?)];
-        Ok(self.attach(MergedStream::resume(streams, cut)))
+        self.subscribe_replica(Position::At(cut))
     }
 
-    /// Subscribes worker `t_i` from the **beginning of the retained
-    /// streams** (sequence number 1): the WAL-only cold-start path of a
-    /// replica that has no snapshot at all — everything it ever executed
-    /// is rebuilt by replaying the durable ordered logs from scratch.
+    /// Subscribes one replica's streams from the **beginning of the
+    /// retained streams** (sequence number 1): the WAL-only cold-start
+    /// path of a replica that has no snapshot at all — everything it ever
+    /// executed is rebuilt by replaying the durable ordered logs from
+    /// scratch.
     ///
     /// # Errors
     ///
     /// Returns [`RecoveryError::LogTrimmed`] when the logs no longer
     /// reach back to sequence number 1 (a checkpoint trimmed them; the
     /// replica needs a snapshot to recover).
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as
-    /// [`MulticastSystem::worker_stream`].
-    pub fn worker_stream_from_start(
-        &self,
-        worker: WorkerId,
-    ) -> Result<MergedStream, RecoveryError> {
-        assert!(
-            worker.as_raw() < self.cfg.mpl,
-            "worker {worker} outside MPL {}",
-            self.cfg.mpl
-        );
-        assert!(
-            self.groups.len() > 1,
-            "worker streams require the P-SMR layout (use spawn, not spawn_single)"
-        );
-        let gi = GroupId::from(worker);
-        let gall = self.cfg.all_group();
-        let sub = |group: GroupId| {
-            self.groups[group.as_raw()]
-                .handle()
-                .subscribe_from(1)
-                .map_err(|_| RecoveryError::LogTrimmed { group, needed: 1 })
+    pub fn replica_streams_from_start(&self) -> Result<Vec<MergedStream>, RecoveryError> {
+        self.subscribe_replica(Position::Start)
+    }
+
+    fn subscribe_replica(&self, at: Position) -> Result<Vec<MergedStream>, RecoveryError> {
+        let streams = self.groups.len().saturating_sub(1).max(1);
+        (0..streams).map(|i| self.subscribe(i, at)).collect()
+    }
+
+    /// Subscribes stream `i` of a replica at `at`: `g_i` merged with
+    /// `g_all` on the P-SMR layout, `g0` alone on the single layout.
+    fn subscribe(&self, i: usize, at: Position) -> Result<MergedStream, RecoveryError> {
+        let groups = if self.groups.len() == 1 {
+            vec![self.all_group()]
+        } else {
+            vec![GroupId::new(i), self.all_group()]
         };
-        Ok(self.attach(MergedStream::new(vec![(gi, sub(gi)?), (gall, sub(gall)?)])))
-    }
-
-    /// Subscribes to the single stream of a
-    /// [`MulticastSystem::spawn_single`] deployment from the beginning
-    /// of the retained stream (see
-    /// [`MulticastSystem::worker_stream_from_start`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RecoveryError::LogTrimmed`] when the log no longer
-    /// reaches back to sequence number 1.
-    pub fn single_stream_from_start(&self) -> Result<MergedStream, RecoveryError> {
-        let group = GroupId::new(0);
-        let rx = self.groups[0]
-            .handle()
-            .subscribe_from(1)
-            .map_err(|_| RecoveryError::LogTrimmed { group, needed: 1 })?;
-        Ok(self.attach(MergedStream::new(vec![(group, rx)])))
-    }
-
-    /// Re-subscribes to the single stream of a
-    /// [`MulticastSystem::spawn_single`] deployment after the start,
-    /// resuming right behind the checkpoint command at `cut`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RecoveryError::LogTrimmed`] when retention no longer
-    /// covers the cut.
-    pub fn single_stream_at(&self, cut: StreamCut) -> Result<MergedStream, RecoveryError> {
-        assert_eq!(cut.group, GroupId::new(0), "single-stream cuts sit on g0");
-        let rx = self.groups[0]
-            .handle()
-            .subscribe_from(cut.seq)
-            .map_err(|_| RecoveryError::LogTrimmed {
-                group: cut.group,
-                needed: cut.seq,
-            })?;
-        Ok(self.attach(MergedStream::resume(vec![(cut.group, rx)], cut)))
+        let mut subs = Vec::with_capacity(groups.len());
+        for group in groups {
+            let from = match at {
+                Position::Fresh => None,
+                Position::At(cut) if cut.group == group => Some(cut.seq),
+                Position::At(cut) => Some(cut.seq + 1),
+                Position::Start => Some(1),
+            };
+            let paxos = &self.groups[group.as_raw()];
+            let rx =
+                match from {
+                    None => paxos.subscribe(),
+                    Some(from) => paxos.handle().subscribe_from(from).map_err(|_| {
+                        RecoveryError::LogTrimmed {
+                            group,
+                            needed: from,
+                        }
+                    })?,
+                };
+            subs.push((group, rx));
+        }
+        Ok(self.attach(match at {
+            Position::At(cut) => MergedStream::resume(subs, cut),
+            _ => MergedStream::new(subs),
+        }))
     }
 
     /// The live network of one group, for fault injection (crashing
@@ -782,7 +746,7 @@ impl MulticastHandle {
         let target = if destinations.is_singleton() {
             destinations.executor()
         } else {
-            self.all_group
+            self.all_group()
         };
         self.handles[target.as_raw()].submit(payload);
     }
@@ -793,12 +757,13 @@ impl MulticastHandle {
     /// the serialized path is identical at every MPL, including MPL 1
     /// where the "all groups" set is technically a singleton.
     pub fn multicast_serial(&self, payload: Bytes) {
-        self.handles[self.all_group.as_raw()].submit(payload);
+        self.handles[self.all_group().as_raw()].submit(payload);
     }
 
-    /// The shared group used for multi-destination commands.
+    /// The shared group used for multi-destination commands: the last
+    /// group of the layout.
     pub fn all_group(&self) -> GroupId {
-        self.all_group
+        GroupId::new(self.handles.len() - 1)
     }
 
     /// Trims every group's retained log down to what a recovery from the
@@ -882,7 +847,7 @@ mod tests {
     /// Waits until every group's stream reached the same `next_seq` and
     /// returns it.
     fn quiesced_next_seq(system: &MulticastSystem) -> u64 {
-        let groups = system.config().group_count();
+        let groups = system.group_count();
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
         loop {
             let seqs: Vec<u64> = (0..groups)
@@ -1201,6 +1166,23 @@ mod tests {
         system.shutdown();
     }
 
+    /// On the single layout `g0` is also `g_all`: a serialized multicast
+    /// lands on the one stream instead of a group that does not exist.
+    #[test]
+    fn single_layout_delivers_serial_multicasts() {
+        let system = MulticastSystem::spawn_single(&test_cfg(4));
+        let handle = system.handle();
+        assert_eq!(handle.all_group(), GroupId::new(0));
+        assert_eq!(system.group_count(), 1);
+        let mut stream = system.single_stream();
+        system.start();
+        handle.multicast_serial(Bytes::from_static(b"serial"));
+        let d = stream.next().expect("delivered");
+        assert_eq!(&d.payload[..], b"serial");
+        assert_eq!(d.group, GroupId::new(0));
+        system.shutdown();
+    }
+
     #[test]
     #[should_panic(expected = "outside MPL")]
     fn worker_stream_validates_worker_id() {
@@ -1275,8 +1257,9 @@ mod tests {
         cfg.wal_pipeline(false);
         let system = MulticastSystem::spawn(&cfg);
         let mut w0 = system
-            .worker_stream_from_start(WorkerId::new(0))
-            .expect("never trimmed");
+            .replica_streams_from_start()
+            .expect("never trimmed")
+            .remove(0);
         let mut got = Vec::new();
         while got.len() < 10 {
             let d = w0.next().expect("replayed");
@@ -1328,8 +1311,9 @@ mod tests {
         // set replays from the durable logs, provenance included.
         let system = MulticastSystem::spawn(&cfg);
         let mut w0 = system
-            .worker_stream_from_start(WorkerId::new(0))
-            .expect("logs never trimmed");
+            .replica_streams_from_start()
+            .expect("logs never trimmed")
+            .remove(0);
         let after = take(&mut w0, 20);
         assert_eq!(before, after, "replayed merge is byte-identical");
         system.shutdown();

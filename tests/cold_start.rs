@@ -18,8 +18,11 @@
 use psmr_suite::common::ids::ReplicaId;
 use psmr_suite::common::metrics::{counters, global};
 use psmr_suite::common::SystemConfig;
-use psmr_suite::core::engines::{Engine, PsmrEngine, RecoverySource, SmrEngine, SpSmrEngine};
+use psmr_suite::core::engines::{
+    Engine, PsmrEngine, RecoveryReport, RecoverySource, ReplicatedEngine, SmrEngine, SpSmrEngine,
+};
 use psmr_suite::kvstore::{fine_dependency_spec, KvOp, KvResult, KvService};
+use psmr_suite::recovery::RecoveryError;
 use psmr_suite::sim::check::{assert_linearizable, client_session, kv, KEYS};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -324,12 +327,49 @@ fn pipelined_crash_before_fsync_never_released_the_lost_suffix() {
 /// snapshot plus the WAL suffix behind it.
 #[test]
 fn psmr_cold_starts_from_the_wal_alone_without_any_checkpoint() {
-    let mut config = cfg(2, "walonly");
+    let map = || fine_dependency_spec().into_map();
+    cold_starts_from_the_wal_alone(
+        2,
+        "walonly",
+        |config| PsmrEngine::spawn_recoverable(config, map(), || KvService::with_keys(KEYS)),
+        |config| PsmrEngine::cold_start(config, map(), || KvService::with_keys(KEYS)),
+    );
+}
+
+/// The WAL-only scenario on the single totally ordered stream of SMR.
+#[test]
+fn smr_cold_starts_from_the_wal_alone_without_any_checkpoint() {
+    cold_starts_from_the_wal_alone(
+        1,
+        "walonly-smr",
+        |config| SmrEngine::spawn_recoverable(config, || KvService::with_keys(KEYS)),
+        |config| SmrEngine::cold_start(config, || KvService::with_keys(KEYS)),
+    );
+}
+
+/// The WAL-only scenario through sP-SMR's scheduler.
+#[test]
+fn spsmr_cold_starts_from_the_wal_alone_without_any_checkpoint() {
+    let map = || fine_dependency_spec().into_map();
+    cold_starts_from_the_wal_alone(
+        3,
+        "walonly-spsmr",
+        |config| SpSmrEngine::spawn_recoverable(config, map(), || KvService::with_keys(KEYS)),
+        |config| SpSmrEngine::cold_start(config, map(), || KvService::with_keys(KEYS)),
+    );
+}
+
+type ColdStarted<T> = Result<(ReplicatedEngine<T>, Vec<RecoveryReport>), RecoveryError>;
+
+fn cold_starts_from_the_wal_alone<T>(
+    mpl: usize,
+    tag: &str,
+    spawn: impl Fn(&SystemConfig) -> ReplicatedEngine<T>,
+    cold_start: impl Fn(&SystemConfig) -> ColdStarted<T>,
+) {
+    let mut config = cfg(mpl, tag);
     config.checkpoint_interval(None); // nothing ever snapshots or trims
-    let mut engine =
-        PsmrEngine::spawn_recoverable(&config, fine_dependency_spec().into_map(), || {
-            KvService::with_keys(KEYS)
-        });
+    let mut engine = spawn(&config);
     let mut client = engine.client();
     for i in 0..30u64 {
         assert_eq!(
@@ -347,11 +387,7 @@ fn psmr_cold_starts_from_the_wal_alone_without_any_checkpoint() {
     engine.crash_all_replicas();
     engine.shutdown();
 
-    let (mut engine, reports) =
-        PsmrEngine::cold_start(&config, fine_dependency_spec().into_map(), || {
-            KvService::with_keys(KEYS)
-        })
-        .expect("cold start from the logs alone");
+    let (mut engine, reports) = cold_start(&config).expect("cold start from the logs alone");
     assert!(reports
         .iter()
         .all(|r| r.source == RecoverySource::WalOnly && r.checkpoint_id == 0));
@@ -385,11 +421,7 @@ fn psmr_cold_starts_from_the_wal_alone_without_any_checkpoint() {
     engine.crash_all_replicas();
     engine.shutdown();
 
-    let (engine, reports) =
-        PsmrEngine::cold_start(&config, fine_dependency_spec().into_map(), || {
-            KvService::with_keys(KEYS)
-        })
-        .expect("cold start from the only checkpoint");
+    let (engine, reports) = cold_start(&config).expect("cold start from the only checkpoint");
     assert!(reports
         .iter()
         .all(|r| r.source == RecoverySource::Disk && r.checkpoint_id == ckpt_id));
@@ -403,7 +435,7 @@ fn psmr_cold_starts_from_the_wal_alone_without_any_checkpoint() {
     }
     drop(client);
     engine.shutdown();
-    cleanup("walonly");
+    cleanup(tag);
 }
 
 /// The same blackout on classical SMR: single stream, same durability

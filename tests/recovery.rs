@@ -12,7 +12,7 @@ use psmr_suite::common::ids::{GroupId, ReplicaId};
 use psmr_suite::common::metrics::{counters, global};
 use psmr_suite::common::SystemConfig;
 use psmr_suite::core::engines::{
-    Engine, NoRepEngine, PsmrEngine, RecoverySource, SmrEngine, SpSmrEngine,
+    Engine, NoRepEngine, PsmrEngine, RecoverySource, ReplicatedEngine, SmrEngine, SpSmrEngine,
 };
 use psmr_suite::core::ClientProxy;
 use psmr_suite::kvstore::{fine_dependency_spec, KvOp, KvResult, KvService};
@@ -188,7 +188,7 @@ fn engines_keep_committing_with_one_acceptor_down() {
     let engine = SmrEngine::spawn(&cfg(1), factory);
     let mut client = engine.client();
     run_half(&mut client, 0);
-    engine.crash_acceptor(2);
+    engine.crash_acceptor(GroupId::new(0), 2);
     run_half(&mut client, 100);
     drop(client);
     engine.shutdown();
@@ -197,7 +197,7 @@ fn engines_keep_committing_with_one_acceptor_down() {
     let engine = SpSmrEngine::spawn(&cfg(3), map, factory);
     let mut client = engine.client();
     run_half(&mut client, 0);
-    engine.crash_acceptor(2);
+    engine.crash_acceptor(GroupId::new(0), 2);
     run_half(&mut client, 100);
     drop(client);
     engine.shutdown();
@@ -291,15 +291,25 @@ fn norep_auto_checkpoints_at_the_configured_interval() {
     engine.shutdown();
 }
 
-/// The recovery API refuses nonsensical transitions with typed errors.
+/// The recovery API refuses nonsensical transitions with typed errors,
+/// on every replicated technique.
 #[test]
 fn recovery_api_contract_errors() {
     let mut config = cfg(2);
     config.checkpoint_interval(None);
-    let mut engine =
-        PsmrEngine::spawn_recoverable(&config, fine_dependency_spec().into_map(), || {
-            KvService::with_keys(KEYS)
-        });
+    let map = || fine_dependency_spec().into_map();
+    let factory = || KvService::with_keys(KEYS);
+    assert_contract_errors(PsmrEngine::spawn_recoverable(&config, map(), factory));
+    assert_contract_errors(SmrEngine::spawn_recoverable(&config, factory));
+    assert_contract_errors(SpSmrEngine::spawn_recoverable(&config, map(), factory));
+
+    // Non-recoverable deployments refuse restart outright.
+    assert_restart_not_recoverable(PsmrEngine::spawn(&cfg(2), map(), factory));
+    assert_restart_not_recoverable(SmrEngine::spawn(&cfg(2), factory));
+    assert_restart_not_recoverable(SpSmrEngine::spawn(&cfg(2), map(), factory));
+}
+
+fn assert_contract_errors<T>(mut engine: ReplicatedEngine<T>) {
     assert_eq!(
         engine.crash_replica(ReplicaId::new(7)),
         Err(RecoveryError::UnknownReplica { replica: 7 })
@@ -319,11 +329,9 @@ fn recovery_api_contract_errors() {
         }))
     );
     engine.shutdown();
+}
 
-    // Non-recoverable deployments refuse restart outright.
-    let mut plain = PsmrEngine::spawn(&cfg(2), fine_dependency_spec().into_map(), || {
-        KvService::with_keys(KEYS)
-    });
+fn assert_restart_not_recoverable<T>(mut plain: ReplicatedEngine<T>) {
     plain
         .crash_replica(ReplicaId::new(1))
         .expect("crash works without recovery");
