@@ -1,11 +1,12 @@
 //! Threaded channel network with fault injection.
 //!
 //! [`LiveNet`] connects real OS threads through unbounded `crossbeam`
-//! channels, optionally routing traffic through an injector thread that
-//! applies per-link delay and loss. The end-to-end replication runs use the
-//! direct (fault-free) path, whose cost is a single channel hop — our
-//! stand-in for the paper's gigabit cluster links; the fault path is used
-//! by tests that crash acceptors or delay streams.
+//! channels, with per-link delay and loss, link cuts and crash-stop
+//! injectable. The end-to-end replication runs use the direct (fault-free)
+//! path, whose cost is a single channel hop — our stand-in for the paper's
+//! gigabit cluster links; the fault path is used by tests that crash
+//! acceptors or delay streams. [`LiveNet::admit`] exposes the fault filter
+//! on its own, for peers that share a thread and talk by direct call.
 
 use crate::sim::NodeId;
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -152,17 +153,25 @@ impl<M: Send + 'static> LiveNet<M> {
         rx
     }
 
-    /// Sends a message; returns `false` if it was dropped (unknown or
-    /// crashed destination, crashed sender, fault-injected loss, or
-    /// shutdown).
-    pub fn send(&self, from: NodeId, to: NodeId, message: M) -> bool {
+    /// Runs one message on the directed link `from → to` through every
+    /// fault filter of the net: shutdown, crash-stop of either end, a
+    /// [`LiveNet::sever_after`] cut (a pass spends one unit of its
+    /// budget), the injected scheduler's verdict, and the link's
+    /// [`LinkFault`] loss. Returns `None` when the message is lost, else
+    /// the delay the link's fault imposes (zero without one).
+    ///
+    /// [`LiveNet::send`] applies this to every message it carries; a
+    /// caller that hands a message to a co-located peer by direct call
+    /// applies it itself, so that peer stays under the same fault model
+    /// as one behind an inbox.
+    pub fn admit(&self, from: NodeId, to: NodeId) -> Option<Duration> {
         if self.shared.shutdown.load(Ordering::Relaxed) {
-            return false;
+            return None;
         }
         {
             let crashed = self.shared.crashed.read();
             if crashed.contains_key(&from) || crashed.contains_key(&to) {
-                return false;
+                return None;
             }
         }
         // Fast path: the cuts map is empty in every non-fault-injection
@@ -172,31 +181,42 @@ impl<M: Send + 'static> LiveNet<M> {
             let mut cuts = self.shared.cuts.write();
             if let Some(remaining) = cuts.get_mut(&(from, to)) {
                 if *remaining == 0 {
-                    return false;
+                    return None;
                 }
                 *remaining -= 1;
             }
         }
-        // The injected scheduler sees every send that survived the
+        // The injected scheduler sees every message that survived the
         // fault filters above; a simulation scheduler may drop or delay
         // it here to perturb the interleaving.
         if self.runtime.sched.on_send(from.as_raw(), to.as_raw()) == SendVerdict::Drop {
-            return false;
+            return None;
         }
-        let fault = self.shared.faults.read().get(&(from, to)).copied();
-        if let Some(fault) = fault {
-            if fault.loss > 0.0 {
-                // Cheap thread-local-free decision; determinism is not
-                // needed on the live path.
-                let mut rng =
-                    StdRng::seed_from_u64(self.rng_seed ^ (from.as_raw() << 32) ^ to.as_raw());
-                if rng.gen_bool(fault.loss) {
-                    return false;
-                }
+        let Some(fault) = self.shared.faults.read().get(&(from, to)).copied() else {
+            return Some(Duration::ZERO);
+        };
+        if fault.loss > 0.0 {
+            // Cheap thread-local-free decision; determinism is not
+            // needed on the live path.
+            let mut rng =
+                StdRng::seed_from_u64(self.rng_seed ^ (from.as_raw() << 32) ^ to.as_raw());
+            if rng.gen_bool(fault.loss) {
+                return None;
             }
-            if !fault.delay.is_zero() {
-                self.runtime.clock.sleep(fault.delay);
-            }
+        }
+        Some(fault.delay)
+    }
+
+    /// Sends a message; returns `false` if it was dropped (unknown or
+    /// crashed destination, crashed sender, fault-injected loss, or
+    /// shutdown — see [`LiveNet::admit`]). A link delay sleeps the
+    /// sending thread.
+    pub fn send(&self, from: NodeId, to: NodeId, message: M) -> bool {
+        let Some(delay) = self.admit(from, to) else {
+            return false;
+        };
+        if !delay.is_zero() {
+            self.runtime.clock.sleep(delay);
         }
         if let Some(tx) = self.shared.inboxes.read().get(&to) {
             return tx.send((from, message)).is_ok();
@@ -416,6 +436,33 @@ mod tests {
         assert!(net.send(n(0), n(1), 5));
         assert_eq!(rx.recv().unwrap().1, 5);
         assert!(started.elapsed() >= Duration::from_millis(20));
+    }
+
+    /// `admit` is the whole filter `send` applies, usable without an
+    /// inbox: a peer reached by direct call sees the same faults.
+    #[test]
+    fn admit_applies_every_fault_without_an_inbox() {
+        let net: LiveNet<u32> = LiveNet::new();
+        assert_eq!(net.admit(n(0), n(1)), Some(Duration::ZERO));
+        net.inject(n(0), n(1), LinkFault::delay(Duration::from_millis(7)));
+        assert_eq!(net.admit(n(0), n(1)), Some(Duration::from_millis(7)));
+        net.inject(n(0), n(1), LinkFault::loss(1.0));
+        assert_eq!(net.admit(n(0), n(1)), None);
+        net.heal(n(0), n(1));
+        net.sever_after(n(0), n(1), 1);
+        assert!(
+            net.admit(n(0), n(1)).is_some(),
+            "the cut's budget passes one"
+        );
+        assert_eq!(net.admit(n(0), n(1)), None, "then the link is dead");
+        assert!(net.admit(n(1), n(0)).is_some(), "cuts are directed");
+        net.crash(n(2));
+        assert_eq!(net.admit(n(0), n(2)), None);
+        assert_eq!(net.admit(n(2), n(0)), None);
+        net.restart(n(2));
+        assert!(net.admit(n(2), n(0)).is_some());
+        net.shutdown();
+        assert_eq!(net.admit(n(1), n(0)), None);
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //!   run unmodified over real sockets, delivered straight from the mesh
 //!   reader threads;
 //! * on node 0 (the orderer): the paxos group — coordinator, WAL, and
-//!   acceptor 0 — spawned with [`PaxosGroup::spawn_hosted`], the
+//!   acceptor 0, which votes inline on the coordinator thread — spawned
+//!   with [`PaxosGroup::spawn_hosted`], the
 //!   decided-batch **relay server** (mesh channel 2), and the periodic
 //!   checkpoint driver;
 //! * on every other node: a [`RemoteAcceptor`] (acceptor `me` of the

@@ -51,6 +51,22 @@ impl<V: Clone> Acceptor<V> {
         self.accepted.len()
     }
 
+    /// Drops every accepted value below `instance`.
+    ///
+    /// Only safe once no proposer can ever prepare below `instance`
+    /// again — for an acceptor that lives and dies with its group's one
+    /// coordinator, once that coordinator has learned every instance
+    /// below it (its phase 1 only ever asks from its next delivery).
+    pub fn forget_below(&mut self, instance: Instance) {
+        while self
+            .accepted
+            .first_key_value()
+            .is_some_and(|(&i, _)| i < instance)
+        {
+            self.accepted.pop_first();
+        }
+    }
+
     /// Processes a proposer message, returning the acceptor's reply.
     ///
     /// `Prepare` yields `Promise` or `Nack`; `Accept` yields `Accepted` or
@@ -219,6 +235,19 @@ mod tests {
         acc.handle(accept(2, 0, 20));
         assert_eq!(acc.accepted_at(0), Some(&(Ballot::new(2, 0), 20)));
         assert_eq!(acc.accepted_count(), 1);
+    }
+
+    #[test]
+    fn forget_below_drops_only_the_decided_prefix() {
+        let mut acc: Acceptor<u32> = Acceptor::new();
+        for i in 0..5 {
+            acc.handle(accept(1, i, i as u32));
+        }
+        acc.forget_below(3);
+        assert_eq!(acc.accepted_count(), 2);
+        assert_eq!(acc.accepted_at(2), None);
+        assert_eq!(acc.accepted_at(3), Some(&(Ballot::new(1, 0), 3)));
+        assert_eq!(acc.promised(), Ballot::new(1, 0), "the promise stays");
     }
 
     #[test]

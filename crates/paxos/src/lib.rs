@@ -10,11 +10,12 @@
 //!   with ballots over an unbounded sequence of instances, and are exercised
 //!   against adversarial schedules on the deterministic simulator from
 //!   `psmr-netsim` (safety: at most one value is ever chosen per instance).
-//! * **A threaded runtime** — [`runtime::PaxosGroup`] wires one coordinator
-//!   thread and `n` acceptor threads (3 in the paper, tolerating one crash)
-//!   through a [`psmr_netsim::live::LiveNet`], batches submitted commands up
-//!   to 8 KB (§VI-A), pipelines instances, and delivers decided batches to
-//!   subscribers in instance order. One `PaxosGroup` backs one multicast
+//! * **A threaded runtime** — [`runtime::PaxosGroup`] runs one coordinator
+//!   thread per group with `n` acceptors (3 in the paper, tolerating one
+//!   crash): the ones sharing its process vote inline on that thread, the
+//!   others are reached through a [`psmr_netsim::live::LiveNet`]. It
+//!   batches submitted commands up to 8 KB (§VI-A), pipelines instances,
+//!   and delivers decided batches to subscribers in instance order. One `PaxosGroup` backs one multicast
 //!   group/stream in `psmr-multicast`.
 //!
 //! # Example: deciding a value through the threaded runtime

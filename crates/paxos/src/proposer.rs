@@ -237,6 +237,24 @@ impl<V: Clone> Proposer<V> {
         out
     }
 
+    /// The `Accept` of every instance proposed under the current ballot
+    /// and not yet decided, to send again when votes may have been lost
+    /// (an acceptor that already accepted one accepts it again).
+    pub fn undecided_accepts(&self) -> Vec<PaxosMsg<V>> {
+        if self.phase != Phase::Leading {
+            return Vec::new();
+        }
+        self.inflight
+            .iter()
+            .filter(|(_, flight)| !flight.decided)
+            .map(|(&instance, flight)| PaxosMsg::Accept {
+                ballot: flight.ballot,
+                instance,
+                value: flight.value.clone(),
+            })
+            .collect()
+    }
+
     /// Drains decisions that are contiguous from the last delivery point,
     /// in instance order. This is the ordered stream a group feeds to its
     /// subscribers.
@@ -275,6 +293,36 @@ mod tests {
         }
         decided.sort();
         decided
+    }
+
+    #[test]
+    fn undecided_accepts_resend_exactly_the_open_instances() {
+        let mut prop: Proposer<u32> = Proposer::new(0, 3);
+        assert!(prop.undecided_accepts().is_empty(), "not leading yet");
+        prop.start();
+        let promise = PaxosMsg::Promise {
+            ballot: prop.ballot(),
+            accepted: vec![],
+        };
+        prop.handle(0, promise.clone());
+        prop.handle(1, promise);
+        prop.submit(10);
+        prop.submit(20);
+        let accepted = PaxosMsg::Accepted {
+            ballot: prop.ballot(),
+            instance: 0,
+        };
+        prop.handle(0, accepted.clone());
+        prop.handle(1, accepted);
+        let resend = prop.undecided_accepts();
+        assert_eq!(
+            resend,
+            vec![PaxosMsg::Accept {
+                ballot: prop.ballot(),
+                instance: 1,
+                value: 20
+            }]
+        );
     }
 
     #[test]

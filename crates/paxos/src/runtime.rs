@@ -2,14 +2,18 @@
 //!
 //! A [`PaxosGroup`] is the execution of one multicast group's ordering
 //! protocol (§VI-A of the paper): a **coordinator** thread that batches
-//! submitted commands (8 KB cap) and drives phase 2, plus `n` **acceptor**
-//! threads (3 in the paper). Coordinator and acceptors communicate over a
-//! [`LiveNet`], so tests can inject link faults or crash an acceptor and
-//! verify the group still makes progress with a majority.
+//! submitted commands (8 KB cap) and drives phases 1 and 2 against `n`
+//! **acceptors** (3 in the paper). Acceptors that share the coordinator's
+//! process are state machines on the coordinator thread, called directly;
+//! the others are [`RemoteAcceptor`]s reached over a [`LiveNet`]. Every
+//! vote, inline or not, passes the net's fault filter
+//! ([`LiveNet::admit`]), so tests can inject link faults or crash an
+//! acceptor and verify the group still makes progress with a majority.
 //!
 //! The coordinator doubles as distinguished learner: once a quorum of
 //! `Accepted` replies arrives it delivers the batch, in instance order, to
-//! every subscriber. Subscribers are the per-replica worker threads of the
+//! every subscriber, and tells no acceptor (acceptors have no use for a
+//! `Decide`). Subscribers are the per-replica worker threads of the
 //! replication engines in `psmr-core`.
 //!
 //! **Pacing.** Streams that are merged with others run round-paced
@@ -26,13 +30,14 @@
 //! `skip_interval`. Stand-alone streams run traffic-driven
 //! ([`Pacing::Batched`]).
 
-use crate::msg::PaxosMsg;
+use crate::acceptor::Acceptor;
+use crate::msg::{Instance, PaxosMsg};
 use crate::proposer::Proposer;
 use bytes::Bytes;
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
 use parking_lot::Mutex;
 use psmr_common::metrics::{counters, gauges, global};
-use psmr_common::runtime::{recv_timeout_via, Runtime, SchedulePoint};
+use psmr_common::runtime::{recv_timeout_via, ClockHandle, Runtime, SchedulePoint};
 use psmr_common::trace::{self, Stage};
 use psmr_common::SystemConfig;
 use psmr_netsim::live::LiveNet;
@@ -640,7 +645,8 @@ pub struct GroupHandle {
 #[derive(Debug)]
 pub struct PaxosGroup {
     handle: GroupHandle,
-    threads: Vec<JoinHandle<()>>,
+    /// The coordinator thread, which also runs the co-located acceptors.
+    thread: Option<JoinHandle<()>>,
 }
 
 /// Deterministic node-id layout of a group on its live net: coordinator at
@@ -722,15 +728,20 @@ impl PaxosGroup {
         Self::spawn_hosted(group_id, cfg, net, pacing, mode, &all)
     }
 
-    /// Like [`PaxosGroup::spawn_with_wal_mode`], but spawns acceptor
-    /// threads only for the indices in `local_acceptors`. The remaining
-    /// acceptors are expected to run elsewhere — typically in other OS
-    /// processes reached through the net's gateway (see
+    /// Like [`PaxosGroup::spawn_with_wal_mode`], but hosts only the
+    /// acceptors in `local_acceptors`. Those run inline on the
+    /// coordinator thread — no thread and no inbox of their own: the
+    /// coordinator hands each `Prepare`/`Accept` to them by a direct call
+    /// and feeds their replies straight to its proposer, after the net's
+    /// fault filter ([`LiveNet::admit`]) in each direction, so crashing
+    /// or degrading their [`acceptor_node`] ids still works. The
+    /// remaining acceptors are expected to run elsewhere — typically in
+    /// other OS processes reached through the net's gateway (see
     /// `psmr_netsim::live::LiveNet::set_gateway` and the `psmr-net`
     /// bridge) — as [`RemoteAcceptor`]s registered under the same
     /// [`acceptor_node`] ids. Quorum logic is unchanged: the coordinator
     /// still addresses all `cfg.n_acceptors` acceptors and needs a
-    /// majority of them reachable to decide.
+    /// majority of them reachable to decide. It sends no `Decide`.
     ///
     /// # Panics
     ///
@@ -802,39 +813,27 @@ impl PaxosGroup {
             group_id,
         });
 
-        let mut threads = Vec::new();
-        // Acceptor threads (only the locally hosted subset).
         for &i in local_acceptors {
             assert!(
                 i < cfg.n_acceptors,
                 "local acceptor index {i} out of range (group has {})",
                 cfg.n_acceptors
             );
-            let node = acceptor_node(group_id, i);
-            let inbox = net.register(node);
-            let net = net.clone();
-            let inner = Arc::clone(&inner);
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("acceptor-g{group_id}-a{i}"))
-                    .spawn(move || acceptor_main(node, inbox, net, inner))
-                    .expect("spawn acceptor thread"),
-            );
         }
-        // Coordinator thread.
+        let acceptors = Acceptors::new(group_id, &net, cfg.n_acceptors, local_acceptors);
         let coord_inbox = net.register(coordinator_node(group_id));
         let coord_inner = Arc::clone(&inner);
         let cfg = cfg.clone();
-        threads.push(
-            std::thread::Builder::new()
-                .name(format!("coord-g{group_id}"))
-                .spawn(move || coordinator_main(cfg, coord_inner, submit_rx, coord_inbox, pacing))
-                .expect("spawn coordinator thread"),
-        );
+        let thread = std::thread::Builder::new()
+            .name(format!("coord-g{group_id}"))
+            .spawn(move || {
+                coordinator_main(cfg, coord_inner, submit_rx, coord_inbox, pacing, acceptors)
+            })
+            .expect("spawn coordinator thread");
 
         Self {
             handle: GroupHandle { inner },
-            threads,
+            thread: Some(thread),
         }
     }
 
@@ -863,11 +862,11 @@ impl PaxosGroup {
         self.handle.net()
     }
 
-    /// Stops the group and joins its threads.
+    /// Stops the group and joins its coordinator thread.
     pub fn shutdown(mut self) {
         self.handle.shutdown();
-        for t in self.threads.drain(..) {
-            let _ = t.join();
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
         }
     }
 }
@@ -875,11 +874,15 @@ impl PaxosGroup {
 /// A stand-alone acceptor thread: one group member hosted by a process
 /// that does not run the group's coordinator.
 ///
-/// Multi-process deployments spawn the coordinator (and its co-located
-/// acceptor) with [`PaxosGroup::spawn_hosted`] on one node and a
-/// `RemoteAcceptor` per remaining node; the coordinator's phase-1/2
-/// traffic reaches them through the net's gateway (bridged over TCP by
-/// `psmr-net`). The acceptor is intentionally amnesiac across process
+/// Multi-process deployments spawn the coordinator (whose co-located
+/// acceptor votes inline on the coordinator thread) with
+/// [`PaxosGroup::spawn_hosted`] on one node and a `RemoteAcceptor` per
+/// remaining node; the coordinator's `Prepare`s and `Accept`s reach them
+/// through the net's gateway (bridged over TCP by `psmr-net`), and their
+/// replies come back the same way. No `Decide` is sent to them. Unlike
+/// an inline acceptor it never forgets an accepted instance, so a
+/// restarted coordinator's phase 1 gets back its whole accepted history.
+/// It is intentionally amnesiac across process
 /// restarts — safe in this deployment shape because the group runs a
 /// fixed coordinator that is also the distinguished learner: a value it
 /// decided is retained in its stream/WAL, so a restarted acceptor
@@ -902,7 +905,7 @@ impl RemoteAcceptor {
         let thread = std::thread::Builder::new()
             .name(format!("racceptor-g{group_id}-a{index}"))
             .spawn(move || {
-                let mut acceptor = crate::acceptor::Acceptor::<Batch>::new();
+                let mut acceptor = Acceptor::<Batch>::new();
                 loop {
                     match recv_timeout_via(&*clock, &inbox, Duration::from_millis(50)) {
                         Ok((from, msg)) => {
@@ -1179,27 +1182,201 @@ impl std::fmt::Display for SubscribeError {
 
 impl std::error::Error for SubscribeError {}
 
-fn acceptor_main(
-    node: NodeId,
-    inbox: Receiver<(NodeId, NetMsg)>,
+/// Upper bound on instances a traffic-driven coordinator has proposed but
+/// not yet decided; bounds memory under overload while keeping the
+/// pipeline full.
+const MAX_INFLIGHT: usize = 256;
+
+/// How long phase 1 waits for a quorum of promises before it starts
+/// again with a higher ballot (promises may have been lost).
+const PREPARE_RETRY: Duration = Duration::from_millis(20);
+
+/// How long the coordinator lets undecided instances go without any
+/// decision before it sends their `Accept`s again (a lost vote would
+/// otherwise stall the stream for good once a quorum is reachable again).
+const ACCEPT_RETRY: Duration = Duration::from_millis(100);
+
+/// One leg of a co-located vote that a link delay holds back.
+#[derive(Debug)]
+enum Leg {
+    /// Coordinator → local acceptor `i` (an index into
+    /// [`Acceptors::local`]): the acceptor handles it when due.
+    Request(usize),
+    /// Acceptor → coordinator: the reply reaches the proposer when due.
+    Reply(NodeId),
+}
+
+/// A vote on a delayed link, waiting on the coordinator's due list.
+#[derive(Debug)]
+struct Held {
+    due: Instant,
+    leg: Leg,
+    msg: NetMsg,
+}
+
+/// The coordinator's side of its group's acceptors.
+///
+/// Co-located acceptors — the ones [`PaxosGroup::spawn_hosted`] hosts —
+/// are state machines owned by the coordinator thread: a `Prepare` or
+/// `Accept` reaches each by a direct call, and the reply goes straight
+/// back into the [`Proposer`] on the same thread, with no thread, inbox
+/// or channel hop in between. Every such vote still passes
+/// [`LiveNet::admit`] in both directions, so crash-stop, link cuts, loss,
+/// delay and the injected scheduler apply to it exactly as to a message
+/// behind an inbox. A delayed vote waits on a due list the coordinator's
+/// wait timeout covers, never in a sleep on the coordinator thread: a
+/// slow acceptor is outvoted, not waited on.
+///
+/// The other acceptors ([`RemoteAcceptor`]s) are reached with
+/// [`LiveNet::send`]. `Decide` goes to no acceptor: the coordinator is
+/// its group's learner and acceptors ignore it.
+#[derive(Debug)]
+struct Acceptors {
+    me: NodeId,
     net: LiveNet<NetMsg>,
-    inner: Arc<Inner>,
-) {
-    let mut acceptor = crate::acceptor::Acceptor::<Batch>::new();
-    loop {
-        match recv_timeout_via(&*inner.rt.clock, &inbox, Duration::from_millis(50)) {
-            Ok((from, msg)) => {
-                if let Some(reply) = acceptor.handle(msg) {
-                    net.send(node, from, reply);
-                }
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                if inner.shutdown.load(Ordering::Relaxed) {
-                    return;
-                }
-            }
-            Err(RecvTimeoutError::Disconnected) => return,
+    clock: ClockHandle,
+    local: Vec<(NodeId, Acceptor<Batch>)>,
+    remote: Vec<NodeId>,
+    /// Delayed votes, in the order they were held.
+    held: Vec<Held>,
+    /// Co-located replies not yet handed to the proposer.
+    replies: VecDeque<(NodeId, NetMsg)>,
+    /// When the proposer last learned a decision or had none open.
+    progress_at: Instant,
+}
+
+impl Acceptors {
+    /// The acceptors of `group` on `net`: `local` (indices below
+    /// `n_acceptors`) run inline, the rest are addressed on the net.
+    fn new(group: usize, net: &LiveNet<NetMsg>, n_acceptors: usize, local: &[usize]) -> Self {
+        let clock = Arc::clone(&net.runtime().clock);
+        Self {
+            me: coordinator_node(group),
+            net: net.clone(),
+            progress_at: clock.now(),
+            clock,
+            local: local
+                .iter()
+                .map(|&i| (acceptor_node(group, i), Acceptor::new()))
+                .collect(),
+            remote: (0..n_acceptors)
+                .filter(|i| !local.contains(i))
+                .map(|i| acceptor_node(group, i))
+                .collect(),
+            held: Vec::new(),
+            replies: VecDeque::new(),
         }
+    }
+
+    /// Feeds one reply that arrived on the coordinator's inbox to the
+    /// proposer, then [`Acceptors::drive`]s what it yields.
+    fn handle(&mut self, prop: &mut Proposer<Batch>, from: NodeId, msg: NetMsg) {
+        let out = prop.handle(from.as_raw(), msg);
+        self.drive(prop, out);
+    }
+
+    /// Sends `msgs` to every acceptor, releases the delayed votes that
+    /// came due, and feeds every co-located reply to the proposer —
+    /// including replies to the messages those replies yield (a promise
+    /// quorum → leadership → `Accept`s) — until none is left. A loop over
+    /// a work queue, not recursion.
+    fn drive(&mut self, prop: &mut Proposer<Batch>, msgs: Vec<NetMsg>) {
+        self.broadcast(msgs);
+        self.release_due();
+        while let Some((from, reply)) = self.replies.pop_front() {
+            let out = prop.handle(from.as_raw(), reply);
+            self.broadcast(out);
+        }
+    }
+
+    fn broadcast(&mut self, msgs: Vec<NetMsg>) {
+        for msg in msgs {
+            if matches!(msg, PaxosMsg::Decide { .. }) {
+                continue;
+            }
+            // Remote sends first: their wire work starts while the local
+            // votes run.
+            for &a in &self.remote {
+                self.net.send(self.me, a, msg.clone());
+            }
+            for i in 0..self.local.len() {
+                let to = self.local[i].0;
+                match self.net.admit(self.me, to) {
+                    None => {}
+                    Some(delay) if delay.is_zero() => self.vote(i, msg.clone()),
+                    Some(delay) => self.hold(delay, Leg::Request(i), msg.clone()),
+                }
+            }
+        }
+    }
+
+    /// Local acceptor `i` handles `msg`; its reply crosses the link back.
+    fn vote(&mut self, i: usize, msg: NetMsg) {
+        let (node, acceptor) = &mut self.local[i];
+        let node = *node;
+        let Some(reply) = acceptor.handle(msg) else {
+            return;
+        };
+        match self.net.admit(node, self.me) {
+            None => {}
+            Some(delay) if delay.is_zero() => self.replies.push_back((node, reply)),
+            Some(delay) => self.hold(delay, Leg::Reply(node), reply),
+        }
+    }
+
+    fn hold(&mut self, delay: Duration, leg: Leg, msg: NetMsg) {
+        let due = self.clock.now() + delay;
+        self.held.push(Held { due, leg, msg });
+    }
+
+    fn release_due(&mut self) {
+        if self.held.is_empty() {
+            return;
+        }
+        let now = self.clock.now();
+        let (due, later): (Vec<Held>, Vec<Held>) = std::mem::take(&mut self.held)
+            .into_iter()
+            .partition(|h| h.due <= now);
+        self.held = later;
+        for h in due {
+            match h.leg {
+                Leg::Request(i) => self.vote(i, h.msg),
+                Leg::Reply(from) => self.replies.push_back((from, h.msg)),
+            }
+        }
+    }
+
+    /// Caps a wait so that the next delayed vote is released on time.
+    fn wait(&self, timeout: Duration) -> Duration {
+        match self.held.iter().map(|h| h.due).min() {
+            Some(due) => timeout.min(due.saturating_duration_since(self.clock.now())),
+            None => timeout,
+        }
+    }
+
+    /// The proposer's newly decided instances, in order.
+    ///
+    /// The co-located acceptors forget everything below them: this
+    /// incarnation's phase 1 only ever asks from the next delivery, and
+    /// they die with the coordinator, so nothing can ask for a decided
+    /// instance again. When open instances went [`ACCEPT_RETRY`] without
+    /// any decision, their `Accept`s go out again.
+    fn take_decided(&mut self, prop: &mut Proposer<Batch>) -> Vec<(Instance, Batch)> {
+        let decided = prop.take_decided();
+        if let Some(&(last, _)) = decided.last() {
+            for (_, acceptor) in &mut self.local {
+                acceptor.forget_below(last + 1);
+            }
+        }
+        let now = self.clock.now();
+        if !decided.is_empty() || prop.inflight_len() == 0 {
+            self.progress_at = now;
+        } else if now.saturating_duration_since(self.progress_at) >= ACCEPT_RETRY {
+            let accepts = prop.undecided_accepts();
+            self.drive(prop, accepts);
+            self.progress_at = now;
+        }
+        decided
     }
 }
 
@@ -1209,46 +1386,37 @@ fn coordinator_main(
     submit_rx: Receiver<(Instant, Bytes)>,
     inbox: Receiver<(NodeId, NetMsg)>,
     pacing: Pacing,
+    mut acceptors: Acceptors,
 ) {
-    let me = coordinator_node(inner.group_id);
-    let acceptors: Vec<NodeId> = (0..cfg.n_acceptors)
-        .map(|i| acceptor_node(inner.group_id, i))
-        .collect();
-    let net = inner.net.clone();
-    let broadcast = move |msgs: Vec<NetMsg>| {
-        for msg in msgs {
-            for &a in &acceptors {
-                net.send(me, a, msg.clone());
-            }
-        }
-    };
+    let clock = Arc::clone(&inner.rt.clock);
+    let mut prop: Proposer<Batch> =
+        Proposer::new(coordinator_node(inner.group_id).as_raw(), cfg.n_acceptors);
 
-    let mut prop: Proposer<Batch> = Proposer::new(me.as_raw(), cfg.n_acceptors);
-    broadcast(vec![prop.start()]);
-
-    // Wait for leadership (phase 1) before accepting traffic.
+    // Win leadership (phase 1) before accepting traffic.
+    let mut retry_at = clock.now();
     while !prop.is_leading() {
         if inner.shutdown.load(Ordering::Relaxed) {
             return;
         }
-        match recv_timeout_via(&*inner.rt.clock, &inbox, Duration::from_millis(20)) {
-            Ok((from, msg)) => {
-                let out = prop.handle(from.as_raw(), msg);
-                broadcast(out);
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                // Retry phase 1: promises may have been lost.
-                broadcast(vec![prop.start()]);
-            }
+        let now = clock.now();
+        if now >= retry_at {
+            let prepare = prop.start();
+            acceptors.drive(&mut prop, vec![prepare]);
+            retry_at = now + PREPARE_RETRY;
+            continue;
+        }
+        match recv_timeout_via(&*clock, &inbox, acceptors.wait(retry_at - now)) {
+            Ok((from, msg)) => acceptors.handle(&mut prop, from, msg),
+            Err(RecvTimeoutError::Timeout) => acceptors.drive(&mut prop, Vec::new()),
             Err(RecvTimeoutError::Disconnected) => return,
         }
     }
 
     match pacing {
         Pacing::Rounds(link) => {
-            round_paced_main(cfg, inner, submit_rx, inbox, link, prop, broadcast)
+            round_paced_main(cfg, inner, submit_rx, inbox, link, prop, acceptors)
         }
-        Pacing::Batched => batched_main(cfg, inner, submit_rx, inbox, prop, broadcast),
+        Pacing::Batched => batched_main(cfg, inner, submit_rx, inbox, prop, acceptors),
     }
 }
 
@@ -1263,12 +1431,8 @@ fn batched_main(
     submit_rx: Receiver<(Instant, Bytes)>,
     inbox: Receiver<(NodeId, NetMsg)>,
     mut prop: Proposer<Batch>,
-    broadcast: impl Fn(Vec<NetMsg>),
+    mut acceptors: Acceptors,
 ) {
-    /// Upper bound on instances proposed but not yet decided; bounds memory
-    /// under overload while keeping the pipeline full.
-    const MAX_INFLIGHT: usize = 256;
-
     // A WAL-seeded stream continues the pre-crash numbering: Paxos
     // instances restart at 0 each incarnation, the stream seq does not.
     let seq_base = inner.stream.lock().next_seq;
@@ -1295,16 +1459,17 @@ fn batched_main(
         // 0. Hold the gate until the group is started so every subscriber
         //    sees the stream from its first batch.
         if !inner.started.load(Ordering::Acquire) {
-            match inbox.recv_timeout(Duration::from_millis(1)) {
-                Ok((from, msg)) => broadcast(prop.handle(from.as_raw(), msg)),
-                Err(RecvTimeoutError::Timeout) => {}
+            match inbox.recv_timeout(acceptors.wait(Duration::from_millis(1))) {
+                Ok((from, msg)) => acceptors.handle(&mut prop, from, msg),
+                Err(RecvTimeoutError::Timeout) => acceptors.drive(&mut prop, Vec::new()),
                 Err(RecvTimeoutError::Disconnected) => return,
             }
             continue;
         }
 
         // 1. Wait for work on either channel: a new submission or an
-        //    acceptor reply. The timeout covers the batch linger.
+        //    acceptor reply. The timeout covers the batch linger and the
+        //    next delayed co-located vote.
         let timeout = match batch_opened_at {
             Some(t) => cfg
                 .batch_delay
@@ -1325,11 +1490,11 @@ fn batched_main(
             }
             recv(inbox) -> msg => {
                 match msg {
-                    Ok((from, msg)) => broadcast(prop.handle(from.as_raw(), msg)),
+                    Ok((from, msg)) => acceptors.handle(&mut prop, from, msg),
                     Err(_) => return,
                 }
             }
-            default(clock.poll_slice(timeout)) => {}
+            default(clock.poll_slice(acceptors.wait(timeout))) => {}
         }
         // Drain whatever else is queued, without blocking.
         while batch_bytes < cfg.batch_bytes {
@@ -1346,8 +1511,9 @@ fn batched_main(
             }
         }
         while let Ok((from, msg)) = inbox.try_recv() {
-            broadcast(prop.handle(from.as_raw(), msg));
+            acceptors.handle(&mut prop, from, msg);
         }
+        acceptors.drive(&mut prop, Vec::new());
 
         // 2. Close the batch if full or lingered long enough (respect the
         //    pipeline cap).
@@ -1371,13 +1537,14 @@ fn batched_main(
             submitted += 1;
             // One Arc for phase 2: every acceptor receives the same
             // shared value, never a deep clone of the commands.
-            broadcast(prop.submit(Arc::new(full)));
+            let accepts = prop.submit(Arc::new(full));
+            acceptors.drive(&mut prop, accepts);
         }
 
         // 3. Deliver decided batches to subscribers, in order (one stream
         //    batch per decided instance). The decided value moves into
         //    the stream batch as the same shared allocation.
-        for (instance, commands) in prop.take_decided() {
+        for (instance, commands) in acceptors.take_decided(&mut prop) {
             inner.decided.fetch_add(1, Ordering::Relaxed);
             inner.deliver(Arc::new(DecidedBatch {
                 seq: seq_base + instance,
@@ -1407,7 +1574,7 @@ fn round_paced_main(
     inbox: Receiver<(NodeId, NetMsg)>,
     link: RoundLink,
     mut prop: Proposer<Batch>,
-    broadcast: impl Fn(Vec<NetMsg>),
+    mut acceptors: Acceptors,
 ) {
     // Rounds not yet fully decided: (instances remaining, commands so far).
     let mut open_rounds: VecDeque<(usize, Vec<Bytes>)> = VecDeque::new();
@@ -1459,28 +1626,30 @@ fn round_paced_main(
                 }
                 open_rounds.push_back((instances.len(), Vec::new()));
                 for instance_batch in instances {
-                    broadcast(prop.submit(Arc::new(instance_batch)));
+                    let accepts = prop.submit(Arc::new(instance_batch));
+                    acceptors.drive(&mut prop, accepts);
                 }
             }
             recv(inbox) -> msg => {
                 match msg {
-                    Ok((from, msg)) => broadcast(prop.handle(from.as_raw(), msg)),
+                    Ok((from, msg)) => acceptors.handle(&mut prop, from, msg),
                     Err(_) => return,
                 }
             }
-            default(inner.rt.clock.poll_slice(Duration::from_millis(5))) => {}
+            default(inner.rt.clock.poll_slice(acceptors.wait(Duration::from_millis(5)))) => {}
         }
         // Drain queued replies without blocking.
         while let Ok((from, msg)) = inbox.try_recv() {
-            broadcast(prop.handle(from.as_raw(), msg));
+            acceptors.handle(&mut prop, from, msg);
         }
+        acceptors.drive(&mut prop, Vec::new());
 
         // 2. Fold decided instances into their rounds; deliver every round
         //    whose instances are all decided (instance order == submission
         //    order, so rounds complete in order). Folding clones only the
         //    `Bytes` handles — the payload allocations stay shared with
         //    the consensus layer.
-        for (_, commands) in prop.take_decided() {
+        for (_, commands) in acceptors.take_decided(&mut prop) {
             let front = open_rounds
                 .front_mut()
                 .expect("instance belongs to a round");
@@ -2137,6 +2306,105 @@ mod tests {
         std::thread::sleep(Duration::from_millis(10));
         hub.bump();
         assert!(waiter.join().unwrap() > seen);
+    }
+
+    /// Co-located acceptors forget what their coordinator learned: after
+    /// 10 000 decided instances each holds no more than the in-flight
+    /// cap, not the group's whole history.
+    #[test]
+    fn inline_acceptors_forget_decided_instances() {
+        let net: LiveNet<NetMsg> = LiveNet::new();
+        let mut acceptors = Acceptors::new(40, &net, 3, &[0, 1, 2]);
+        let mut prop: Proposer<Batch> = Proposer::new(coordinator_node(40).as_raw(), 3);
+        let prepare = prop.start();
+        acceptors.drive(&mut prop, vec![prepare]);
+        assert!(prop.is_leading(), "inline promises win phase 1 at once");
+        let mut decided = 0;
+        for i in 0..10_000u32 {
+            let accepts = prop.submit(Arc::new(vec![Bytes::from(i.to_le_bytes().to_vec())]));
+            acceptors.drive(&mut prop, accepts);
+            decided += acceptors.take_decided(&mut prop).len();
+        }
+        assert_eq!(decided, 10_000);
+        for (node, acceptor) in &acceptors.local {
+            assert!(
+                acceptor.accepted_count() <= MAX_INFLIGHT,
+                "{node:?} still holds {} accepted instances",
+                acceptor.accepted_count()
+            );
+        }
+    }
+
+    /// Names of this process's threads, from `/proc/self/task/*/comm`.
+    fn thread_names() -> Vec<String> {
+        std::fs::read_dir("/proc/self/task")
+            .map(|tasks| {
+                tasks
+                    .filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok())
+                    .map(|name| name.trim().to_string())
+                    .collect()
+            })
+            .unwrap_or_default()
+    }
+
+    /// The coordinator is the group's learner and sends no `Decide`:
+    /// with acceptor 0 inline and acceptors 1 and 2 behind a counting
+    /// gateway (a second net running them as [`RemoteAcceptor`]s, the
+    /// shape of a multi-process deployment), the gateway carries Accepts
+    /// and not one Decide, and the group runs no acceptor thread.
+    #[test]
+    fn no_decide_leaves_the_coordinator() {
+        use std::sync::atomic::AtomicUsize;
+        let (near, far): (LiveNet<NetMsg>, LiveNet<NetMsg>) = (LiveNet::new(), LiveNet::new());
+        let accepts = Arc::new(AtomicUsize::new(0));
+        let decides = Arc::new(AtomicUsize::new(0));
+        {
+            let (far, accepts, decides) = (far.clone(), Arc::clone(&accepts), Arc::clone(&decides));
+            near.set_gateway(Arc::new(move |from, to, msg: &NetMsg| {
+                match msg {
+                    PaxosMsg::Accept { .. } => accepts.fetch_add(1, Ordering::Relaxed),
+                    PaxosMsg::Decide { .. } => decides.fetch_add(1, Ordering::Relaxed),
+                    _ => 0,
+                };
+                far.deliver(from, to, msg.clone())
+            }));
+        }
+        {
+            let near = near.clone();
+            far.set_gateway(Arc::new(move |from, to, msg: &NetMsg| {
+                near.deliver(from, to, msg.clone())
+            }));
+        }
+        let remotes: Vec<RemoteAcceptor> = (1..3)
+            .map(|i| RemoteAcceptor::spawn(41, i, far.clone()))
+            .collect();
+        let group =
+            PaxosGroup::spawn_hosted(41, &test_cfg(), near, Pacing::Batched, WalMode::None, &[0]);
+        let sub = group.subscribe();
+        group.start();
+        for i in 0..20u32 {
+            group.submit(Bytes::from(i.to_le_bytes().to_vec()));
+            let b = sub.recv_timeout(Duration::from_secs(5)).expect("delivered");
+            assert!(!b.commands.is_empty());
+        }
+        assert!(
+            accepts.load(Ordering::Relaxed) >= 2 * 20,
+            "every instance's Accept reaches both remote acceptors"
+        );
+        assert_eq!(decides.load(Ordering::Relaxed), 0, "no Decide is sent");
+        let names = thread_names();
+        assert!(
+            names.iter().any(|n| n.starts_with("coord-g41")),
+            "the /proc scan sees the coordinator: {names:?}"
+        );
+        assert!(
+            !names.iter().any(|n| n.starts_with("acceptor-g")),
+            "co-located acceptors run on the coordinator thread: {names:?}"
+        );
+        group.shutdown();
+        for remote in remotes {
+            remote.shutdown();
+        }
     }
 
     #[test]

@@ -161,3 +161,38 @@ fn two_crashed_acceptors_block_progress_until_heal() {
     assert_eq!(got, (0..20).collect::<Vec<_>>());
     group.shutdown();
 }
+
+#[test]
+fn slow_colocated_acceptor_is_outvoted_not_waited_on() {
+    // Acceptor 1 runs on the coordinator's thread; its replies take 200 ms.
+    // The other two form the quorum, so round trips stay fast: a delayed
+    // vote waits on the coordinator's due list, never in a sleep on the
+    // coordinator thread (which would cost 20 x 200 ms here).
+    let net = LiveNet::new();
+    let group = PaxosGroup::spawn_with(6, &test_cfg(), net.clone(), Pacing::Batched);
+    let sub = group.subscribe();
+    group.start();
+    net.inject(
+        acceptor_node(6, 1),
+        coordinator_node(6),
+        LinkFault::delay(Duration::from_millis(200)),
+    );
+    let started = std::time::Instant::now();
+    for i in 0..20u32 {
+        group.submit(Bytes::from(i.to_le_bytes().to_vec()));
+        let batch = sub
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the quorum without the slow acceptor decides");
+        assert_eq!(batch.seq, u64::from(i) + 1, "stream must stay gap-free");
+        assert_eq!(
+            &batch.commands[..],
+            &[Bytes::from(i.to_le_bytes().to_vec())]
+        );
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(1500),
+        "20 round trips took {elapsed:?}: the slow acceptor was waited on"
+    );
+    group.shutdown();
+}
