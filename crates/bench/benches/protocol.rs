@@ -1,16 +1,17 @@
 //! Protocol-level benchmarks and ablations of the design choices called
 //! out in `DESIGN.md`: batch size, C-Dep granularity, the scheduler
 //! dispatch path vs direct per-worker delivery, and the synchronous-mode
-//! signal barrier.
+//! rendezvous.
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use psmr_common::ids::{GroupId, WorkerId};
 use psmr_common::SystemConfig;
 use psmr_core::conflict::CommandMap;
-use psmr_core::engines::sync::{SignalBoard, SignalKind};
+use psmr_core::engines::sync::Rendezvous;
 use psmr_kvstore::{coarse_dependency_spec, fine_dependency_spec, KvOp};
 use psmr_multicast::{Destinations, MulticastSystem};
+use std::sync::Arc;
 use std::time::Duration;
 
 fn quick_cfg(mpl: usize) -> SystemConfig {
@@ -93,35 +94,26 @@ fn bench_cdep_granularity(c: &mut Criterion) {
     group.finish();
 }
 
-/// Ablation: the synchronous-mode signal barrier (Algorithm 1 lines
-/// 14–26) for 2, 4 and 8 participants.
+/// Ablation: the synchronous-mode rendezvous (Algorithm 1 lines 14–26)
+/// for 2, 4 and 8 participants.
 fn bench_sync_mode(c: &mut Criterion) {
     let mut group = c.benchmark_group("sync_mode");
     for k in [2usize, 4, 8] {
         group.bench_with_input(BenchmarkId::from_parameter(k), &k, |b, &k| {
-            // Executor is worker 0; workers 1..k loop signalling Ready and
-            // waiting for Resume, driven by the benched executor iteration.
-            let (board, mut endpoints) = SignalBoard::new(k);
-            let mut executor_ep = endpoints.remove(0);
-            let others: Vec<WorkerId> = (1..k).map(WorkerId::new).collect();
-            let mut helpers = Vec::new();
-            for (i, mut ep) in endpoints.into_iter().enumerate() {
-                let board = board.clone();
-                let me = WorkerId::new(i + 1);
-                helpers.push(std::thread::spawn(move || loop {
-                    board.signal(me, WorkerId::new(0), SignalKind::Ready);
-                    if !ep.wait_for(WorkerId::new(0), SignalKind::Resume) {
-                        return;
-                    }
-                }));
-            }
+            // Executor is worker 0; workers 1..k loop arriving and waiting
+            // for the release, driven by the benched executor iteration.
+            let rendezvous = Arc::new(Rendezvous::new(k));
+            let helpers: Vec<_> = (1..k)
+                .map(|_| {
+                    let rendezvous = Arc::clone(&rendezvous);
+                    std::thread::spawn(move || while rendezvous.arrive() {})
+                })
+                .collect();
             b.iter(|| {
-                assert!(executor_ep.wait_ready_from_all(&others));
-                for &o in &others {
-                    board.signal(WorkerId::new(0), o, SignalKind::Resume);
-                }
+                assert!(rendezvous.wait_all());
+                rendezvous.release();
             });
-            board.shutdown();
+            rendezvous.shutdown();
             for h in helpers {
                 let _ = h.join();
             }

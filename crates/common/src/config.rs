@@ -30,9 +30,6 @@ pub enum ConfigError {
     ZeroWalBatch,
     /// `batch_bytes` is zero: no command would ever fit in a batch.
     ZeroBatchBytes,
-    /// `client_window` is zero: clients could never have a request in
-    /// flight.
-    ZeroClientWindow,
     /// `delivery_queue` is zero: no decided batch could ever be handed to
     /// a subscriber, wedging delivery at the first round.
     ZeroDeliveryQueue,
@@ -47,7 +44,6 @@ impl fmt::Display for ConfigError {
             ConfigError::ZeroRetention => write!(f, "log_retention must be at least 1 batch"),
             ConfigError::ZeroWalBatch => write!(f, "wal_batch must be at least 1 append"),
             ConfigError::ZeroBatchBytes => write!(f, "batch_bytes must be at least 1"),
-            ConfigError::ZeroClientWindow => write!(f, "client_window must be at least 1"),
             ConfigError::ZeroDeliveryQueue => {
                 write!(f, "delivery_queue must be at least 1 batch")
             }
@@ -97,8 +93,6 @@ pub struct SystemConfig {
     /// a stalled consumer can hold the next round back before the clock
     /// re-checks it.
     pub skip_interval: Duration,
-    /// Per-client window of outstanding commands (50 in the paper, §VI-B).
-    pub client_window: usize,
     /// Decided batches each group retains for replica catch-up, beyond
     /// what checkpoints have made reclaimable. Checkpoints trim the logs
     /// down to their cut; this cap additionally bounds memory when no
@@ -175,7 +169,6 @@ impl SystemConfig {
             batch_bytes: 8 * 1024,
             batch_delay: Duration::from_micros(50),
             skip_interval: Duration::from_millis(1),
-            client_window: 50,
             log_retention: 4096,
             checkpoint_interval: None,
             snapshot_dir: None,
@@ -211,9 +204,6 @@ impl SystemConfig {
         }
         if self.batch_bytes == 0 {
             return Err(ConfigError::ZeroBatchBytes);
-        }
-        if self.client_window == 0 {
-            return Err(ConfigError::ZeroClientWindow);
         }
         if self.delivery_queue == 0 {
             return Err(ConfigError::ZeroDeliveryQueue);
@@ -259,13 +249,6 @@ impl SystemConfig {
     /// Sets the skip-round interval for idle groups.
     pub fn skip_interval(&mut self, interval: Duration) -> &mut Self {
         self.skip_interval = interval;
-        self
-    }
-
-    /// Sets the per-client outstanding-command window (zero is rejected
-    /// by [`SystemConfig::validate`]).
-    pub fn client_window(&mut self, window: usize) -> &mut Self {
-        self.client_window = window;
         self
     }
 
@@ -375,7 +358,6 @@ mod tests {
         assert_eq!(cfg.n_replicas, 2);
         assert_eq!(cfg.n_acceptors, 3);
         assert_eq!(cfg.batch_bytes, 8 * 1024);
-        assert_eq!(cfg.client_window, 50);
     }
 
     #[test]
@@ -394,15 +376,11 @@ mod tests {
     #[test]
     fn builder_setters_chain() {
         let mut cfg = SystemConfig::new(2);
-        cfg.replicas(3)
-            .acceptors(5)
-            .batch_bytes(1024)
-            .client_window(10);
+        cfg.replicas(3).acceptors(5).batch_bytes(1024);
         assert_eq!(cfg.n_replicas, 3);
         assert_eq!(cfg.n_acceptors, 5);
         assert_eq!(cfg.acceptor_fault_tolerance(), 2);
         assert_eq!(cfg.batch_bytes, 1024);
-        assert_eq!(cfg.client_window, 10);
     }
 
     #[test]
@@ -497,12 +475,6 @@ mod tests {
                 c.batch_bytes(0);
             },
             ConfigError::ZeroBatchBytes,
-        );
-        check(
-            |c| {
-                c.client_window(0);
-            },
-            ConfigError::ZeroClientWindow,
         );
         check(
             |c| {

@@ -148,8 +148,10 @@ impl Default for DependencySpec {
 /// sP-SMR scheduler.
 ///
 /// Cloneable and cheap to share: client proxies use
-/// [`CommandMap::destinations`] (Algorithm 1, line 2), server proxies use it
-/// again on delivery (line 9), and schedulers use [`CommandMap::conflicts`].
+/// [`CommandMap::destinations`] (Algorithm 1, line 2) and schedulers use
+/// [`CommandMap::conflicts`]. P-SMR workers never re-derive γ on delivery
+/// (line 9): a command on `g_i` involves worker `t_i` alone, and one on
+/// `g_all` involves every worker.
 #[derive(Clone)]
 pub struct CommandMap {
     classes: HashMap<CommandId, CommandClass>,
@@ -197,11 +199,9 @@ impl CommandMap {
     /// The C-G function: destination groups of an invocation, for a
     /// deployment with multiprogramming level `mpl`.
     ///
-    /// **Client-side note:** `Free` commands draw a round-robin group, so
-    /// consecutive calls may differ; all other classes are deterministic.
-    /// Server proxies re-deriving `γ` on delivery (Algorithm 1, line 9) must
-    /// use [`CommandMap::destinations_at`] with the group the command
-    /// actually arrived on — which this function's result determines.
+    /// `Free` commands draw a round-robin group, so consecutive calls may
+    /// differ; all other classes are deterministic. The result is final:
+    /// the group a command is multicast to is all the server side needs.
     pub fn destinations(&self, cmd: CommandId, payload: &[u8], mpl: usize) -> Destinations {
         match self.class(cmd) {
             CommandClass::Global => Destinations::all(mpl),
@@ -212,22 +212,6 @@ impl CommandMap {
                 let g = self.rr.fetch_add(1, Ordering::Relaxed) % mpl as u64;
                 Destinations::one(GroupId::new(g as usize))
             }
-        }
-    }
-
-    /// Server-side γ derivation: like [`CommandMap::destinations`] but for
-    /// `Free` commands returns the singleton of the group the command was
-    /// delivered on (the client's round-robin choice).
-    pub fn destinations_at(
-        &self,
-        cmd: CommandId,
-        payload: &[u8],
-        mpl: usize,
-        delivered_on: GroupId,
-    ) -> Destinations {
-        match self.class(cmd) {
-            CommandClass::Free => Destinations::one(delivered_on),
-            _ => self.destinations(cmd, payload, mpl),
         }
     }
 
@@ -371,12 +355,15 @@ mod tests {
     }
 
     #[test]
-    fn server_side_gamma_pins_free_commands_to_delivery_group() {
+    fn free_commands_take_one_drawn_group_and_global_ones_take_all() {
         let map = coarse_spec();
-        let d = map.destinations_at(GETSTATE, &[], 4, GroupId::new(3));
+        for _ in 0..3 {
+            let _ = map.destinations(GETSTATE, &[], 4);
+        }
+        let d = map.destinations(GETSTATE, &[], 4);
         assert_eq!(d.groups(), &[GroupId::new(3)]);
-        // Non-free classes are unaffected.
-        let d = map.destinations_at(SETSTATE, &[], 4, GroupId::new(3));
+        // Non-free classes are unaffected by the draw.
+        let d = map.destinations(SETSTATE, &[], 4);
         assert_eq!(d.groups().len(), 4);
     }
 

@@ -14,11 +14,12 @@
 //! fan-out and fsync loses only *unacknowledged* commands).
 //!
 //! Workers never block here: a response whose batch is still in the
-//! open group-commit window is queued, and a release thread parked on
-//! the deployment's [`DurabilityHub`](psmr_multicast::DurabilityView)
-//! forwards it when the watermark moves. Non-pipelined deployments use
-//! the passthrough constructor, which forwards immediately and spawns
-//! nothing.
+//! open group-commit window is queued. The WAL sync thread forwards it
+//! right after the watermark moves (the on-bump observer of the
+//! deployment's [`DurabilityView`]); workers also drain on their own
+//! `respond_at` calls, and a release thread drains every 10 ms as a
+//! safety net. Non-pipelined deployments use the passthrough
+//! constructor, which forwards immediately and spawns nothing.
 
 use crate::service::SharedRouter;
 use parking_lot::Mutex;

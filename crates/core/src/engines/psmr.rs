@@ -7,9 +7,12 @@
 //! * a command delivered on `g_i` was multicast to a single group —
 //!   **parallel mode**: execute and respond immediately (lines 10–13);
 //! * a command delivered on `g_all` was multicast to several groups —
-//!   **synchronous mode**: the involved workers synchronize with signals
-//!   and the deterministically elected executor `e = min{j : g_j ∈ γ}` runs
-//!   the command alone (lines 14–26).
+//!   **synchronous mode** (lines 14–26). Every dependent command travels on
+//!   `g_all` with γ = all `k` groups, so the elected executor
+//!   `e = min{j : g_j ∈ γ}` is always worker `t_0`: the other `k − 1`
+//!   workers meet it at the replica's [`Rendezvous`] without decoding the
+//!   command, and `t_0`, the only one that decodes it, runs it alone
+//!   while they wait.
 //!
 //! No component sequences all commands: delivery, scheduling and execution
 //! are all per-worker, which is what lets throughput scale with cores
@@ -22,8 +25,8 @@
 //! engine shares ([`ReplicatedEngine`]). A [`psmr_recovery::CHECKPOINT`]
 //! control command is classified `Global`, so it travels on `g_all` and
 //! synchronizes all `k` workers exactly like any dependent command — the
-//! synchronous-mode barrier *is* the quiescence point. The elected
-//! executor snapshots the service while its peers wait, installs the
+//! synchronous-mode rendezvous *is* the quiescence point. The executor
+//! `t_0` snapshots the service while its peers wait, installs the
 //! checkpoint into its replica's own [`psmr_recovery::CheckpointStore`]
 //! tagged with the command's stream position, persists it durably when
 //! `SystemConfig::snapshot_dir` is set, and trims the ordered logs the
@@ -38,7 +41,7 @@
 
 use super::recover::{RecoveryReport, CRASH_POLL};
 use super::replicated::{Executor, ReplicaCtx, ReplicatedEngine};
-use super::sync::{SignalBoard, SignalEndpoint, SignalKind};
+use super::sync::Rendezvous;
 use crate::conflict::CommandMap;
 use crate::service::{RecoverableService, Service};
 use psmr_common::envelope::{Request, Response};
@@ -47,9 +50,10 @@ use psmr_common::metrics::{counters, global, ScopedCounter};
 use psmr_common::runtime::Runtime;
 use psmr_common::trace::{self, Stage};
 use psmr_common::SystemConfig;
-use psmr_multicast::MergedStream;
+use psmr_multicast::{Delivered, MergedStream};
 use psmr_recovery::{RecoveryError, CHECKPOINT};
 use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use std::thread::JoinHandle;
 
 /// Technique marker of [`PsmrEngine`].
@@ -165,26 +169,21 @@ impl PsmrEngine {
 }
 
 /// Spawns the `k` worker threads of one replica, worker `t_i` on
-/// `streams[i]`, and returns them with the signal board they synchronize
-/// on.
+/// `streams[i]`, and returns them with the rendezvous they meet at for
+/// `g_all` commands.
 pub(crate) fn spawn_workers<S: Service + Clone>(
     replica: usize,
     streams: Vec<MergedStream>,
-    map: &CommandMap,
     all_group: GroupId,
     ctx: ReplicaCtx<S>,
-) -> (Vec<JoinHandle<()>>, SignalBoard) {
-    let mpl = streams.len();
-    let (board, endpoints) = SignalBoard::new(mpl);
-    let mut threads = Vec::with_capacity(mpl);
-    for ((i, endpoint), stream) in endpoints.into_iter().enumerate().zip(streams) {
+) -> (Vec<JoinHandle<()>>, Arc<Rendezvous>) {
+    let rendezvous = Arc::new(Rendezvous::new(streams.len()));
+    let mut threads = Vec::with_capacity(streams.len());
+    for (i, stream) in streams.into_iter().enumerate() {
         let ctx = WorkerCtx {
             me: WorkerId::new(i),
             shared: ctx.clone(),
-            board: board.clone(),
-            endpoint,
-            map: map.clone(),
-            mpl,
+            rendezvous: Arc::clone(&rendezvous),
             all_group,
             executed: global()
                 .scoped("replica", replica as u64)
@@ -198,16 +197,17 @@ pub(crate) fn spawn_workers<S: Service + Clone>(
                 .expect("spawn P-SMR worker"),
         );
     }
-    (threads, board)
+    (threads, rendezvous)
 }
+
+/// The executor of every `g_all` command: `min{j : g_j ∈ γ}` with γ = all
+/// groups (Algorithm 1, line 16).
+const EXECUTOR: WorkerId = WorkerId::new(0);
 
 struct WorkerCtx<S> {
     me: WorkerId,
     shared: ReplicaCtx<S>,
-    board: SignalBoard,
-    endpoint: SignalEndpoint,
-    map: CommandMap,
-    mpl: usize,
+    rendezvous: Arc<Rendezvous>,
     all_group: GroupId,
     /// Per-replica/per-worker executed-command counter, resolved once at
     /// spawn so the hot path never formats a label.
@@ -216,8 +216,7 @@ struct WorkerCtx<S> {
 
 /// The body of worker thread `t_i` — Algorithm 1, lines 7–26, plus the
 /// checkpoint path of the recovery subsystem.
-fn worker_main<S: Service>(mut ctx: WorkerCtx<S>, mut stream: MergedStream) {
-    let my_group = GroupId::from(ctx.me);
+fn worker_main<S: Service>(ctx: WorkerCtx<S>, mut stream: MergedStream) {
     loop {
         if ctx.shared.kill.load(Ordering::Relaxed) {
             return;
@@ -232,14 +231,13 @@ fn worker_main<S: Service>(mut ctx: WorkerCtx<S>, mut stream: MergedStream) {
             delivered.batch_seq,
             Stage::Delivered,
         );
-        let Ok(req) = Request::decode(&delivered.payload) else {
-            debug_assert!(false, "malformed request on stream {}", delivered.group);
-            continue;
-        };
         if delivered.group != ctx.all_group {
             // Parallel mode (lines 10–13): multicast to a single group.
             // The response releases once the batch is durable (gated
             // deployments) — execution itself never waits.
+            let Some(req) = decode(&delivered) else {
+                continue;
+            };
             trace::global().stamp(
                 delivered.group.as_raw(),
                 delivered.batch_seq,
@@ -260,28 +258,21 @@ fn worker_main<S: Service>(mut ctx: WorkerCtx<S>, mut stream: MergedStream) {
             );
             continue;
         }
-        // Synchronous mode (lines 14–26): re-derive γ like the server proxy
-        // (line 9) and synchronize the involved workers.
-        let dests = ctx
-            .map
-            .destinations_at(req.command, &req.payload, ctx.mpl, delivered.group);
-        if !dests.contains(my_group) {
-            // Multicast to a strict subset not containing t_i: skip. (With
-            // the paper's C-G functions γ is all groups here, so every
-            // worker participates.)
-            continue;
-        }
-        let executor = dests.executor().worker();
-        if ctx.me == executor {
-            let others: Vec<WorkerId> = dests
-                .groups()
-                .iter()
-                .filter(|g| **g != my_group)
-                .map(|g| g.worker())
-                .collect();
-            if !ctx.endpoint.wait_ready_from_all(&others) {
+        // Synchronous mode (lines 14–26): γ is every worker of the
+        // replica. The others signal their arrival and wait for the
+        // release without looking at the command.
+        if ctx.me != EXECUTOR {
+            if !ctx.rendezvous.arrive() {
                 return; // shutdown or crash
             }
+            continue;
+        }
+        // Decoded before the wait, so the parked peers do not wait for it.
+        let req = decode(&delivered);
+        if !ctx.rendezvous.wait_all() {
+            return; // shutdown or crash
+        }
+        if let Some(req) = req {
             // CHECKPOINT acts on the replica instead of the service: it
             // snapshots the quiesced state at this exact cut. Everything
             // else executes normally.
@@ -308,14 +299,18 @@ fn worker_main<S: Service>(mut ctx: WorkerCtx<S>, mut stream: MergedStream) {
                 req.client,
                 Response::new(req.request, resp),
             );
-            for other in others {
-                ctx.board.signal(ctx.me, other, SignalKind::Resume);
-            }
-        } else {
-            ctx.board.signal(ctx.me, executor, SignalKind::Ready);
-            if !ctx.endpoint.wait_for(executor, SignalKind::Resume) {
-                return; // shutdown or crash
-            }
         }
+        ctx.rendezvous.release();
     }
+}
+
+/// Decodes a delivered command; a malformed payload is skipped.
+fn decode(delivered: &Delivered) -> Option<Request> {
+    let req = Request::decode(&delivered.payload).ok();
+    debug_assert!(
+        req.is_some(),
+        "malformed request on stream {}",
+        delivered.group
+    );
+    req
 }

@@ -12,7 +12,7 @@
 //! disk snapshot when the retained logs still cover it, and falls back
 //! to fetching a fresher checkpoint from a live peer otherwise.
 
-use super::sync::SignalBoard;
+use super::sync::Rendezvous;
 use crate::client::RequestSink;
 use crate::service::RecoverableService;
 use psmr_common::envelope::Request;
@@ -560,13 +560,13 @@ pub(crate) fn auto_checkpointer(
 }
 
 /// One replica's runtime state, uniform across engines: its threads, the
-/// flag that crash-stops them, the signal board of a P-SMR replica's
+/// flag that crash-stops them, the rendezvous of a P-SMR replica's
 /// workers (woken on crash), and (for recoverable deployments) the live
 /// service instance so tests can compare replica states.
 pub(crate) struct ReplicaSlot {
     pub threads: Vec<JoinHandle<()>>,
     pub kill: Arc<AtomicBool>,
-    pub board: Option<SignalBoard>,
+    pub rendezvous: Option<Arc<Rendezvous>>,
     pub service: Option<Arc<dyn RecoverableService>>,
     pub crashed: bool,
 }
@@ -583,13 +583,13 @@ impl ReplicaSlot {
         self.crashed = true;
     }
 
-    /// Raises the kill flag, wakes workers parked on the signal board and
+    /// Raises the kill flag, wakes workers parked on the rendezvous and
     /// joins every thread (shutdown; [`ReplicaSlot::crash`] adds the
     /// bookkeeping).
     pub fn stop(&mut self) {
         self.kill.store(true, Ordering::Relaxed);
-        if let Some(board) = &self.board {
-            board.shutdown();
+        if let Some(rendezvous) = &self.rendezvous {
+            rendezvous.shutdown();
         }
         for t in self.threads.drain(..) {
             let _ = t.join();

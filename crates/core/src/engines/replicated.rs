@@ -326,11 +326,11 @@ impl<T> ReplicatedEngine<T> {
             kill: Arc::clone(&kill),
             hook,
         };
-        let (threads, board) = match &self.executor {
-            Executor::Psmr(map) => {
+        let (threads, rendezvous) = match &self.executor {
+            Executor::Psmr(_) => {
                 let all_group = self.system.all_group();
-                let (threads, board) = psmr::spawn_workers(replica, streams, map, all_group, ctx);
-                (threads, Some(board))
+                let (threads, rendezvous) = psmr::spawn_workers(replica, streams, all_group, ctx);
+                (threads, Some(rendezvous))
             }
             Executor::SpSmr { map, workers } => {
                 let stream = only(streams);
@@ -342,7 +342,7 @@ impl<T> ReplicatedEngine<T> {
         ReplicaSlot {
             threads,
             kill,
-            board,
+            rendezvous,
             service: dyn_service,
             crashed: false,
         }

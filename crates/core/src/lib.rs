@@ -10,8 +10,8 @@
 //!   execution. Each replica runs `k` worker threads; worker `t_i`
 //!   subscribes to multicast groups `g_i` and `g_all` and alternates
 //!   between *parallel mode* (singleton destination sets) and *synchronous
-//!   mode* (multi-group commands synchronized with signals), exactly as in
-//!   Algorithm 1.
+//!   mode* (`g_all` commands, which all `k` workers meet at one rendezvous
+//!   while worker `t_0` executes them), as in Algorithm 1.
 //! * [`engines::SpSmrEngine`] — semi-parallel SMR (sP-SMR, the model of
 //!   CBASE, reference 4 of the paper): a single totally ordered stream, a
 //!   scheduler thread that dispatches independent commands to worker

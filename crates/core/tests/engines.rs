@@ -326,6 +326,80 @@ fn psmr_global_commands_execute_in_isolation() {
     }
 }
 
+/// Each command runs exactly once on every replica: a `g_all` command is
+/// met by all four workers of a replica and executed by one of them, never
+/// by none and never by two.
+#[test]
+fn psmr_global_commands_execute_once_per_replica() {
+    struct Counted {
+        inner: RegisterMap,
+        executed: Arc<AtomicU64>,
+    }
+    impl Service for Counted {
+        fn execute(&self, cmd: CommandId, payload: &[u8]) -> Vec<u8> {
+            self.executed.fetch_add(1, Ordering::SeqCst);
+            self.inner.execute(cmd, payload)
+        }
+    }
+    let counters = Arc::new(parking_lot::Mutex::new(Vec::new()));
+    let engine = {
+        let counters = Arc::clone(&counters);
+        Arc::new(PsmrEngine::spawn(&cfg(4), spec().into_map(), move || {
+            let executed = Arc::new(AtomicU64::new(0));
+            counters.lock().push(Arc::clone(&executed));
+            Counted {
+                inner: RegisterMap::new(),
+                executed,
+            }
+        }))
+    };
+    const CLIENTS: u64 = 3;
+    const PER_CLIENT: u64 = 60;
+    let mut handles = Vec::new();
+    for c in 0..CLIENTS {
+        let engine = Arc::clone(&engine);
+        handles.push(std::thread::spawn(move || {
+            let mut client = engine.client();
+            for i in 0..PER_CLIENT {
+                if i % 3 == 2 {
+                    client.execute(SNAPSHOT, key_payload(0));
+                } else {
+                    client.execute(WRITE, write_payload((c * 17 + i) % 8, i));
+                }
+            }
+        }));
+    }
+    for h in handles {
+        h.join().unwrap();
+    }
+    // A client returns on the first response, so the other replica may
+    // still be catching up: wait for it, then give a double execution the
+    // chance to show.
+    let submitted = CLIENTS * PER_CLIENT;
+    let counters: Vec<Arc<AtomicU64>> = counters.lock().clone();
+    assert_eq!(counters.len(), 2, "one service per replica");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while counters
+        .iter()
+        .any(|c| c.load(Ordering::SeqCst) < submitted)
+        && Instant::now() < deadline
+    {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    std::thread::sleep(Duration::from_millis(50));
+    for (replica, c) in counters.iter().enumerate() {
+        assert_eq!(
+            c.load(Ordering::SeqCst),
+            submitted,
+            "replica {replica} executions vs submitted commands"
+        );
+    }
+    match Arc::try_unwrap(engine) {
+        Ok(engine) => engine.shutdown(),
+        Err(_) => panic!("clients still hold the engine"),
+    }
+}
+
 /// The windowed client interface sustains many outstanding commands, as the
 /// paper's closed-loop clients do (window of 50).
 #[test]

@@ -9,8 +9,7 @@ use psmr_common::runtime::{recv_timeout_via, Clock, Runtime};
 use psmr_common::{trace, SystemConfig};
 use psmr_netsim::live::LiveNet;
 use psmr_paxos::runtime::{
-    acceptor_node, DurabilityHub, GroupHandle, NetMsg, Pacing, PaxosGroup, RoundLink, WalMode,
-    WalSyncer,
+    acceptor_node, DurabilityHub, GroupHandle, Pacing, PaxosGroup, RoundLink, WalMode, WalSyncer,
 };
 use psmr_recovery::{RecoveryError, StreamCut};
 use psmr_wal::{Wal, WalOptions};
@@ -92,7 +91,10 @@ fn deployment_syncer(cfg: &SystemConfig, rt: &Runtime) -> Option<Arc<WalSyncer>>
 ///
 /// The C-G functions of the paper produce either a singleton (independent
 /// command → parallel mode) or the set of all groups (dependent command →
-/// synchronous mode); arbitrary subsets are supported for completeness.
+/// synchronous mode), and those are the only sets this type builds.
+/// [`MulticastHandle::multicast`] routes any set larger than one group
+/// through `g_all`, where every worker of a replica meets: a strict subset
+/// would be over-synchronized there, which is conservative but correct.
 ///
 /// # Example
 ///
@@ -123,22 +125,6 @@ impl Destinations {
         Self {
             groups: (0..k).map(GroupId::new).collect(),
         }
-    }
-
-    /// An arbitrary destination set.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `groups` is empty: every command has at least one
-    /// destination.
-    pub fn some(mut groups: Vec<GroupId>) -> Self {
-        assert!(
-            !groups.is_empty(),
-            "a command needs at least one destination group"
-        );
-        groups.sort_unstable();
-        groups.dedup();
-        Self { groups }
     }
 
     /// Whether the command involves exactly one group (parallel mode).
@@ -186,7 +172,8 @@ pub struct MulticastSystem {
 }
 
 /// Read-side of a pipelined deployment's durability state: per-group
-/// watermarks plus the hub a response-holdback thread parks on.
+/// watermarks plus the hook the WAL sync thread calls after each
+/// watermark advance (which the response holdback drains from).
 /// Cloneable; obtained from [`MulticastSystem::durability`].
 #[derive(Debug, Clone)]
 pub struct DurabilityView {
@@ -203,17 +190,6 @@ impl DurabilityView {
     /// Panics if `group` is outside the deployment's layout.
     pub fn durable_seq(&self, group: GroupId) -> u64 {
         self.handles[group.as_raw()].durable_seq()
-    }
-
-    /// Current hub version (see [`DurabilityView::wait_past`]).
-    pub fn version(&self) -> u64 {
-        self.hub.version()
-    }
-
-    /// Parks until any group's watermark advances past the version
-    /// `seen` (or `timeout` elapses); returns the version observed.
-    pub fn wait_past(&self, seen: u64, timeout: Duration) -> u64 {
-        self.hub.wait_past(seen, timeout)
     }
 
     /// Installs (or clears) the callback the sync thread runs inline
@@ -666,16 +642,6 @@ impl MulticastSystem {
         }))
     }
 
-    /// The live network of one group, for fault injection (crashing
-    /// acceptors, degrading links) at the engine level.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `group` is outside the configured layout.
-    pub fn group_net(&self, group: GroupId) -> LiveNet<NetMsg> {
-        self.groups[group.as_raw()].net()
-    }
-
     /// Crash-stops acceptor `acceptor` of `group` (f = 1 of the paper's
     /// 3-acceptor instances keeps committing with the majority).
     ///
@@ -822,19 +788,6 @@ mod tests {
         assert_eq!(d.executor(), GroupId::new(0));
         assert!(d.contains(GroupId::new(2)));
         assert!(!d.contains(GroupId::new(4)));
-    }
-
-    #[test]
-    fn destinations_some_sorts_and_dedups() {
-        let d = Destinations::some(vec![GroupId::new(2), GroupId::new(0), GroupId::new(2)]);
-        assert_eq!(d.groups(), &[GroupId::new(0), GroupId::new(2)]);
-        assert_eq!(d.executor(), GroupId::new(0));
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one destination")]
-    fn empty_destinations_rejected() {
-        let _ = Destinations::some(Vec::new());
     }
 
     /// A deployment whose idle skip round comes only every `idle`.

@@ -20,8 +20,8 @@ fn cfg(mpl: usize) -> SystemConfig {
 
 /// The reserved CHECKPOINT command is `Global` under both services'
 /// C-Dep, though neither declares it, so the P-SMR client sink sends it
-/// on `g_all` and every worker derives all groups for it at delivery:
-/// the whole replica quiesces at the checkpoint's cut.
+/// on `g_all`, whose destination set is all groups: the whole replica
+/// quiesces at the checkpoint's cut.
 #[test]
 fn checkpoint_is_global_under_every_service_c_dep() {
     use psmr_suite::core::CommandClass;
@@ -32,8 +32,7 @@ fn checkpoint_is_global_under_every_service_c_dep() {
     ] {
         assert_eq!(map.class(CHECKPOINT), CommandClass::Global);
         for mpl in [1, 2, 4] {
-            let all_group = SystemConfig::new(mpl).all_group();
-            let dests = map.destinations_at(CHECKPOINT, &[], mpl, all_group);
+            let dests = map.destinations(CHECKPOINT, &[], mpl);
             assert_eq!(dests.groups().len(), mpl, "all groups at mpl {mpl}");
         }
     }
