@@ -67,8 +67,8 @@ id_newtype!(
     ///
     /// The multiprogramming level (MPL) of the system is the number of
     /// worker identifiers in use. In P-SMR the *i*-th worker of every
-    /// replica belongs to group `g_i`, which is why a [`WorkerId`] converts
-    /// into a [`GroupId`] (see [`GroupId::from`]).
+    /// replica delivers group `g_i` (the [`GroupId`] with the same raw
+    /// value) merged with `g_all`.
     WorkerId, usize, "t"
 );
 id_newtype!(
@@ -83,24 +83,6 @@ id_newtype!(
     /// [`RequestId`]) is globally unique.
     RequestId, u64, "r"
 );
-
-impl From<WorkerId> for GroupId {
-    /// The canonical worker→group assignment of P-SMR: worker `t_i`
-    /// subscribes to group `g_i`.
-    fn from(worker: WorkerId) -> Self {
-        GroupId::new(worker.as_raw())
-    }
-}
-
-impl GroupId {
-    /// Returns the worker thread this per-worker group belongs to.
-    ///
-    /// Only meaningful for the per-worker groups `g_1..g_k`; the caller is
-    /// responsible for not applying this to `g_all`-style groups.
-    pub const fn worker(self) -> WorkerId {
-        WorkerId::new(self.0)
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -125,14 +107,6 @@ mod tests {
         assert_eq!(WorkerId::new(8).to_string(), "t8");
         assert_eq!(CommandId::new(2).to_string(), "cmd2");
         assert_eq!(RequestId::new(3).to_string(), "r3");
-    }
-
-    #[test]
-    fn worker_and_group_convert_both_ways() {
-        let w = WorkerId::new(5);
-        let g = GroupId::from(w);
-        assert_eq!(g, GroupId::new(5));
-        assert_eq!(g.worker(), w);
     }
 
     #[test]

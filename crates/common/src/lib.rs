@@ -32,7 +32,8 @@
 //!
 //! let worker = WorkerId::new(3);
 //! // In P-SMR the i-th worker of every replica subscribes to group g_i.
-//! assert_eq!(GroupId::from(worker), GroupId::new(3));
+//! let group = GroupId::new(worker.as_raw());
+//! assert_eq!((worker.to_string(), group.to_string()), ("t3".into(), "g3".into()));
 //! ```
 
 pub mod config;

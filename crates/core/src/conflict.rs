@@ -318,7 +318,7 @@ mod tests {
                             let da = fine.destinations(ca, &pa, mpl);
                             let db = fine.destinations(cb, &pb, mpl);
                             assert!(
-                                da.groups().iter().any(|g| db.contains(*g)),
+                                da.groups().iter().any(|g| db.groups().contains(g)),
                                 "{ca}({ka}) and {cb}({kb}) dependent but disjoint at mpl {mpl}"
                             );
                         }

@@ -10,12 +10,12 @@
 //! keeps the worker threads `t_i` of different replicas consistent.
 //!
 //! This is the deterministic merge of Multi-Ring Paxos (reference 9 of the paper),
-//! with the skip mechanism supplied by the deployment's shared round clock
-//! ([`psmr_paxos::runtime::Pacing::Rounds`]): every group closes one round
-//! per tick, so the merge never waits on a stream that has fallen behind.
-//! Ticks are demand-driven — the next round fires once the previous one
-//! closed everywhere and was taken by every merge (see
-//! [`MergedStream::with_progress`]) and a command is queued — and an idle
+//! with the skip mechanism supplied by the deployment's one ordering
+//! thread ([`psmr_paxos::runtime::LockstepGroups`]): every fire closes one
+//! round on every group, so the merge never waits on a stream that has
+//! fallen behind. Fires are demand-driven — the next round fires once the
+//! previous one is decided everywhere, every merge took the one before it
+//! (see [`MergedStream::with_progress`]) and a command is queued — and an idle
 //! deployment closes one skip round per `skip_interval`, so a command
 //! waits for one round to be decided, not for a timer.
 
@@ -72,8 +72,8 @@ pub struct MergedStream {
     /// injected scheduler can skew one replica's worker against
     /// another's, which is where ordering bugs hide.
     sched: Arc<dyn Scheduler>,
-    /// Doorbell of the deployment's round clock, rung each time a batch
-    /// is taken out of a delivery ring (see [`MergedStream::with_progress`]).
+    /// Doorbell of the deployment's ordering thread, rung each time this
+    /// merge took a whole round (see [`MergedStream::with_progress`]).
     progress: Option<Sender<()>>,
 }
 
@@ -127,8 +127,10 @@ impl MergedStream {
     }
 
     /// Rings `doorbell` (a `bounded(1)` channel; rings merge) each time
-    /// this merge takes a batch out of a delivery ring. A round clock that
-    /// holds the next round while consumers are behind parks on it.
+    /// this merge took a round's batch out of every one of its delivery
+    /// rings. An ordering thread that holds the next round while
+    /// consumers are behind parks on it; a batch taken mid-round cannot
+    /// release that round, so it does not ring.
     pub fn with_progress(mut self, doorbell: Sender<()>) -> Self {
         self.progress = Some(doorbell);
         self
@@ -193,9 +195,6 @@ impl MergedStream {
     /// Queues the commands of `batch` (arriving from stream `group`),
     /// honouring a pending resume cut, and advances the round-robin.
     fn admit(&mut self, group: GroupId, batch: &DecidedBatch) {
-        if let Some(doorbell) = &self.progress {
-            let _ = doorbell.try_send(());
-        }
         if batch.is_skip() {
             self.skipped_batches += 1;
         }
@@ -218,6 +217,9 @@ impl MergedStream {
         if self.cursor == self.streams.len() {
             self.cursor = 0;
             self.round += 1;
+            if let Some(doorbell) = &self.progress {
+                let _ = doorbell.try_send(());
+            }
         }
     }
 

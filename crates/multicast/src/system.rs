@@ -2,20 +2,17 @@
 
 use crate::merge::MergedStream;
 use bytes::Bytes;
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use psmr_common::ids::{GroupId, WorkerId};
 use psmr_common::metrics::{global, histograms};
-use psmr_common::runtime::{recv_timeout_via, Clock, Runtime};
+use psmr_common::runtime::Runtime;
 use psmr_common::{trace, SystemConfig};
 use psmr_netsim::live::LiveNet;
 use psmr_paxos::runtime::{
-    acceptor_node, DurabilityHub, GroupHandle, Pacing, PaxosGroup, RoundLink, WalMode, WalSyncer,
+    acceptor_node, DurabilityHub, GroupHandle, LockstepGroups, PaxosGroup, WalMode, WalSyncer,
 };
 use psmr_recovery::{RecoveryError, StreamCut};
 use psmr_wal::{Wal, WalOptions};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Size at which a group's write-ahead log rotates to a fresh segment
@@ -137,11 +134,6 @@ impl Destinations {
         &self.groups
     }
 
-    /// Whether the given group is a destination.
-    pub fn contains(&self, group: GroupId) -> bool {
-        self.groups.binary_search(&group).is_ok()
-    }
-
     /// The deterministically elected executor group: `min{j : g_j ∈ γ}`
     /// (Algorithm 1, line 16).
     pub fn executor(&self) -> GroupId {
@@ -155,14 +147,9 @@ impl Destinations {
 /// See the [crate-level example](crate).
 #[derive(Debug)]
 pub struct MulticastSystem {
-    groups: Vec<PaxosGroup>,
-    /// The shared round clock of the deployment (absent for single-stream
-    /// layouts): one thread whose every tick closes one round on every
-    /// group, so all streams advance in lockstep. It fires the next round
-    /// as soon as the previous one closed on every group (and every worker
-    /// stream took it) and some group has a queued submission; an idle
-    /// deployment gets one skip round per `cfg.skip_interval`.
-    ticker: Option<TickerHandle>,
+    groups: Vec<GroupHandle>,
+    /// The thread that orders the groups.
+    orderer: Orderer,
     /// Shared WAL sync thread of a pipelined (`cfg.wal_pipeline`)
     /// deployment.
     syncer: Option<Arc<WalSyncer>>,
@@ -200,103 +187,22 @@ impl DurabilityView {
     }
 }
 
+/// Who orders a deployment's groups.
 #[derive(Debug)]
-struct TickerHandle {
-    ctl: Arc<RoundControl>,
-    thread: Option<JoinHandle<()>>,
+enum Orderer {
+    /// The single layout: one traffic-driven group on its coordinator.
+    Single(PaxosGroup),
+    /// The P-SMR layout: every group closes one round per fire, all on one
+    /// `order-rounds` thread, so all streams advance in lockstep (see
+    /// [`LockstepGroups`] for the fire rule).
+    Rounds(LockstepGroups),
 }
 
-impl TickerHandle {
-    /// Stops the round clock and joins it.
-    fn stop(mut self) {
-        self.ctl.run.store(false, Ordering::Relaxed);
-        self.ctl.ring();
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
-/// What the deployment shares with its round-clock thread: the run and
-/// start gates plus the two doorbells the clock parks on, rung to make it
-/// re-check its conditions.
-#[derive(Debug)]
-struct RoundControl {
-    run: AtomicBool,
-    started: AtomicBool,
-    /// Rung by every submission ([`RoundLink::demand`]).
-    demand: Sender<()>,
-    /// Rung by every group after each delivered round
-    /// ([`RoundLink::closed`]) and by every worker stream after it took a
-    /// batch out of its delivery ring ([`MergedStream::with_progress`]).
-    closed: Sender<()>,
-}
-
-impl RoundControl {
-    fn ring(&self) {
-        let _ = self.demand.try_send(());
-        let _ = self.closed.try_send(());
-    }
-}
-
-/// The round clock. One round is in flight at a time, end to end: round
-/// `r + 1` fires once round `r` closed on every group and every worker
-/// stream took it out of its delivery ring, and then as soon as some group
-/// has a queued submission — or once `idle` has passed since round `r`
-/// fired: the idle skip round, which also bounds how long a consumer that
-/// stopped reading can hold rounds back. Everything submitted while round
-/// `r` is decided and handed out rides in round `r + 1`, so under load
-/// rounds grow instead of multiplying. All waits park on a doorbell
-/// through the injected `clock`.
-///
-/// Precondition: every group keeps closing rounds, i.e. keeps an acceptor
-/// majority (the `f = 1` fault model). The clock waits for round `r` on
-/// every group before firing `r + 1`, so a group that never decides again
-/// stops the clock for all groups, including workers whose merges do not
-/// read the stalled stream. There is no idle fallback for that case: ticking
-/// only the groups that caught up would break the lockstep the merge needs.
-fn round_clock_main(
-    ctl: &RoundControl,
-    groups: &[GroupHandle],
-    ticks: &[Sender<u64>],
-    demand: &Receiver<()>,
-    closed: &Receiver<()>,
-    clock: &dyn Clock,
-    idle: Duration,
-) {
-    // Park until start (or shutdown); both ring the demand doorbell.
-    while !ctl.started.load(Ordering::Acquire) {
-        if !ctl.run.load(Ordering::Relaxed) || demand.recv().is_err() {
-            return;
-        }
-    }
-    let mut fired = 0u64;
-    let mut fired_at = clock.now();
-    while ctl.run.load(Ordering::Relaxed) {
-        let since = clock.now().saturating_duration_since(fired_at);
-        if groups.iter().any(|g| g.decided_count() < fired) {
-            let _ = recv_timeout_via(clock, closed, idle);
-            continue;
-        }
-        if since < idle && groups.iter().any(|g| g.backlog() > 0) {
-            let _ = recv_timeout_via(clock, closed, idle - since);
-            continue;
-        }
-        // Take a pending demand ring before looking at the queues: a
-        // submission that lands after the look rings again. The ring
-        // taken may be the stop's, so look at the run gate again too.
-        let _ = demand.try_recv();
-        if !ctl.run.load(Ordering::Relaxed) {
-            return;
-        }
-        if since < idle && groups.iter().all(|g| g.queued() == 0) {
-            let _ = recv_timeout_via(clock, demand, idle - since);
-            continue;
-        }
-        fired += 1;
-        fired_at = clock.now();
-        for tx in ticks {
-            let _ = tx.send(fired);
+impl Orderer {
+    fn shutdown(self) {
+        match self {
+            Orderer::Single(group) => group.shutdown(),
+            Orderer::Rounds(groups) => groups.shutdown(),
         }
     }
 }
@@ -320,11 +226,11 @@ pub struct MulticastHandle {
 
 impl MulticastSystem {
     /// Spawns the P-SMR group layout: `k` per-worker groups plus `g_all`
-    /// (index `k`), where `k = cfg.mpl`, all round-paced by one shared
-    /// round clock: a submission to any group fires the next round on
-    /// every group as soon as the previous round closed everywhere, and an
-    /// idle deployment closes one skip round per `cfg.skip_interval`.
-    /// With `cfg.wal_dir` set, every
+    /// (index `k`), where `k = cfg.mpl`, all round-paced by one
+    /// `order-rounds` thread ([`LockstepGroups`]): a submission to any
+    /// group fires the next round on every group as soon as the previous
+    /// round is decided everywhere, and an idle deployment closes one skip
+    /// round per `cfg.skip_interval`. With `cfg.wal_dir` set, every
     /// group's decided stream is additionally appended to a durable
     /// write-ahead log under `<wal_dir>/g<gid>`, and a spawn over a
     /// directory a previous incarnation wrote **continues** the old
@@ -342,7 +248,7 @@ impl MulticastSystem {
     }
 
     /// Like [`MulticastSystem::spawn`], but every nondeterministic
-    /// decision of the deployment — the shared round clock, WAL sync
+    /// decision of the deployment — the round pacing, WAL sync
     /// pacing, fault delays, fan-out — steps on the injected `rt`
     /// instead of real time and FIFO scheduling. The `psmr-sim`
     /// exploration harness enters through here.
@@ -355,53 +261,13 @@ impl MulticastSystem {
             .unwrap_or_else(|e| panic!("invalid SystemConfig: {e}"));
         trace::global().set_sample(cfg.trace_sample);
         let syncer = deployment_syncer(cfg, &rt);
-        let (demand, demand_rx) = bounded(1);
-        let (closed, closed_rx) = bounded(1);
-        let mut tick_txs = Vec::with_capacity(cfg.group_count());
-        let groups: Vec<PaxosGroup> = (0..cfg.group_count())
-            .map(|gid| {
-                let (tx, ticks) = unbounded();
-                tick_txs.push(tx);
-                let link = RoundLink {
-                    ticks,
-                    demand: demand.clone(),
-                    closed: closed.clone(),
-                };
-                PaxosGroup::spawn_with_wal_mode(
-                    gid,
-                    cfg,
-                    LiveNet::with_runtime(rt.clone()),
-                    Pacing::Rounds(link),
-                    group_wal_mode(cfg, gid, &syncer, &rt),
-                )
-            })
+        let modes = (0..cfg.group_count())
+            .map(|gid| group_wal_mode(cfg, gid, &syncer, &rt))
             .collect();
-        let ctl = Arc::new(RoundControl {
-            run: AtomicBool::new(true),
-            started: AtomicBool::new(false),
-            demand,
-            closed,
-        });
-        let thread = {
-            let ctl = Arc::clone(&ctl);
-            let handles: Vec<GroupHandle> = groups.iter().map(|g| g.handle()).collect();
-            let clock = Arc::clone(&rt.clock);
-            let idle = cfg.skip_interval;
-            std::thread::Builder::new()
-                .name("mcast-ticker".into())
-                .spawn(move || {
-                    round_clock_main(
-                        &ctl, &handles, &tick_txs, &demand_rx, &closed_rx, &*clock, idle,
-                    );
-                })
-                .expect("spawn multicast ticker")
-        };
+        let groups = LockstepGroups::spawn(cfg, &rt, modes);
         Self {
-            groups,
-            ticker: Some(TickerHandle {
-                ctl,
-                thread: Some(thread),
-            }),
+            groups: groups.handles().to_vec(),
+            orderer: Orderer::Rounds(groups),
             syncer,
             rt,
         }
@@ -432,16 +298,15 @@ impl MulticastSystem {
             .unwrap_or_else(|e| panic!("invalid SystemConfig: {e}"));
         trace::global().set_sample(cfg.trace_sample);
         let syncer = deployment_syncer(cfg, &rt);
-        let groups = vec![PaxosGroup::spawn_with_wal_mode(
+        let group = PaxosGroup::spawn_with_wal_mode(
             0,
             cfg,
             LiveNet::with_runtime(rt.clone()),
-            Pacing::Batched,
             group_wal_mode(cfg, 0, &syncer, &rt),
-        )];
+        );
         Self {
-            groups,
-            ticker: None,
+            groups: vec![group.handle()],
+            orderer: Orderer::Single(group),
             syncer,
             rt,
         }
@@ -457,7 +322,7 @@ impl MulticastSystem {
     /// the engines' response-holdback gates read watermarks from.
     pub fn durability(&self) -> Option<DurabilityView> {
         self.syncer.as_ref().map(|syncer| DurabilityView {
-            handles: self.groups.iter().map(|g| g.handle()).collect(),
+            handles: self.groups.clone(),
             hub: Arc::clone(syncer.hub()),
         })
     }
@@ -468,7 +333,7 @@ impl MulticastSystem {
     /// non-pipelined deployments.
     pub fn hold_wal_sync(&self, hold: bool) {
         for g in &self.groups {
-            g.handle().hold_wal_sync(hold);
+            g.hold_wal_sync(hold);
         }
     }
 
@@ -478,19 +343,12 @@ impl MulticastSystem {
     /// the group-commit windows open (a plain [`MulticastSystem::shutdown`]
     /// would flush those windows first, silently turning the scenario
     /// into a clean shutdown). Returns the total records discarded.
-    pub fn shutdown_power_fail(mut self) -> u64 {
-        let handles: Vec<GroupHandle> = self.groups.iter().map(|g| g.handle()).collect();
-        if let Some(ticker) = self.ticker.take() {
-            ticker.stop();
-        }
-        let syncer = self.syncer.take();
-        for g in self.groups {
-            g.shutdown();
-        }
-        if let Some(syncer) = syncer {
+    pub fn shutdown_power_fail(self) -> u64 {
+        self.orderer.shutdown();
+        if let Some(syncer) = self.syncer {
             syncer.abort();
         }
-        handles.iter().map(|h| h.power_fail()).sum()
+        self.groups.iter().map(|h| h.power_fail()).sum()
     }
 
     /// Number of groups this layout runs: `mpl + 1` for P-SMR, 1 for the
@@ -508,19 +366,19 @@ impl MulticastSystem {
     /// Returns a cloneable multicast handle for client proxies.
     pub fn handle(&self) -> MulticastHandle {
         MulticastHandle {
-            handles: self.groups.iter().map(|g| g.handle()).collect(),
+            handles: self.groups.clone(),
         }
     }
 
     /// Steps a new merge on the deployment's injected clock and scheduler
-    /// and, on a round-paced layout, wires it to the round clock.
+    /// and, on a round-paced layout, wires it to the ordering thread.
     fn attach(&self, stream: MergedStream) -> MergedStream {
         let stream = stream
             .with_clock(Arc::clone(&self.rt.clock))
             .with_sched(Arc::clone(&self.rt.sched));
-        match &self.ticker {
-            Some(ticker) => stream.with_progress(ticker.ctl.closed.clone()),
-            None => stream,
+        match &self.orderer {
+            Orderer::Rounds(groups) => stream.with_progress(groups.doorbell()),
+            Orderer::Single(_) => stream,
         }
     }
 
@@ -624,16 +482,17 @@ impl MulticastSystem {
                 Position::Start => Some(1),
             };
             let paxos = &self.groups[group.as_raw()];
-            let rx =
-                match from {
-                    None => paxos.subscribe(),
-                    Some(from) => paxos.handle().subscribe_from(from).map_err(|_| {
-                        RecoveryError::LogTrimmed {
+            let rx = match from {
+                None => paxos.subscribe(),
+                Some(from) => {
+                    paxos
+                        .subscribe_from(from)
+                        .map_err(|_| RecoveryError::LogTrimmed {
                             group,
                             needed: from,
-                        }
-                    })?,
-                };
+                        })?
+                }
+            };
             subs.push((group, rx));
         }
         Ok(self.attach(match at {
@@ -659,7 +518,7 @@ impl MulticastSystem {
     ///
     /// Panics if `group` is outside the configured layout.
     pub fn retained_len(&self, group: GroupId) -> usize {
-        self.groups[group.as_raw()].handle().retained_len()
+        self.groups[group.as_raw()].retained_len()
     }
 
     /// Sequence number `group`'s stream will assign next — monotonic
@@ -670,33 +529,23 @@ impl MulticastSystem {
     ///
     /// Panics if `group` is outside the configured layout.
     pub fn next_seq(&self, group: GroupId) -> u64 {
-        self.groups[group.as_raw()].handle().next_seq()
+        self.groups[group.as_raw()].next_seq()
     }
 
-    /// Starts every group (and the shared round clock). Call once all
-    /// worker streams / subscriptions have been created; before the start
-    /// no batches (or skip rounds) flow.
+    /// Starts every group. Call once all worker streams / subscriptions
+    /// have been created; before the start no batches (or skip rounds)
+    /// flow.
     pub fn start(&self) {
         for g in &self.groups {
             g.start();
         }
-        if let Some(ticker) = &self.ticker {
-            ticker.ctl.started.store(true, Ordering::Release);
-            ticker.ctl.ring();
-        }
     }
 
-    /// Shuts down every group and joins their threads (the shared WAL
-    /// syncer, if any, flushes its open windows and stops last).
-    pub fn shutdown(mut self) {
-        if let Some(ticker) = self.ticker.take() {
-            ticker.stop();
-        }
-        let syncer = self.syncer.take();
-        for g in self.groups {
-            g.shutdown();
-        }
-        if let Some(syncer) = syncer {
+    /// Shuts down every group and joins the ordering thread (the shared
+    /// WAL syncer, if any, flushes its open windows and stops last).
+    pub fn shutdown(self) {
+        self.orderer.shutdown();
+        if let Some(syncer) = self.syncer {
             syncer.stop();
         }
     }
@@ -786,8 +635,6 @@ mod tests {
         let d = Destinations::all(4);
         assert!(!d.is_singleton());
         assert_eq!(d.executor(), GroupId::new(0));
-        assert!(d.contains(GroupId::new(2)));
-        assert!(!d.contains(GroupId::new(4)));
     }
 
     /// A deployment whose idle skip round comes only every `idle`.

@@ -21,7 +21,7 @@ use psmr_net::codec::{decode_paxos, encode_paxos};
 use psmr_net::frame::{encode_frame, FrameDecoder};
 use psmr_net::{bridge, ClusterConfig, LinkChaos, NodeSpec, TcpMesh};
 use psmr_netsim::{LiveNet, NodeId};
-use psmr_paxos::runtime::{coordinator_node, Pacing, PaxosGroup, RemoteAcceptor, WalMode};
+use psmr_paxos::runtime::{coordinator_node, PaxosGroup, RemoteAcceptor, WalMode};
 use psmr_paxos::NetMsg;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -355,14 +355,7 @@ fn bridged_paxos_round_trip_decides_without_bridge_threads() {
     }
     let mut cfg = SystemConfig::new(1);
     cfg.acceptors(2);
-    let group = PaxosGroup::spawn_hosted(
-        0,
-        &cfg,
-        nets[0].clone(),
-        Pacing::Batched,
-        WalMode::None,
-        &[0],
-    );
+    let group = PaxosGroup::spawn_hosted(0, &cfg, nets[0].clone(), WalMode::None, &[0]);
     let acceptor = RemoteAcceptor::spawn(0, 1, nets[1].clone());
     let decided = group.subscribe();
     group.start();

@@ -46,7 +46,7 @@ use psmr_net::frame::encode_frame;
 use psmr_net::{bridge, ClusterConfig, TcpMesh};
 use psmr_netsim::{LiveNet, NodeId};
 use psmr_paxos::runtime::{
-    coordinator_node, GroupHandle, Pacing, PaxosGroup, RemoteAcceptor, SubscribeError, WalMode,
+    coordinator_node, GroupHandle, PaxosGroup, RemoteAcceptor, SubscribeError, WalMode,
 };
 use psmr_paxos::NetMsg;
 use psmr_recovery::{
@@ -450,7 +450,6 @@ pub fn run_node(
             0,
             &cfg,
             paxos_net.clone(),
-            Pacing::Batched,
             WalMode::Inline(Arc::new(wal)),
             &[0],
         );

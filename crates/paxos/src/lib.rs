@@ -15,8 +15,11 @@
 //!   crash): the ones sharing its process vote inline on that thread, the
 //!   others are reached through a [`psmr_netsim::live::LiveNet`]. It
 //!   batches submitted commands up to 8 KB (§VI-A), pipelines instances,
-//!   and delivers decided batches to subscribers in instance order. One `PaxosGroup` backs one multicast
-//!   group/stream in `psmr-multicast`.
+//!   and delivers decided batches to subscribers in instance order: the
+//!   single stream of SMR and sP-SMR. [`runtime::LockstepGroups`] runs
+//!   the groups of a P-SMR deployment, every acceptor inline, on one
+//!   `order-rounds` thread that closes one round on every group per fire,
+//!   so the streams `psmr-multicast` merges advance in lockstep.
 //!
 //! # Example: deciding a value through the threaded runtime
 //!
@@ -44,4 +47,6 @@ pub mod runtime;
 
 pub use ballot::Ballot;
 pub use msg::{Instance, PaxosMsg};
-pub use runtime::{Batch, DecidedBatch, GroupHandle, NetMsg, PaxosGroup, SubscribeError};
+pub use runtime::{
+    Batch, DecidedBatch, GroupHandle, LockstepGroups, NetMsg, PaxosGroup, SubscribeError,
+};

@@ -16,19 +16,19 @@
 //! `Decide`). Subscribers are the per-replica worker threads of the
 //! replication engines in `psmr-core`.
 //!
-//! **Pacing.** Streams that are merged with others run round-paced
-//! ([`Pacing::Rounds`]): every group of a deployment closes exactly one
-//! round (empty = *skip*) per tick of the deployment's round clock, so
-//! all merged streams advance in lockstep, as with the skip messages of
-//! Multi-Ring Paxos. The clock is demand-driven: a submission raises a
-//! demand signal, and the next round fires as soon as the previous one
-//! has closed on every group and been taken by every subscriber, so a
-//! lone command waits for one decide rather than a timer, and everything
-//! that arrives while a round is in flight rides in the next one — rounds
-//! grow with load. Only an
-//! idle deployment is paced by time: one skip round per
-//! `skip_interval`. Stand-alone streams run traffic-driven
-//! ([`Pacing::Batched`]).
+//! **Pacing.** A stand-alone [`PaxosGroup`] is traffic-driven: batches
+//! close when full or after the linger delay. Streams that are merged
+//! with others run round-paced instead ([`LockstepGroups`]): one
+//! `order-rounds` thread owns every group of a deployment and closes
+//! exactly one round (empty = *skip*) on each of them per fire, so all
+//! merged streams advance in lockstep, as with the skip messages of
+//! Multi-Ring Paxos. Fires are demand-driven: the next round fires as
+//! soon as the previous one is decided on every group, every subscriber
+//! took the one before it and some group has a queued command, so a lone
+//! command waits for one decide rather than a timer, and everything that
+//! arrives while a round is in flight rides in the next one — rounds
+//! grow with load. Only an idle deployment is paced by time: one skip
+//! round per `skip_interval`.
 
 use crate::acceptor::Acceptor;
 use crate::msg::{Instance, PaxosMsg};
@@ -37,7 +37,7 @@ use bytes::Bytes;
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
 use parking_lot::Mutex;
 use psmr_common::metrics::{counters, gauges, global};
-use psmr_common::runtime::{recv_timeout_via, ClockHandle, Runtime, SchedulePoint};
+use psmr_common::runtime::{recv_timeout_via, Clock, ClockHandle, Runtime, SchedulePoint};
 use psmr_common::trace::{self, Stage};
 use psmr_common::SystemConfig;
 use psmr_netsim::live::LiveNet;
@@ -80,41 +80,6 @@ impl DecidedBatch {
     pub fn is_skip(&self) -> bool {
         self.commands.is_empty()
     }
-}
-
-/// How the coordinator paces its stream.
-#[derive(Debug)]
-pub enum Pacing {
-    /// Traffic-driven batching: batches close when full or after the
-    /// linger delay; the stream carries only real traffic. For streams
-    /// nobody merges with another (SMR / sP-SMR deployments).
-    Batched,
-    /// Round-paced: the coordinator closes exactly one round (one
-    /// [`DecidedBatch`]) per tick of the deployment's round clock —
-    /// empty when idle, otherwise everything queued when the tick
-    /// arrives — and reports each delivered round back to the clock.
-    /// All groups of a deployment share one clock, so their streams
-    /// advance in lockstep and deterministic merge never drifts (the skip
-    /// mechanism of Multi-Ring Paxos). The clock fires a round on demand
-    /// once the previous one closed everywhere, and an idle skip round
-    /// once per `skip_interval` otherwise.
-    Rounds(RoundLink),
-}
-
-/// The channels between a round-paced group and its deployment's round
-/// clock. The two signals are `bounded(1)` doorbells: repeated rings
-/// while one is pending merge into it, and a ring nobody listens to is
-/// dropped.
-#[derive(Debug)]
-pub struct RoundLink {
-    /// One tick closes one round.
-    pub ticks: Receiver<u64>,
-    /// Rung by [`GroupHandle::submit`]: a command is queued, so the
-    /// clock should fire the next round as soon as the current one
-    /// closed.
-    pub demand: Sender<()>,
-    /// Rung by the coordinator after each round it delivered.
-    pub closed: Sender<()>,
 }
 
 /// Messages exchanged between coordinator and acceptors over the live net.
@@ -506,9 +471,9 @@ struct Inner {
     /// `Submitted` trace stamp covers the channel wait (the proposer loop
     /// can lag behind arrivals, e.g. while an inline-mode fsync runs).
     submit_tx: Sender<(Instant, Bytes)>,
-    /// The round clock's demand doorbell ([`RoundLink::demand`]) of a
-    /// round-paced group, rung after every submission.
-    demand: Option<Sender<()>>,
+    /// The ordering thread's doorbell of a [`LockstepGroups`] member,
+    /// rung after every submission, at the start and at the shutdown.
+    doorbell: Option<Sender<()>>,
     stream: Mutex<StreamState>,
     /// Pipelined-commit state of a [`WalMode::Pipelined`] group, plus
     /// the deployment syncer to nudge after urgent appends.
@@ -530,6 +495,92 @@ struct Inner {
 }
 
 impl Inner {
+    /// A group's shared state, with its stream seeded from the log's
+    /// records (see [`PaxosGroup::spawn_with_wal_mode`]), and the receiving
+    /// end of its submission queue.
+    fn new(
+        group_id: usize,
+        cfg: &SystemConfig,
+        net: &LiveNet<NetMsg>,
+        mode: &WalMode,
+        doorbell: Option<Sender<()>>,
+    ) -> (Arc<Self>, Receiver<(Instant, Bytes)>) {
+        let mut log = VecDeque::new();
+        let mut next_seq = 1;
+        if let Some(wal) = mode.wal() {
+            for record in wal.replay().expect("replay group write-ahead log") {
+                log.push_back(Arc::new(DecidedBatch {
+                    seq: record.seq,
+                    // The replayed commands move straight into the
+                    // retained log — no per-batch deep clone on the
+                    // respawn path.
+                    commands: Arc::new(record.commands),
+                }));
+            }
+            next_seq = wal.next_seq();
+            // Replay must reach the tail: records stopping short mean a
+            // corrupt frame in an earlier segment, and bridging the
+            // hole would rebuild divergent state with no error.
+            let replayed_through = log
+                .back()
+                .map_or(wal.first_seq(), |b: &Arc<DecidedBatch>| b.seq + 1);
+            assert!(
+                replayed_through == next_seq,
+                "write-ahead log of group {group_id} is corrupt mid-stream: \
+                 replay reaches seq {replayed_through}, tail is at {next_seq}"
+            );
+        }
+        let (pipeline, syncer) = match mode {
+            WalMode::Pipelined { wal, syncer } => {
+                let pipeline = Arc::new(Pipeline::new(Arc::clone(wal), group_id));
+                syncer.attach(Arc::clone(&pipeline));
+                (Some(pipeline), Some(Arc::clone(syncer)))
+            }
+            _ => (None, None),
+        };
+        let (submit_tx, submit_rx) = bounded::<(Instant, Bytes)>(16 * 1024);
+        let inner = Arc::new(Inner {
+            submit_tx,
+            doorbell,
+            stream: Mutex::new(StreamState {
+                subscribers: Vec::new(),
+                log,
+                next_seq,
+                retention: cfg.log_retention.max(1),
+                queue_cap: cfg.delivery_queue.max(1),
+                wal: mode.wal().cloned(),
+            }),
+            pipeline,
+            syncer,
+            shutdown: AtomicBool::new(false),
+            started: AtomicBool::new(false),
+            decided: AtomicU64::new(0),
+            rt: net.runtime().clone(),
+            net: net.clone(),
+            group_id,
+        });
+        (inner, submit_rx)
+    }
+
+    fn ring(&self) {
+        if let Some(doorbell) = &self.doorbell {
+            // Full means a ring is already pending: the two merge.
+            let _ = doorbell.try_send(());
+        }
+    }
+
+    /// Decided batches waiting in the fullest subscriber ring: how far
+    /// the slowest consumer of this stream is behind its delivery.
+    fn backlog(&self) -> usize {
+        let stream = self.stream.lock();
+        stream
+            .subscribers
+            .iter()
+            .map(|s| s.len())
+            .max()
+            .unwrap_or(0)
+    }
+
     /// Appends a decided batch to the log (durably, when a WAL is
     /// attached) and fans it out to every subscriber.
     ///
@@ -663,20 +714,15 @@ pub fn acceptor_node(group_id: usize, i: usize) -> NodeId {
 impl PaxosGroup {
     /// Spawns a traffic-driven group with its own private network.
     pub fn spawn(group_id: usize, cfg: &SystemConfig) -> Self {
-        Self::spawn_with(group_id, cfg, LiveNet::new(), Pacing::Batched)
+        Self::spawn_with(group_id, cfg, LiveNet::new())
     }
 
-    /// Spawns a group on the given network with the given skip policy.
+    /// Spawns a group on the given network.
     ///
     /// Tests pass a shared [`LiveNet`] here so they can crash acceptors or
     /// inject link faults while the group runs.
-    pub fn spawn_with(
-        group_id: usize,
-        cfg: &SystemConfig,
-        net: LiveNet<NetMsg>,
-        pacing: Pacing,
-    ) -> Self {
-        Self::spawn_with_wal(group_id, cfg, net, pacing, None)
+    pub fn spawn_with(group_id: usize, cfg: &SystemConfig, net: LiveNet<NetMsg>) -> Self {
+        Self::spawn_with_wal(group_id, cfg, net, None)
     }
 
     /// Like [`PaxosGroup::spawn_with`], additionally attaching a durable
@@ -690,14 +736,13 @@ impl PaxosGroup {
         group_id: usize,
         cfg: &SystemConfig,
         net: LiveNet<NetMsg>,
-        pacing: Pacing,
         wal: Option<Arc<Wal>>,
     ) -> Self {
         let mode = match wal {
             Some(wal) => WalMode::Inline(wal),
             None => WalMode::None,
         };
-        Self::spawn_with_wal_mode(group_id, cfg, net, pacing, mode)
+        Self::spawn_with_wal_mode(group_id, cfg, net, mode)
     }
 
     /// Spawns a group with the given durable-log mode. Every decided
@@ -721,11 +766,10 @@ impl PaxosGroup {
         group_id: usize,
         cfg: &SystemConfig,
         net: LiveNet<NetMsg>,
-        pacing: Pacing,
         mode: WalMode,
     ) -> Self {
         let all: Vec<usize> = (0..cfg.n_acceptors).collect();
-        Self::spawn_hosted(group_id, cfg, net, pacing, mode, &all)
+        Self::spawn_hosted(group_id, cfg, net, mode, &all)
     }
 
     /// Like [`PaxosGroup::spawn_with_wal_mode`], but hosts only the
@@ -750,69 +794,10 @@ impl PaxosGroup {
         group_id: usize,
         cfg: &SystemConfig,
         net: LiveNet<NetMsg>,
-        pacing: Pacing,
         mode: WalMode,
         local_acceptors: &[usize],
     ) -> Self {
-        let mut log = VecDeque::new();
-        let mut next_seq = 1;
-        if let Some(wal) = mode.wal() {
-            for record in wal.replay().expect("replay group write-ahead log") {
-                log.push_back(Arc::new(DecidedBatch {
-                    seq: record.seq,
-                    // The replayed commands move straight into the
-                    // retained log — no per-batch deep clone on the
-                    // respawn path.
-                    commands: Arc::new(record.commands),
-                }));
-            }
-            next_seq = wal.next_seq();
-            // Replay must reach the tail: records stopping short mean a
-            // corrupt frame in an earlier segment, and bridging the
-            // hole would rebuild divergent state with no error.
-            let replayed_through = log
-                .back()
-                .map_or(wal.first_seq(), |b: &Arc<DecidedBatch>| b.seq + 1);
-            assert!(
-                replayed_through == next_seq,
-                "write-ahead log of group {group_id} is corrupt mid-stream: \
-                 replay reaches seq {replayed_through}, tail is at {next_seq}"
-            );
-        }
-        let (pipeline, syncer) = match &mode {
-            WalMode::Pipelined { wal, syncer } => {
-                let pipeline = Arc::new(Pipeline::new(Arc::clone(wal), group_id));
-                syncer.attach(Arc::clone(&pipeline));
-                (Some(pipeline), Some(Arc::clone(syncer)))
-            }
-            _ => (None, None),
-        };
-        let (submit_tx, submit_rx) = bounded::<(Instant, Bytes)>(16 * 1024);
-        let demand = match &pacing {
-            Pacing::Rounds(link) => Some(link.demand.clone()),
-            Pacing::Batched => None,
-        };
-        let inner = Arc::new(Inner {
-            submit_tx,
-            demand,
-            stream: Mutex::new(StreamState {
-                subscribers: Vec::new(),
-                log,
-                next_seq,
-                retention: cfg.log_retention.max(1),
-                queue_cap: cfg.delivery_queue.max(1),
-                wal: mode.wal().cloned(),
-            }),
-            pipeline,
-            syncer,
-            shutdown: AtomicBool::new(false),
-            started: AtomicBool::new(false),
-            decided: AtomicU64::new(0),
-            rt: net.runtime().clone(),
-            net: net.clone(),
-            group_id,
-        });
-
+        let (inner, submit_rx) = Inner::new(group_id, cfg, &net, &mode, None);
         for &i in local_acceptors {
             assert!(
                 i < cfg.n_acceptors,
@@ -826,9 +811,7 @@ impl PaxosGroup {
         let cfg = cfg.clone();
         let thread = std::thread::Builder::new()
             .name(format!("coord-g{group_id}"))
-            .spawn(move || {
-                coordinator_main(cfg, coord_inner, submit_rx, coord_inbox, pacing, acceptors)
-            })
+            .spawn(move || coordinator_main(cfg, coord_inner, submit_rx, coord_inbox, acceptors))
             .expect("spawn coordinator thread");
 
         Self {
@@ -954,27 +937,14 @@ impl GroupHandle {
             .is_err()
         {
             global().counter(counters::REQUESTS_DROPPED).inc();
-        } else if let Some(demand) = &self.inner.demand {
-            // Full means a ring is already pending: the two merge.
-            let _ = demand.try_send(());
+        } else {
+            self.inner.ring();
         }
     }
 
     /// Submissions queued and not yet drawn into a batch or round.
     pub fn queued(&self) -> usize {
         self.inner.submit_tx.len()
-    }
-
-    /// Decided batches waiting in the fullest subscriber ring: how far
-    /// the slowest consumer of this stream is behind its delivery.
-    pub fn backlog(&self) -> usize {
-        let stream = self.inner.stream.lock();
-        stream
-            .subscribers
-            .iter()
-            .map(|s| s.len())
-            .max()
-            .unwrap_or(0)
     }
 
     /// Registers a new subscriber. The subscriber receives every batch the
@@ -1087,11 +1057,12 @@ impl GroupHandle {
         self.inner.net.clone()
     }
 
-    /// Opens the gate: the coordinator starts deciding batches (or, when
-    /// round-paced, closing the rounds its clock fires). Call after every
-    /// subscriber has registered.
+    /// Opens the gate: the coordinator starts deciding batches (a
+    /// [`LockstepGroups`] member: closing rounds, once every member is
+    /// started). Call after every subscriber has registered.
     pub fn start(&self) {
         self.inner.started.store(true, Ordering::Release);
+        self.inner.ring();
     }
 
     /// Number of batches decided so far by this incarnation (for a
@@ -1149,6 +1120,7 @@ impl GroupHandle {
         self.inner.shutdown.store(true, Ordering::Relaxed);
         self.inner.net.shutdown();
         self.inner.stream.lock().subscribers.clear();
+        self.inner.ring();
     }
 }
 
@@ -1385,7 +1357,6 @@ fn coordinator_main(
     inner: Arc<Inner>,
     submit_rx: Receiver<(Instant, Bytes)>,
     inbox: Receiver<(NodeId, NetMsg)>,
-    pacing: Pacing,
     mut acceptors: Acceptors,
 ) {
     let clock = Arc::clone(&inner.rt.clock);
@@ -1411,13 +1382,7 @@ fn coordinator_main(
             Err(RecvTimeoutError::Disconnected) => return,
         }
     }
-
-    match pacing {
-        Pacing::Rounds(link) => {
-            round_paced_main(cfg, inner, submit_rx, inbox, link, prop, acceptors)
-        }
-        Pacing::Batched => batched_main(cfg, inner, submit_rx, inbox, prop, acceptors),
-    }
+    batched_main(cfg, inner, submit_rx, inbox, prop, acceptors);
 }
 
 /// Traffic-driven batching (single-stream deployments: SMR, sP-SMR).
@@ -1554,119 +1519,264 @@ fn batched_main(
     }
 }
 
-/// Round-paced operation (P-SMR groups, Multi-Ring Paxos style).
+/// The round-paced groups of one deployment (P-SMR's per-worker groups
+/// plus `g_all`), all ordered by one `order-rounds` thread.
 ///
 /// Deterministic merge pairs batch `r` of every merged stream, so **all
 /// streams must produce batches at the same rate** — otherwise their
-/// sequence numbers drift apart without bound and a command routed through
-/// the slow stream waits for the fast one to be re-consumed from far
-/// behind. All groups of a deployment therefore share one round clock; on
-/// each tick a group closes exactly one round: everything queued when the
-/// tick arrives, split across Paxos instances of at most `batch_bytes`
-/// each (the paper's 8 KB message cap), or a single empty *skip* instance
-/// when idle. Submissions stay in the submit queue until the tick — its
-/// length is the demand the clock looks at — and each delivered round is
-/// reported on [`RoundLink::closed`].
-fn round_paced_main(
-    cfg: SystemConfig,
+/// sequence numbers drift apart without bound (the skip mechanism of
+/// Multi-Ring Paxos). The thread owns every group's proposer, acceptors
+/// (all inline), open round and stream, and each fire closes exactly one
+/// round on every group: everything queued, split across Paxos instances
+/// of at most `batch_bytes` each (the paper's 8 KB message cap), or a
+/// single empty *skip* instance when idle. Round `r + 1` fires once round
+/// `r` is decided on every group, and then as soon as every subscriber
+/// took round `r - 1` (its ring holds at most round `r`) and some group
+/// has a queued submission — or once `skip_interval` has passed since
+/// round `r` fired: the idle skip round, which also bounds how long a
+/// consumer that stopped reading holds rounds back. One pass proposes,
+/// votes, decides, logs and fans out the whole round: `g_all` (the last
+/// group) first, so a worker woken by its own group finds the round's
+/// `g_all` batch already in its ring, then the groups whose round carries
+/// commands, then the skips.
+///
+/// Precondition: every group keeps an acceptor majority (the `f = 1`
+/// fault model). A group that cannot decide holds the next round on
+/// every group, including workers whose merges do not read the stalled
+/// stream; firing only the groups that caught up would break the lockstep
+/// the merge needs.
+#[derive(Debug)]
+pub struct LockstepGroups {
+    handles: Vec<GroupHandle>,
+    doorbell: Sender<()>,
+    thread: Option<JoinHandle<()>>,
+}
+
+impl LockstepGroups {
+    /// Spawns one group per entry of `modes` (group `i` logs in
+    /// `modes[i]`), each on its own [`LiveNet`] over `rt`, and the thread
+    /// that orders them. The WAL replay of
+    /// [`PaxosGroup::spawn_with_wal_mode`] applies to each.
+    ///
+    /// # Panics
+    ///
+    /// See [`PaxosGroup::spawn_with_wal_mode`].
+    pub fn spawn(cfg: &SystemConfig, rt: &Runtime, modes: Vec<WalMode>) -> Self {
+        let (doorbell, rings) = bounded(1);
+        let all: Vec<usize> = (0..cfg.n_acceptors).collect();
+        let (handles, groups) = modes
+            .iter()
+            .enumerate()
+            .map(|(gid, mode)| {
+                let net = LiveNet::with_runtime(rt.clone());
+                let (inner, submit_rx) = Inner::new(gid, cfg, &net, mode, Some(doorbell.clone()));
+                let group = RoundGroup {
+                    prop: Proposer::new(coordinator_node(gid).as_raw(), cfg.n_acceptors),
+                    acceptors: Acceptors::new(gid, &net, cfg.n_acceptors, &all),
+                    submit_rx,
+                    undecided: 0,
+                    commands: Vec::new(),
+                    next_seq: inner.stream.lock().next_seq,
+                    retry_at: rt.clock.now(),
+                    inner: Arc::clone(&inner),
+                };
+                (GroupHandle { inner }, group)
+            })
+            .unzip();
+        let clock = Arc::clone(&rt.clock);
+        let cfg = cfg.clone();
+        let thread = std::thread::Builder::new()
+            .name("order-rounds".into())
+            .spawn(move || order_rounds_main(groups, &rings, &*clock, &cfg))
+            .expect("spawn round ordering thread");
+        Self {
+            handles,
+            doorbell,
+            thread: Some(thread),
+        }
+    }
+
+    /// The groups, by group id.
+    pub fn handles(&self) -> &[GroupHandle] {
+        &self.handles
+    }
+
+    /// The ordering thread's `bounded(1)` doorbell. A consumer rings it
+    /// after taking a round out of its delivery rings, so a round held
+    /// back for slow consumers fires as soon as they caught up.
+    pub fn doorbell(&self) -> Sender<()> {
+        self.doorbell.clone()
+    }
+
+    /// Stops every group and joins the ordering thread.
+    pub fn shutdown(mut self) {
+        for handle in &self.handles {
+            handle.shutdown();
+        }
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
+        }
+    }
+}
+
+/// One group's ordering state, owned by the `order-rounds` thread.
+#[derive(Debug)]
+struct RoundGroup {
     inner: Arc<Inner>,
     submit_rx: Receiver<(Instant, Bytes)>,
-    inbox: Receiver<(NodeId, NetMsg)>,
-    link: RoundLink,
-    mut prop: Proposer<Batch>,
-    mut acceptors: Acceptors,
-) {
-    // Rounds not yet fully decided: (instances remaining, commands so far).
-    let mut open_rounds: VecDeque<(usize, Vec<Bytes>)> = VecDeque::new();
-    // A WAL-seeded stream continues the pre-crash numbering.
-    let mut next_seq: u64 = inner.stream.lock().next_seq;
+    prop: Proposer<Batch>,
+    acceptors: Acceptors,
+    /// Instances of the open round not yet decided (0: no round open).
+    undecided: usize,
+    /// Commands of the open round's decided instances, in instance order.
+    commands: Vec<Bytes>,
+    /// Stream seq of the open (or next) round; a WAL-seeded stream
+    /// continues the pre-crash numbering.
+    next_seq: u64,
+    /// When phase 1 may start (again).
+    retry_at: Instant,
+}
 
+impl RoundGroup {
+    /// Whether the group leads and its last round is delivered.
+    fn closed(&self) -> bool {
+        self.undecided == 0 && self.prop.is_leading()
+    }
+
+    /// Starts phase 1 when it is due and releases delayed votes that
+    /// came due.
+    fn step(&mut self, now: Instant) {
+        let mut msgs = Vec::new();
+        if !self.prop.is_leading() && now >= self.retry_at {
+            msgs.push(self.prop.start());
+            self.retry_at = now + PREPARE_RETRY;
+        }
+        self.acceptors.drive(&mut self.prop, msgs);
+    }
+
+    /// Opens the next round: everything queued now, split into instances
+    /// of at most `batch_bytes`, or one empty skip instance. Returns
+    /// whether the round carries commands.
+    fn fire(&mut self, batch_bytes: usize) -> bool {
+        let mut opened: Option<Instant> = None;
+        let mut instances: Vec<Vec<Bytes>> = vec![Vec::new()];
+        let mut last_bytes = 0usize;
+        while let Ok((at, cmd)) = self.submit_rx.try_recv() {
+            opened.get_or_insert(at);
+            if last_bytes + cmd.len() > batch_bytes && !instances[instances.len() - 1].is_empty() {
+                instances.push(Vec::new());
+                last_bytes = 0;
+            }
+            last_bytes += cmd.len();
+            instances.last_mut().expect("non-empty").push(cmd);
+        }
+        // The enqueue time travels with each command, so the Submitted
+        // stamp of the round covers the queue wait of its oldest command.
+        if let Some(opened) = opened {
+            trace::global().stamp_at(self.inner.group_id, self.next_seq, Stage::Submitted, opened);
+        }
+        self.undecided = instances.len();
+        for instance in instances {
+            let accepts = self.prop.submit(Arc::new(instance));
+            self.acceptors.drive(&mut self.prop, accepts);
+        }
+        opened.is_some()
+    }
+
+    /// Folds decided instances into the open round and delivers it once
+    /// all of them are decided. Folding clones only the `Bytes` handles:
+    /// the payloads stay shared with the consensus layer.
+    fn deliver_decided(&mut self) {
+        for (_, commands) in self.acceptors.take_decided(&mut self.prop) {
+            self.commands.extend(commands.iter().cloned());
+            self.undecided -= 1;
+            if self.undecided == 0 {
+                self.inner.decided.fetch_add(1, Ordering::Relaxed);
+                let seq = self.next_seq;
+                self.next_seq += 1;
+                self.inner.deliver(Arc::new(DecidedBatch {
+                    seq,
+                    commands: Arc::new(std::mem::take(&mut self.commands)),
+                }));
+            }
+        }
+    }
+
+    /// When the group next needs the thread without a ring: a phase-1
+    /// retry, a delayed vote coming due, or the [`ACCEPT_RETRY`] re-send
+    /// of undecided instances.
+    fn deadline(&self) -> Option<Instant> {
+        let retry = if !self.prop.is_leading() {
+            Some(self.retry_at)
+        } else if self.prop.inflight_len() > 0 {
+            Some(self.acceptors.progress_at + ACCEPT_RETRY)
+        } else {
+            None
+        };
+        self.acceptors.held.iter().map(|h| h.due).chain(retry).min()
+    }
+}
+
+/// The `order-rounds` thread (see [`LockstepGroups`]). It parks on one
+/// doorbell — rung by submissions, consumers, the start and the shutdown —
+/// for at most the time left until the idle skip round or the nearest
+/// group [`RoundGroup::deadline`], all on the injected `clock`.
+fn order_rounds_main(
+    mut groups: Vec<RoundGroup>,
+    rings: &Receiver<()>,
+    clock: &dyn Clock,
+    cfg: &SystemConfig,
+) {
+    let idle = cfg.skip_interval;
+    let mut fired_at = clock.now();
     loop {
-        if inner.shutdown.load(Ordering::Relaxed) {
+        // Take a pending ring before looking at anything: whatever lands
+        // after the look rings again.
+        let _ = rings.try_recv();
+        if groups
+            .iter()
+            .any(|g| g.inner.shutdown.load(Ordering::Relaxed))
+        {
             return;
         }
-
-        // 1. Wait for a tick or an acceptor reply (ticks only flow once
-        //    the deployment has started, which also gates the first
-        //    round).
-        crossbeam::channel::select! {
-            recv(link.ticks) -> tick => {
-                if tick.is_err() {
-                    return; // clock gone: deployment shut down
-                }
-                // Close one round: everything queued now, split into
-                // <= batch_bytes instances. The enqueue time travels with
-                // each command, so the Submitted stamp of the round covers
-                // the queue wait of its oldest command — the round-paced
-                // latency, not measurement setup.
-                let mut opened: Option<Instant> = None;
-                let mut instances: Vec<Vec<Bytes>> = vec![Vec::new()];
-                let mut last_bytes = 0usize;
-                while let Ok((at, cmd)) = submit_rx.try_recv() {
-                    opened.get_or_insert(at);
-                    if last_bytes + cmd.len() > cfg.batch_bytes
-                        && !instances.last().expect("non-empty").is_empty()
-                    {
-                        instances.push(Vec::new());
-                        last_bytes = 0;
-                    }
-                    last_bytes += cmd.len();
-                    instances.last_mut().expect("non-empty").push(cmd);
-                }
-                // Each queued round consumes exactly one stream seq, so
-                // this round's seq is known now — stamp the submit time
-                // of its oldest command before proposing.
-                if let Some(opened) = opened {
-                    trace::global().stamp_at(
-                        inner.group_id,
-                        next_seq + open_rounds.len() as u64,
-                        Stage::Submitted,
-                        opened,
-                    );
-                }
-                open_rounds.push_back((instances.len(), Vec::new()));
-                for instance_batch in instances {
-                    let accepts = prop.submit(Arc::new(instance_batch));
-                    acceptors.drive(&mut prop, accepts);
-                }
-            }
-            recv(inbox) -> msg => {
-                match msg {
-                    Ok((from, msg)) => acceptors.handle(&mut prop, from, msg),
-                    Err(_) => return,
-                }
-            }
-            default(inner.rt.clock.poll_slice(acceptors.wait(Duration::from_millis(5)))) => {}
+        let now = clock.now();
+        for g in groups.iter_mut().rev() {
+            g.step(now);
+            g.deliver_decided();
         }
-        // Drain queued replies without blocking.
-        while let Ok((from, msg)) = inbox.try_recv() {
-            acceptors.handle(&mut prop, from, msg);
-        }
-        acceptors.drive(&mut prop, Vec::new());
-
-        // 2. Fold decided instances into their rounds; deliver every round
-        //    whose instances are all decided (instance order == submission
-        //    order, so rounds complete in order). Folding clones only the
-        //    `Bytes` handles — the payload allocations stay shared with
-        //    the consensus layer.
-        for (_, commands) in acceptors.take_decided(&mut prop) {
-            let front = open_rounds
-                .front_mut()
-                .expect("instance belongs to a round");
-            front.1.extend(commands.iter().cloned());
-            front.0 -= 1;
-            if front.0 == 0 {
-                let (_, commands) = open_rounds.pop_front().expect("front exists");
-                inner.decided.fetch_add(1, Ordering::Relaxed);
-                let out = Arc::new(DecidedBatch {
-                    seq: next_seq,
-                    commands: Arc::new(commands),
-                });
-                next_seq += 1;
-                inner.deliver(out);
-                let _ = link.closed.try_send(());
+        let ready = groups
+            .iter()
+            .all(|g| g.closed() && g.inner.started.load(Ordering::Acquire));
+        let since = clock.now().saturating_duration_since(fired_at);
+        if ready
+            && (since >= idle
+                // A consumer may still hold round `r`: waiting for it to
+                // take that too would tie every command's latency to the
+                // slowest replica's execution of the previous round.
+                || groups.iter().all(|g| g.inner.backlog() <= 1)
+                    && groups.iter().any(|g| !g.submit_rx.is_empty()))
+        {
+            let loaded: Vec<bool> = groups.iter_mut().map(|g| g.fire(cfg.batch_bytes)).collect();
+            fired_at = clock.now();
+            // `g_all` first, then the groups with commands: their workers
+            // wake before the ones that only take a skip.
+            let last = groups.len() - 1;
+            let mut order: Vec<usize> = (0..groups.len()).collect();
+            order.sort_by_key(|&i| (i != last, !loaded[i]));
+            for i in order {
+                groups[i].deliver_decided();
             }
+            continue;
         }
+        let mut timeout = if ready {
+            idle - since
+        } else {
+            idle.max(ACCEPT_RETRY)
+        };
+        if let Some(due) = groups.iter().filter_map(RoundGroup::deadline).min() {
+            timeout = timeout.min(due.saturating_duration_since(clock.now()));
+        }
+        let _ = recv_timeout_via(clock, rings, timeout);
     }
 }
 
@@ -1760,83 +1870,78 @@ mod tests {
         group.shutdown();
     }
 
-    /// Round pacing driven by hand: the test sends the ticks and watches
-    /// the demand and closed doorbells a round clock would listen to.
-    fn manual_rounds() -> (Pacing, Sender<u64>, Receiver<()>, Receiver<()>) {
-        let (tick_tx, ticks) = crossbeam::channel::unbounded();
-        let (demand, demand_rx) = bounded(1);
-        let (closed, closed_rx) = bounded(1);
-        let link = RoundLink {
-            ticks,
-            demand,
-            closed,
-        };
-        (Pacing::Rounds(link), tick_tx, demand_rx, closed_rx)
+    /// `n` lockstep groups on the real clock with an idle skip round
+    /// every `idle`.
+    fn lockstep(n: usize, idle: Duration, cfg: &mut SystemConfig) -> LockstepGroups {
+        cfg.skip_interval(idle);
+        LockstepGroups::spawn(cfg, &Runtime::real(), vec![WalMode::None; n])
     }
 
     #[test]
-    fn ticked_group_emits_skip_rounds_when_idle() {
-        let (pacing, tick_tx, _demand, closed) = manual_rounds();
-        let group = PaxosGroup::spawn_with(5, &test_cfg(), LiveNet::new(), pacing);
-        let sub = group.subscribe();
-        group.start();
-        tick_tx.send(1).unwrap();
-        let batch = sub
-            .recv_timeout(Duration::from_secs(5))
-            .expect("skip arrives");
-        assert!(batch.is_skip());
-        assert_eq!(batch.seq, 1);
-        assert_eq!(closed.recv_timeout(Duration::from_secs(5)), Ok(()));
-        assert_eq!(group.handle().decided_count(), 1);
-        group.shutdown();
-    }
-
-    #[test]
-    fn ticked_group_packs_submissions_into_one_round() {
-        let (pacing, tick_tx, demand, closed) = manual_rounds();
-        let group = PaxosGroup::spawn_with(9, &test_cfg(), LiveNet::new(), pacing);
-        let sub = group.subscribe();
-        group.start();
-        for i in 0..10u32 {
-            group.submit(Bytes::from(i.to_le_bytes().to_vec()));
+    fn lockstep_groups_emit_skip_rounds_when_idle() {
+        let groups = lockstep(2, Duration::from_millis(5), &mut test_cfg());
+        let subs: Vec<_> = groups.handles().iter().map(|g| g.subscribe()).collect();
+        for g in groups.handles() {
+            g.start();
         }
-        // The submissions wait in the queue for the tick, and their ten
-        // demand rings merged into one.
+        for sub in &subs {
+            let batch = sub
+                .recv_timeout(Duration::from_secs(5))
+                .expect("skip arrives");
+            assert!(batch.is_skip());
+            assert_eq!(batch.seq, 1);
+        }
+        assert!(groups.handles()[0].decided_count() >= 1);
+        groups.shutdown();
+    }
+
+    #[test]
+    fn lockstep_groups_pack_queued_submissions_into_one_round() {
+        let groups = lockstep(2, Duration::from_millis(200), &mut test_cfg());
+        let subs: Vec<_> = groups.handles().iter().map(|g| g.subscribe()).collect();
+        let g0 = &groups.handles()[0];
+        // Nothing fires before the start: the submissions wait in the
+        // queue, and the start fires them as one round.
+        for i in 0..10u32 {
+            g0.submit(Bytes::from(i.to_le_bytes().to_vec()));
+        }
         std::thread::sleep(Duration::from_millis(20));
-        assert_eq!(group.handle().queued(), 10);
-        assert_eq!(demand.try_recv(), Ok(()));
-        assert!(demand.try_recv().is_err(), "rings merge into one");
-        tick_tx.send(1).unwrap();
-        let batch = sub
+        assert_eq!(g0.queued(), 10);
+        for g in groups.handles() {
+            g.start();
+        }
+        let batch = subs[0]
             .recv_timeout(Duration::from_secs(5))
             .expect("round arrives");
         assert_eq!(batch.seq, 1);
         assert_eq!(batch.commands.len(), 10, "whole backlog in one round");
-        assert_eq!(group.handle().queued(), 0);
-        assert_eq!(closed.recv_timeout(Duration::from_secs(5)), Ok(()));
-        // The next tick with no traffic yields a skip with the next seq.
-        tick_tx.send(2).unwrap();
-        let batch = sub
+        assert_eq!(g0.queued(), 0);
+        let other = subs[1].recv_timeout(Duration::from_secs(5)).expect("skip");
+        assert!(
+            other.is_skip() && other.seq == 1,
+            "every group closes round 1"
+        );
+        // The next round with no traffic is the idle skip, with the next seq.
+        let batch = subs[0]
             .recv_timeout(Duration::from_secs(5))
             .expect("skip arrives");
         assert!(batch.is_skip());
         assert_eq!(batch.seq, 2);
-        group.shutdown();
+        groups.shutdown();
     }
 
     #[test]
-    fn ticked_round_splits_oversized_backlog_into_capped_instances() {
-        let (pacing, tick_tx, _demand, _closed) = manual_rounds();
+    fn lockstep_round_splits_oversized_backlog_into_capped_instances() {
         let mut cfg = test_cfg();
         cfg.batch_bytes(64);
-        let group = PaxosGroup::spawn_with(10, &cfg, LiveNet::new(), pacing);
-        let sub = group.subscribe();
-        group.start();
+        let groups = lockstep(1, Duration::from_secs(10), &mut cfg);
+        let g0 = &groups.handles()[0];
+        let sub = g0.subscribe();
         for i in 0..32u64 {
-            group.submit(Bytes::from(vec![i as u8; 16]));
+            g0.submit(Bytes::from(vec![i as u8; 16]));
         }
         std::thread::sleep(Duration::from_millis(20));
-        tick_tx.send(1).unwrap();
+        g0.start();
         // All 32 commands arrive as ONE stream batch (one round) even
         // though they were decided as multiple 64-byte Paxos instances.
         let batch = sub
@@ -1844,13 +1949,14 @@ mod tests {
             .expect("round arrives");
         assert_eq!(batch.seq, 1);
         assert_eq!(batch.commands.len(), 32);
-        group.shutdown();
+        assert_eq!(g0.decided_count(), 1);
+        groups.shutdown();
     }
 
     #[test]
     fn survives_one_acceptor_crash() {
         let net: LiveNet<NetMsg> = LiveNet::new();
-        let group = PaxosGroup::spawn_with(6, &test_cfg(), net.clone(), Pacing::Batched);
+        let group = PaxosGroup::spawn_with(6, &test_cfg(), net.clone());
         let sub = group.subscribe();
         group.start();
         group.submit(Bytes::from_static(b"before"));
@@ -2028,8 +2134,7 @@ mod tests {
         let wal = Arc::new(Wal::open(&dir, opts).unwrap());
         // (The panic unwinds before any cleanup; the pid-stamped dir is
         // reclaimed by the next run's remove_dir_all.)
-        let _group =
-            PaxosGroup::spawn_with_wal(21, &test_cfg(), LiveNet::new(), Pacing::Batched, Some(wal));
+        let _group = PaxosGroup::spawn_with_wal(21, &test_cfg(), LiveNet::new(), Some(wal));
     }
 
     /// The durable-ordered-log contract: a group spawned over the WAL a
@@ -2044,13 +2149,7 @@ mod tests {
         let open_wal = || Some(Arc::new(Wal::open(&dir, WalOptions::default()).unwrap()));
 
         // First incarnation: decide a few batches, then die (shutdown).
-        let group = PaxosGroup::spawn_with_wal(
-            20,
-            &test_cfg(),
-            LiveNet::new(),
-            Pacing::Batched,
-            open_wal(),
-        );
+        let group = PaxosGroup::spawn_with_wal(20, &test_cfg(), LiveNet::new(), open_wal());
         let sub = group.subscribe();
         group.start();
         let mut last_seq = 0;
@@ -2068,13 +2167,7 @@ mod tests {
 
         // Second incarnation over the same directory: the whole stream
         // replays from the retained log and the numbering continues.
-        let group = PaxosGroup::spawn_with_wal(
-            20,
-            &test_cfg(),
-            LiveNet::new(),
-            Pacing::Batched,
-            open_wal(),
-        );
+        let group = PaxosGroup::spawn_with_wal(20, &test_cfg(), LiveNet::new(), open_wal());
         let replay = group
             .handle()
             .subscribe_from(1)
@@ -2136,7 +2229,6 @@ mod tests {
             30,
             &test_cfg(),
             LiveNet::new(),
-            Pacing::Batched,
             WalMode::Pipelined {
                 wal,
                 syncer: Arc::clone(&syncer),
@@ -2190,7 +2282,6 @@ mod tests {
             31,
             &test_cfg(),
             LiveNet::new(),
-            Pacing::Batched,
             WalMode::Pipelined {
                 wal: Arc::new(Wal::open(&dir, opts).unwrap()),
                 syncer: Arc::clone(&syncer),
@@ -2229,7 +2320,6 @@ mod tests {
             31,
             &test_cfg(),
             LiveNet::new(),
-            Pacing::Batched,
             Some(Arc::new(Wal::open(&dir, opts).unwrap())),
         );
         assert_eq!(group.handle().next_seq(), durable_seq + 1);
@@ -2262,7 +2352,7 @@ mod tests {
     fn slow_subscriber_throttles_ordering_with_bounded_memory() {
         let mut cfg = test_cfg();
         cfg.batch_bytes(32).delivery_queue(4);
-        let group = PaxosGroup::spawn_with(32, &cfg, LiveNet::new(), Pacing::Batched);
+        let group = PaxosGroup::spawn_with(32, &cfg, LiveNet::new());
         let sub = group.subscribe();
         group.start();
         let stalls_before = global().value(counters::DELIVERY_BACKPRESSURE_STALLS);
@@ -2378,8 +2468,7 @@ mod tests {
         let remotes: Vec<RemoteAcceptor> = (1..3)
             .map(|i| RemoteAcceptor::spawn(41, i, far.clone()))
             .collect();
-        let group =
-            PaxosGroup::spawn_hosted(41, &test_cfg(), near, Pacing::Batched, WalMode::None, &[0]);
+        let group = PaxosGroup::spawn_hosted(41, &test_cfg(), near, WalMode::None, &[0]);
         let sub = group.subscribe();
         group.start();
         for i in 0..20u32 {

@@ -3,9 +3,10 @@
 //! model), and the stream must stay gap-free throughout.
 
 use bytes::Bytes;
+use psmr_common::runtime::Runtime;
 use psmr_common::SystemConfig;
 use psmr_netsim::live::{LinkFault, LiveNet};
-use psmr_paxos::runtime::{acceptor_node, coordinator_node, Pacing, PaxosGroup, RoundLink};
+use psmr_paxos::runtime::{acceptor_node, coordinator_node, LockstepGroups, PaxosGroup, WalMode};
 use std::time::Duration;
 
 fn test_cfg() -> SystemConfig {
@@ -40,7 +41,7 @@ fn drain_exactly(
 #[test]
 fn delivers_with_one_lossy_acceptor_link() {
     let net = LiveNet::new();
-    let group = PaxosGroup::spawn_with(1, &test_cfg(), net.clone(), Pacing::Batched);
+    let group = PaxosGroup::spawn_with(1, &test_cfg(), net.clone());
     let sub = group.subscribe();
     group.start();
     // Coordinator→acceptor-0 link drops everything: quorum {1, 2} remains.
@@ -60,7 +61,7 @@ fn delivers_with_one_lossy_acceptor_link() {
 #[test]
 fn delivers_with_a_slow_acceptor() {
     let net = LiveNet::new();
-    let group = PaxosGroup::spawn_with(2, &test_cfg(), net.clone(), Pacing::Batched);
+    let group = PaxosGroup::spawn_with(2, &test_cfg(), net.clone());
     let sub = group.subscribe();
     group.start();
     // One acceptor's replies are delayed well beyond the batch linger; the
@@ -81,7 +82,7 @@ fn delivers_with_a_slow_acceptor() {
 #[test]
 fn crash_then_heavy_traffic_keeps_fifo_order() {
     let net = LiveNet::new();
-    let group = PaxosGroup::spawn_with(3, &test_cfg(), net.clone(), Pacing::Batched);
+    let group = PaxosGroup::spawn_with(3, &test_cfg(), net.clone());
     let sub = group.subscribe();
     group.start();
     for i in 0..200u32 {
@@ -97,32 +98,19 @@ fn crash_then_heavy_traffic_keeps_fifo_order() {
 
 #[test]
 fn round_paced_group_survives_acceptor_crash() {
-    let net = LiveNet::new();
-    let (tick_tx, ticks) = crossbeam::channel::unbounded();
-    let (demand, _demand_rx) = crossbeam::channel::bounded(1);
-    let (closed, _closed_rx) = crossbeam::channel::bounded(1);
-    let link = RoundLink {
-        ticks,
-        demand,
-        closed,
-    };
-    let group = PaxosGroup::spawn_with(4, &test_cfg(), net.clone(), Pacing::Rounds(link));
+    let groups = LockstepGroups::spawn(&test_cfg(), &Runtime::real(), vec![WalMode::None; 2]);
+    let group = &groups.handles()[0];
     let sub = group.subscribe();
-    group.start();
-    net.crash(acceptor_node(4, 0));
-    let ticker = std::thread::spawn(move || {
-        for tick in 1..=200u64 {
-            let _ = tick_tx.send(tick);
-            std::thread::sleep(Duration::from_micros(500));
-        }
-    });
+    for g in groups.handles() {
+        g.start();
+    }
+    group.net().crash(acceptor_node(0, 0));
     for i in 0..30u32 {
         group.submit(Bytes::from(i.to_le_bytes().to_vec()));
     }
     let got = drain_exactly(&sub, 30);
     assert_eq!(got, (0..30).collect::<Vec<_>>());
-    ticker.join().expect("ticker finishes");
-    group.shutdown();
+    groups.shutdown();
 }
 
 #[test]
@@ -131,7 +119,7 @@ fn two_crashed_acceptors_block_progress_until_heal() {
     // be delivered (safety over liveness). We verify no delivery within a
     // grace period, then heal one link and watch the backlog flush.
     let net = LiveNet::new();
-    let group = PaxosGroup::spawn_with(5, &test_cfg(), net.clone(), Pacing::Batched);
+    let group = PaxosGroup::spawn_with(5, &test_cfg(), net.clone());
     let sub = group.subscribe();
     group.start();
     net.inject(
@@ -169,7 +157,7 @@ fn slow_colocated_acceptor_is_outvoted_not_waited_on() {
     // vote waits on the coordinator's due list, never in a sleep on the
     // coordinator thread (which would cost 20 x 200 ms here).
     let net = LiveNet::new();
-    let group = PaxosGroup::spawn_with(6, &test_cfg(), net.clone(), Pacing::Batched);
+    let group = PaxosGroup::spawn_with(6, &test_cfg(), net.clone());
     let sub = group.subscribe();
     group.start();
     net.inject(

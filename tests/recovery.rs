@@ -252,7 +252,7 @@ fn checkpoints_trim_retained_ordered_logs() {
 }
 
 /// Crashing a replica of an *idle* deployment returns promptly: the
-/// worker poll timeout bounds total wait even while ticker skip batches
+/// worker poll timeout bounds total wait even while idle skip batches
 /// arrive continuously with zero client traffic.
 #[test]
 fn crash_replica_returns_promptly_on_an_idle_deployment() {
