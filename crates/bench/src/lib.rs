@@ -20,6 +20,7 @@
 //! | `wal_overhead` | extension: durable-log cost (inline vs pipelined group commit) |
 //! | `pipeline` | extension: pipelined delivery path, batch size × pipeline on/off |
 //! | `stage_breakdown` | extension: per-stage lifecycle latency across the WAL modes |
+//! | `census` | extension: CPU, parks and run-queue wait per command by thread role |
 //! | `run_all` | everything above, writing `EXPERIMENTS.md` data |
 //! | `validate_bench` | checks every `BENCH_*.json` against `bench_schema.txt` |
 //!

@@ -502,6 +502,9 @@ pub mod counters {
     /// per-worker labeled views (`commands_executed{replica=R,worker=W}`)
     /// that roll up here.
     pub const COMMANDS_EXECUTED: &str = "commands_executed";
+    /// Synchronous-mode meetings of a P-SMR replica's workers, one per
+    /// decided run of `g_all` commands (`rendezvous{replica=R}`).
+    pub const RENDEZVOUS: &str = "rendezvous";
     /// TCP peer links re-established after a drop (successful re-dials
     /// past the first connection; the initial connect does not count).
     pub const NET_RECONNECTS: &str = "net_reconnects";

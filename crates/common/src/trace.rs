@@ -21,8 +21,9 @@
 //! → WAL-appended → delivered → execute-start → executed → released. Only
 //! lifecycles carrying **every** chain stamp are folded in, so the chain
 //! means sum exactly to the traced `end_to_end` mean — no unattributed
-//! time. `appended_to_durable` (pipelined WAL only) overlaps the chain
-//! and is reported separately.
+//! time. `appended_to_durable` (pipelined WAL only) and
+//! `delivered_to_synced` (P-SMR's synchronous mode only) overlap the
+//! chain and are reported separately.
 
 //!
 //! In multi-process deployments the chain **spans processes**: the
@@ -60,13 +61,17 @@ pub enum Stage {
     /// The first response for the batch was accepted by the issuing
     /// client's proxy — the lifecycle ends where the client observes it.
     Released = 7,
+    /// The executor of a `g_all` run finished waiting for every worker of
+    /// its replica (P-SMR's synchronous mode only): `Delivered` →
+    /// `Synced` is the barrier wait inside `delivered_to_exec`.
+    Synced = 8,
 }
 
-const N_STAGES: usize = 8;
+const N_STAGES: usize = 9;
 
 /// Names of the aggregated intervals, in [`TraceReport`] order. The first
 /// [`CHAIN_INTERVALS`] telescope from `Submitted` to `Released`.
-pub const INTERVAL_NAMES: [&str; 8] = [
+pub const INTERVAL_NAMES: [&str; 9] = [
     "submit_to_ordered",
     "ordered_to_appended",
     "appended_to_delivered",
@@ -74,6 +79,7 @@ pub const INTERVAL_NAMES: [&str; 8] = [
     "exec",
     "executed_to_released",
     "appended_to_durable",
+    "delivered_to_synced",
     "end_to_end",
 ];
 
@@ -298,13 +304,18 @@ impl TraceRecorder {
                 self.intervals[i].record(Duration::from_nanos(d));
             }
             let e2e = st[Stage::Released as usize].saturating_sub(st[Stage::Submitted as usize]);
-            self.intervals[7].record(Duration::from_nanos(e2e));
+            self.intervals[8].record(Duration::from_nanos(e2e));
             self.traced.fetch_add(1, Ordering::Relaxed);
         }
-        let appended = st[Stage::WalAppended as usize];
-        let durable = st[Stage::FsyncDurable as usize];
-        if appended != 0 && durable != 0 {
-            self.intervals[6].record(Duration::from_nanos(durable.saturating_sub(appended)));
+        // The off-chain intervals: each needs only its own two stamps.
+        for (i, from, to) in [
+            (6, Stage::WalAppended, Stage::FsyncDurable),
+            (7, Stage::Delivered, Stage::Synced),
+        ] {
+            let (from, to) = (st[from as usize], st[to as usize]);
+            if from != 0 && to != 0 {
+                self.intervals[i].record(Duration::from_nanos(to.saturating_sub(from)));
+            }
         }
         // Release pairs with a late stamper's compare-exchange: one that
         // reads a cleared stamp also sees the key off `key`.
@@ -649,6 +660,32 @@ mod tests {
         );
         // Chain incomplete (no Delivered/Exec stamps): not traced.
         assert_eq!(report.traced, 0);
+    }
+
+    #[test]
+    fn synced_splits_the_barrier_wait_off_the_chain() {
+        let rec = TraceRecorder::new();
+        rec.set_sample(1);
+        let t0 = Instant::now();
+        let step = Duration::from_millis(1);
+        for (i, stage) in CHAIN.iter().enumerate() {
+            rec.stamp_at(3, 4, *stage, t0 + step * i as u32);
+        }
+        // Untouched: a lifecycle without a Synced stamp (a g_i batch).
+        assert_eq!(rec.report().stat("delivered_to_synced").unwrap().count, 0);
+        // Delivered is CHAIN[3]; the executor synced 300 µs later, before
+        // the Released stamp closes the lifecycle.
+        for (i, stage) in CHAIN[..CHAIN.len() - 1].iter().enumerate() {
+            rec.stamp_at(3, 5, *stage, t0 + step * i as u32);
+        }
+        rec.stamp_at(3, 5, Stage::Synced, t0 + step * 3 + step * 3 / 10);
+        rec.stamp_at(3, 5, Stage::Released, t0 + step * 6);
+        let report = rec.report();
+        let synced = report.stat("delivered_to_synced").expect("interval");
+        assert_eq!(synced.count, 1);
+        assert_eq!(synced.mean, Duration::from_micros(300));
+        assert_eq!(report.traced, 2, "the chain is unchanged");
+        assert_eq!(report.chain_sum(), report.stat("end_to_end").unwrap().mean);
     }
 
     #[test]

@@ -9,10 +9,14 @@
 //! * a command delivered on `g_all` was multicast to several groups —
 //!   **synchronous mode** (lines 14–26). Every dependent command travels on
 //!   `g_all` with γ = all `k` groups, so the elected executor
-//!   `e = min{j : g_j ∈ γ}` is always worker `t_0`: the other `k − 1`
-//!   workers meet it at the replica's [`Rendezvous`] without decoding the
-//!   command, and `t_0`, the only one that decodes it, runs it alone
-//!   while they wait.
+//!   `e = min{j : g_j ∈ γ}` is always worker `t_0`. A decided `g_all`
+//!   batch is one contiguous run in every worker's merged stream, so the
+//!   replica meets **once per run**, not once per command (the batching
+//!   of §VI-A, applied at the barrier): the other `k − 1` workers meet
+//!   `t_0` at the replica's [`Rendezvous`] and pass over the run without
+//!   decoding it, and `t_0`, the only one that decodes it, runs each
+//!   command of the run alone, in stream order, while they wait. A
+//!   worker released from run `n` goes on to whatever follows it.
 //!
 //! No component sequences all commands: delivery, scheduling and execution
 //! are all per-worker, which is what lets throughput scale with cores
@@ -25,8 +29,9 @@
 //! engine shares ([`ReplicatedEngine`]). A [`psmr_recovery::CHECKPOINT`]
 //! control command is classified `Global`, so it travels on `g_all` and
 //! synchronizes all `k` workers exactly like any dependent command — the
-//! synchronous-mode rendezvous *is* the quiescence point. The executor
-//! `t_0` snapshots the service while its peers wait, installs the
+//! synchronous-mode rendezvous *is* the quiescence point. The peers stay
+//! parked for the whole run, so the executor `t_0` snapshots the service
+//! at the command's exact cut even inside a run, installs the
 //! checkpoint into its replica's own [`psmr_recovery::CheckpointStore`]
 //! tagged with the command's stream position, persists it durably when
 //! `SystemConfig::snapshot_dir` is set, and trims the ordered logs the
@@ -189,6 +194,9 @@ pub(crate) fn spawn_workers<S: Service + Clone>(
                 .scoped("replica", replica as u64)
                 .and("worker", i as u64)
                 .counter(counters::COMMANDS_EXECUTED),
+            meetings: global()
+                .scoped("replica", replica as u64)
+                .counter(counters::RENDEZVOUS),
         };
         threads.push(
             std::thread::Builder::new()
@@ -212,6 +220,8 @@ struct WorkerCtx<S> {
     /// Per-replica/per-worker executed-command counter, resolved once at
     /// spawn so the hot path never formats a label.
     executed: ScopedCounter,
+    /// The replica's rendezvous counter; only the executor counts.
+    meetings: ScopedCounter,
 }
 
 /// The body of worker thread `t_i` — Algorithm 1, lines 7–26, plus the
@@ -226,45 +236,27 @@ fn worker_main<S: Service>(ctx: WorkerCtx<S>, mut stream: MergedStream) {
             Ok(None) => continue, // idle poll: re-check the crash flag
             Err(_) => return,     // system shut down
         };
-        trace::global().stamp(
-            delivered.group.as_raw(),
-            delivered.batch_seq,
-            Stage::Delivered,
-        );
+        let (group, seq) = (delivered.group.as_raw(), delivered.batch_seq);
+        trace::global().stamp(group, seq, Stage::Delivered);
         if delivered.group != ctx.all_group {
             // Parallel mode (lines 10–13): multicast to a single group.
             // The response releases once the batch is durable (gated
             // deployments) — execution itself never waits.
-            let Some(req) = decode(&delivered) else {
-                continue;
-            };
-            trace::global().stamp(
-                delivered.group.as_raw(),
-                delivered.batch_seq,
-                Stage::ExecStart,
-            );
-            let resp = ctx.shared.service.execute(req.command, &req.payload);
-            ctx.executed.inc();
-            trace::global().stamp(
-                delivered.group.as_raw(),
-                delivered.batch_seq,
-                Stage::Executed,
-            );
-            ctx.shared.gate.respond_at(
-                delivered.group,
-                delivered.batch_seq,
-                req.client,
-                Response::new(req.request, resp),
-            );
+            if let Some(req) = decode(&delivered) {
+                ctx.execute(&delivered, req);
+            }
             continue;
         }
-        // Synchronous mode (lines 14–26): γ is every worker of the
-        // replica. The others signal their arrival and wait for the
-        // release without looking at the command.
+        // Synchronous mode (lines 14–26), once per run: γ is every worker
+        // of the replica, and the rest of this decided `g_all` batch
+        // follows in every worker's stream, so one meeting covers it all.
+        // The others signal their arrival, wait for the release and pass
+        // over the run without looking at it.
         if ctx.me != EXECUTOR {
             if !ctx.rendezvous.arrive() {
                 return; // shutdown or crash
             }
+            stream.rest_of_batch().for_each(drop);
             continue;
         }
         // Decoded before the wait, so the parked peers do not wait for it.
@@ -272,35 +264,47 @@ fn worker_main<S: Service>(ctx: WorkerCtx<S>, mut stream: MergedStream) {
         if !ctx.rendezvous.wait_all() {
             return; // shutdown or crash
         }
+        ctx.meetings.inc();
+        trace::global().stamp(group, seq, Stage::Synced);
+        // Each command of the run still executes alone on the quiesced
+        // replica, in stream order; a crash stops the run between two.
         if let Some(req) = req {
-            // CHECKPOINT acts on the replica instead of the service: it
-            // snapshots the quiesced state at this exact cut. Everything
-            // else executes normally.
-            trace::global().stamp(
-                delivered.group.as_raw(),
-                delivered.batch_seq,
-                Stage::ExecStart,
-            );
-            let resp = if req.command == CHECKPOINT {
-                ctx.shared.checkpoint(&delivered)
-            } else {
-                let resp = ctx.shared.service.execute(req.command, &req.payload);
-                ctx.executed.inc();
-                resp
-            };
-            trace::global().stamp(
-                delivered.group.as_raw(),
-                delivered.batch_seq,
-                Stage::Executed,
-            );
-            ctx.shared.gate.respond_at(
-                delivered.group,
-                delivered.batch_seq,
-                req.client,
-                Response::new(req.request, resp),
-            );
+            ctx.execute(&delivered, req);
+        }
+        for delivered in stream.rest_of_batch() {
+            if ctx.shared.kill.load(Ordering::Relaxed) {
+                return;
+            }
+            if let Some(req) = decode(&delivered) {
+                ctx.execute(&delivered, req);
+            }
         }
         ctx.rendezvous.release();
+    }
+}
+
+impl<S: Service> WorkerCtx<S> {
+    /// Executes one command and responds for it. A `CHECKPOINT` (always
+    /// `Global`, so only ever met inside a run) acts on the replica
+    /// instead of the service: it snapshots the quiesced state at this
+    /// exact cut.
+    fn execute(&self, delivered: &Delivered, req: Request) {
+        let (group, seq) = (delivered.group.as_raw(), delivered.batch_seq);
+        trace::global().stamp(group, seq, Stage::ExecStart);
+        let resp = if req.command == CHECKPOINT {
+            self.shared.checkpoint(delivered)
+        } else {
+            let resp = self.shared.service.execute(req.command, &req.payload);
+            self.executed.inc();
+            resp
+        };
+        trace::global().stamp(group, seq, Stage::Executed);
+        self.shared.gate.respond_at(
+            delivered.group,
+            delivered.batch_seq,
+            req.client,
+            Response::new(req.request, resp),
+        );
     }
 }
 

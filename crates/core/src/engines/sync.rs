@@ -6,14 +6,17 @@
 //! executes, responds, and sends signal *(b)* so the others resume.
 //!
 //! Every dependent command here travels on `g_all`, whose γ is all `k`
-//! workers (`CgSink::submit`), so each such command is a meeting of the
-//! whole replica with worker 0 as executor. One [`Rendezvous`] per replica
-//! carries it: [`Rendezvous::arrive`] is signal (a) plus the wait for (b),
-//! [`Rendezvous::wait_all`] is the executor's collection of the (a)s and
-//! [`Rendezvous::release`] sends (b) to everyone at once.
+//! workers (`CgSink::submit`), and a decided `g_all` batch is one
+//! contiguous run in every worker's stream, so each such run is one
+//! meeting of the whole replica with worker 0 as executor: it executes
+//! the run's commands one after another while the others wait. One
+//! [`Rendezvous`] per replica carries it: [`Rendezvous::arrive`] is
+//! signal (a) plus the wait for (b), [`Rendezvous::wait_all`] is the
+//! executor's collection of the (a)s and [`Rendezvous::release`] sends
+//! (b) to everyone at once.
 //!
 //! Arrivals are counted per *generation*: `release` starts the next one.
-//! A worker released from command `n` may reach command `n + 1` before the
+//! A worker released from run `n` may reach run `n + 1` before the
 //! executor waits again; its arrival then counts once, for `n + 1`. A
 //! worker cannot arrive twice in one generation, because `arrive` blocks
 //! until the generation it arrived in is released.
@@ -36,7 +39,8 @@ struct State {
     shutdown: bool,
 }
 
-/// The meeting point of one replica's `k` workers for `g_all` commands.
+/// The meeting point of one replica's `k` workers for runs of `g_all`
+/// commands.
 #[derive(Debug)]
 pub struct Rendezvous {
     /// Workers other than the executor: the arrivals each generation needs.
@@ -64,7 +68,7 @@ impl Rendezvous {
         }
     }
 
-    /// A peer reached the current `g_all` command (signal (a)); blocks
+    /// A peer reached the current `g_all` run (signal (a)); blocks
     /// until the executor releases it (signal (b)).
     ///
     /// Returns `false` if the rendezvous shut down first.
@@ -92,7 +96,7 @@ impl Rendezvous {
     }
 
     /// The executor blocks until all `k - 1` peers have arrived at the
-    /// current command (lines 18–19).
+    /// current run (lines 18–19).
     ///
     /// Returns `false` if the rendezvous shut down first.
     pub fn wait_all(&self) -> bool {
@@ -105,7 +109,7 @@ impl Rendezvous {
         !state.shutdown
     }
 
-    /// The executor finished the current command: releases every peer and
+    /// The executor finished the current run: releases every peer and
     /// opens the next generation. Call it only after
     /// [`Rendezvous::wait_all`] returned `true`.
     pub fn release(&self) {
@@ -217,7 +221,7 @@ mod tests {
 
     #[test]
     fn out_of_order_signals_are_buffered_not_lost() {
-        // A peer released from command n reaches command n + 1 before the
+        // A peer released from run n reaches run n + 1 before the
         // executor waits again: its signal (a) is kept in the arrival
         // count and counts once, for n + 1.
         let rv = Arc::new(Rendezvous::new(3));
@@ -228,7 +232,7 @@ mod tests {
             })
             .collect();
         assert!(rv.wait_all());
-        rv.release(); // command n done
+        rv.release(); // run n done
         for p in peers {
             assert!(p.join().unwrap());
         }

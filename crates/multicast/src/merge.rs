@@ -238,6 +238,19 @@ impl MergedStream {
         self.skipped_batches
     }
 
+    /// Hands out the commands of the current batch not yet handed out, in
+    /// order, each crossing the [`SchedulePoint::Delivered`] point as the
+    /// iterator reaches it. Never blocks: a batch is queued whole, so
+    /// after a command of a decided batch this is the rest of that batch
+    /// — for a `g_all` batch the same contiguous run in every
+    /// subscriber's stream.
+    pub fn rest_of_batch(&mut self) -> impl Iterator<Item = Delivered> + '_ {
+        std::iter::from_fn(move || {
+            let cmd = self.ready.pop_front()?;
+            Some(self.hand_out(cmd))
+        })
+    }
+
     /// Blocks until the next command is available.
     ///
     /// Returns `None` when any input stream disconnects (system shutdown).
@@ -426,6 +439,24 @@ mod tests {
         assert_eq!(m.try_next(), Ok(None), "round 1 of stream 1 missing");
         tx1.send(batch(1, &["b1"])).unwrap();
         assert_eq!(payloads(&mut m, 2), vec!["b1", "a2"]);
+    }
+
+    #[test]
+    fn rest_of_batch_is_the_run_after_the_handed_out_command() {
+        let (tx0, rx0) = unbounded();
+        let (tx1, rx1) = unbounded();
+        let mut m = MergedStream::new(vec![(GroupId::new(0), rx0), (GroupId::new(1), rx1)]);
+        tx0.send(batch(1, &["a1"])).unwrap();
+        tx1.send(batch(1, &["b1", "b2", "b3"])).unwrap();
+        tx0.send(batch(2, &["a2"])).unwrap();
+        assert_eq!(payloads(&mut m, 1), vec!["a1"]);
+        assert_eq!(m.rest_of_batch().count(), 0, "a1 ends its batch");
+        let first = m.next().unwrap();
+        assert_eq!((first.group, first.offset), (GroupId::new(1), 0));
+        let rest: Vec<(u64, usize)> = m.rest_of_batch().map(|d| (d.batch_seq, d.offset)).collect();
+        assert_eq!(rest, vec![(1, 1), (1, 2)], "never crosses into round 2");
+        assert_eq!(m.delivered_count(), 4, "every command is handed out");
+        assert_eq!(payloads(&mut m, 1), vec!["a2"]);
     }
 
     #[test]

@@ -91,32 +91,23 @@ pub type NetMsg = PaxosMsg<Batch>;
 /// watermarks; response-holdback logic (in `psmr-core`) installs an
 /// on-bump observer that runs **inline on the sync thread** — releasing
 /// held responses in the same scheduling quantum as the fsync that
-/// covered them — and can additionally park on [`DurabilityHub::wait_past`].
+/// covered them.
 #[derive(Default)]
 pub struct DurabilityHub {
-    version: std::sync::Mutex<u64>,
-    cv: std::sync::Condvar,
-    /// Invoked inline by [`DurabilityHub::bump`] after the version moves.
+    /// Invoked inline by [`DurabilityHub::bump`].
     observer: Mutex<Option<Arc<dyn Fn() + Send + Sync>>>,
 }
 
 impl std::fmt::Debug for DurabilityHub {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DurabilityHub")
-            .field("version", &self.version())
-            .finish_non_exhaustive()
+        f.debug_struct("DurabilityHub").finish_non_exhaustive()
     }
 }
 
 impl DurabilityHub {
-    /// Creates a hub at version 0.
+    /// Creates a hub with no observer.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// The current notification version (monotonic).
-    pub fn version(&self) -> u64 {
-        *self.version.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Installs (or, with `None`, removes) the on-bump observer. Called
@@ -126,36 +117,13 @@ impl DurabilityHub {
         *self.observer.lock() = observer;
     }
 
-    /// Advances the version, wakes every waiter and runs the observer
-    /// (called by the sync thread after a watermark moved).
+    /// Runs the observer (called by the sync thread after a watermark
+    /// moved).
     pub fn bump(&self) {
-        let mut v = self.version.lock().unwrap_or_else(|e| e.into_inner());
-        *v += 1;
-        drop(v);
-        self.cv.notify_all();
         let observer = self.observer.lock().clone();
         if let Some(observer) = observer {
             observer();
         }
-    }
-
-    /// Blocks until the version moves past `seen` or `timeout` elapses;
-    /// returns the version observed on wakeup.
-    pub fn wait_past(&self, seen: u64, timeout: Duration) -> u64 {
-        let deadline = Instant::now() + timeout;
-        let mut v = self.version.lock().unwrap_or_else(|e| e.into_inner());
-        while *v <= seen {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            let (next, _) = self
-                .cv
-                .wait_timeout(v, deadline - now)
-                .unwrap_or_else(|e| e.into_inner());
-            v = next;
-        }
-        *v
     }
 }
 
@@ -307,7 +275,8 @@ impl WalSyncer {
         })
     }
 
-    /// The hub response-holdback threads park on.
+    /// The hub whose observer the sync thread runs after each watermark
+    /// move.
     pub fn hub(&self) -> &Arc<DurabilityHub> {
         &self.shared.hub
     }
@@ -2207,7 +2176,7 @@ mod tests {
     /// (the fsync "in flight forever"), decided batches still fan out —
     /// execution is never gated on durability — while the durability
     /// watermark stays put; releasing the hold lets the watermark catch
-    /// up and bumps the hub.
+    /// up.
     #[test]
     fn pipelined_group_fans_out_before_the_covering_fsync() {
         use psmr_wal::{Wal, WalOptions};
@@ -2224,7 +2193,6 @@ mod tests {
             .unwrap(),
         );
         let syncer = WalSyncer::spawn(Duration::from_micros(200));
-        let hub = Arc::clone(syncer.hub());
         let group = PaxosGroup::spawn_with_wal_mode(
             30,
             &test_cfg(),
@@ -2238,7 +2206,7 @@ mod tests {
         let sub = group.subscribe();
         group.start();
         handle.hold_wal_sync(true);
-        let hub_before = hub.version();
+        let durable_before = handle.durable_seq();
         group.submit(Bytes::from_static(b"overlapped"));
         let batch = sub
             .recv_timeout(Duration::from_secs(5))
@@ -2256,8 +2224,8 @@ mod tests {
             std::thread::sleep(Duration::from_millis(1));
         }
         assert!(
-            hub.version() > hub_before,
-            "fsync completion bumped the hub"
+            handle.durable_seq() > durable_before,
+            "fsync completion advanced the watermark"
         );
         group.shutdown();
         syncer.stop();
@@ -2381,21 +2349,6 @@ mod tests {
         }
         assert_eq!(got, (0..32).collect::<Vec<_>>());
         group.shutdown();
-    }
-
-    #[test]
-    fn durability_hub_wakes_waiters_past_a_version() {
-        let hub = Arc::new(DurabilityHub::new());
-        let seen = hub.version();
-        // Timeout path: nothing bumps.
-        assert_eq!(hub.wait_past(seen, Duration::from_millis(5)), seen);
-        let waiter = {
-            let hub = Arc::clone(&hub);
-            std::thread::spawn(move || hub.wait_past(seen, Duration::from_secs(5)))
-        };
-        std::thread::sleep(Duration::from_millis(10));
-        hub.bump();
-        assert!(waiter.join().unwrap() > seen);
     }
 
     /// Co-located acceptors forget what their coordinator learned: after
