@@ -16,8 +16,7 @@ use std::time::Duration;
 
 fn quick_cfg(mpl: usize) -> SystemConfig {
     let mut cfg = SystemConfig::new(mpl);
-    cfg.batch_delay(Duration::from_micros(50))
-        .skip_interval(Duration::from_micros(200));
+    cfg.skip_interval(Duration::from_micros(200));
     cfg
 }
 

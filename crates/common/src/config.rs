@@ -81,17 +81,18 @@ pub struct SystemConfig {
     /// Acceptors per Paxos instance (3 in the paper; tolerates one crash).
     pub n_acceptors: usize,
     /// Maximum marshalled size of a consensus batch (8 KB in the paper).
+    /// Nothing lingers to fill a batch: when the ordering thread proposes,
+    /// it takes everything queued, split into instances of at most this
+    /// size, so batches grow with load.
     pub batch_bytes: usize,
-    /// How long a coordinator waits for more traffic before closing a
-    /// non-full batch.
-    pub batch_delay: Duration,
     /// Idle skip period of merged (P-SMR) streams. Rounds are
     /// demand-driven: the next round fires once the previous one is
     /// decided on every group and taken by every worker, and only when a
     /// command is waiting. With no traffic the clock still decides one
     /// *skip* round per `skip_interval`. The same interval bounds how long
     /// a stalled consumer can hold the next round back before the clock
-    /// re-checks it.
+    /// re-checks it. A single stream (SMR, sP-SMR) is merged with nothing,
+    /// has no rounds and emits no skips, so the knob does not apply to it.
     pub skip_interval: Duration,
     /// Decided batches each group retains for replica catch-up, beyond
     /// what checkpoints have made reclaimable. Checkpoints trim the logs
@@ -140,7 +141,7 @@ pub struct SystemConfig {
     pub wal_pipeline: bool,
     /// Capacity, in decided batches, of each subscriber's delivery queue
     /// (the ring between a group's delivery and a replica worker). When a
-    /// slow worker fills its ring the coordinator blocks, throttling
+    /// slow worker fills its ring the ordering thread blocks, throttling
     /// ordering instead of growing memory without bound
     /// (`delivery_backpressure_stalls` counts those stalls).
     pub delivery_queue: usize,
@@ -167,7 +168,6 @@ impl SystemConfig {
             n_replicas: 2,
             n_acceptors: 3,
             batch_bytes: 8 * 1024,
-            batch_delay: Duration::from_micros(50),
             skip_interval: Duration::from_millis(1),
             log_retention: 4096,
             checkpoint_interval: None,
@@ -237,12 +237,6 @@ impl SystemConfig {
     /// [`SystemConfig::validate`]).
     pub fn batch_bytes(&mut self, bytes: usize) -> &mut Self {
         self.batch_bytes = bytes;
-        self
-    }
-
-    /// Sets the batch linger delay.
-    pub fn batch_delay(&mut self, delay: Duration) -> &mut Self {
-        self.batch_delay = delay;
         self
     }
 

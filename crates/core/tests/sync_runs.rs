@@ -117,9 +117,7 @@ fn spec() -> DependencySpec {
 
 fn cfg(skip_interval: Duration) -> SystemConfig {
     let mut cfg = SystemConfig::new(WORKERS);
-    cfg.replicas(2)
-        .batch_delay(Duration::from_micros(100))
-        .skip_interval(skip_interval);
+    cfg.replicas(2).skip_interval(skip_interval);
     cfg
 }
 

@@ -3,16 +3,19 @@
 //! This crate implements the multicast library of the paper's §VI-A:
 //!
 //! * the abstraction of **groups** is provided by composing multiple
-//!   parallel instances of Paxos — one [`psmr_paxos::PaxosGroup`] per
-//!   multicast group;
+//!   parallel instances of Paxos — one Paxos stream per multicast group,
+//!   all of a deployment's groups ordered by one
+//!   [`psmr_paxos::LockstepGroups`] thread;
 //! * a message is **addressed to a single group only**; commands whose
 //!   destination set `γ` contains several groups are routed through the
 //!   shared group `g_all` to which every worker thread of every replica
 //!   belongs;
 //! * each worker thread delivers from multiple streams (its own `g_i` plus
 //!   `g_all`) and uses a **deterministic merge** to ensure ordered delivery,
-//!   as in Multi-Ring Paxos. Idle streams emit *skip* batches so the merge
-//!   keeps advancing.
+//!   as in Multi-Ring Paxos. The groups close one round each per fire,
+//!   and idle streams emit *skip* batches so the merge keeps advancing.
+//!   The single stream of SMR and sP-SMR ([`MulticastSystem::spawn_single`])
+//!   is read by no merge, so it runs no rounds and no skips.
 //!
 //! The deterministic merge guarantees the property Algorithm 1 of the paper
 //! relies on: two commands are ordered consistently across replicas if they

@@ -6,9 +6,8 @@ use psmr_common::ids::{GroupId, WorkerId};
 use psmr_common::metrics::{global, histograms};
 use psmr_common::runtime::Runtime;
 use psmr_common::{trace, SystemConfig};
-use psmr_netsim::live::LiveNet;
 use psmr_paxos::runtime::{
-    acceptor_node, DurabilityHub, GroupHandle, LockstepGroups, PaxosGroup, WalMode, WalSyncer,
+    acceptor_node, DurabilityHub, GroupHandle, LockstepGroups, WalMode, WalSyncer,
 };
 use psmr_recovery::{RecoveryError, StreamCut};
 use psmr_wal::{Wal, WalOptions};
@@ -149,7 +148,7 @@ impl Destinations {
 pub struct MulticastSystem {
     groups: Vec<GroupHandle>,
     /// The thread that orders the groups.
-    orderer: Orderer,
+    orderer: LockstepGroups,
     /// Shared WAL sync thread of a pipelined (`cfg.wal_pipeline`)
     /// deployment.
     syncer: Option<Arc<WalSyncer>>,
@@ -184,26 +183,6 @@ impl DurabilityView {
     /// [`psmr_paxos::runtime::DurabilityHub::set_on_bump`]).
     pub fn set_on_bump(&self, observer: Option<Arc<dyn Fn() + Send + Sync>>) {
         self.hub.set_on_bump(observer);
-    }
-}
-
-/// Who orders a deployment's groups.
-#[derive(Debug)]
-enum Orderer {
-    /// The single layout: one traffic-driven group on its coordinator.
-    Single(PaxosGroup),
-    /// The P-SMR layout: every group closes one round per fire, all on one
-    /// `order-rounds` thread, so all streams advance in lockstep (see
-    /// [`LockstepGroups`] for the fire rule).
-    Rounds(LockstepGroups),
-}
-
-impl Orderer {
-    fn shutdown(self) {
-        match self {
-            Orderer::Single(group) => group.shutdown(),
-            Orderer::Rounds(groups) => groups.shutdown(),
-        }
     }
 }
 
@@ -257,27 +236,16 @@ impl MulticastSystem {
     ///
     /// As [`MulticastSystem::spawn`].
     pub fn spawn_with_runtime(cfg: &SystemConfig, rt: Runtime) -> Self {
-        cfg.validate()
-            .unwrap_or_else(|e| panic!("invalid SystemConfig: {e}"));
-        trace::global().set_sample(cfg.trace_sample);
-        let syncer = deployment_syncer(cfg, &rt);
-        let modes = (0..cfg.group_count())
-            .map(|gid| group_wal_mode(cfg, gid, &syncer, &rt))
-            .collect();
-        let groups = LockstepGroups::spawn(cfg, &rt, modes);
-        Self {
-            groups: groups.handles().to_vec(),
-            orderer: Orderer::Rounds(groups),
-            syncer,
-            rt,
-        }
+        Self::launch(cfg, rt, cfg.group_count())
     }
 
     /// Spawns a single totally-ordered stream (the SMR / sP-SMR layout):
-    /// one group, no skips needed. `g0` is both the only stream and
-    /// `g_all`, so serialized multicasts land on it too. Durable-log
-    /// behavior matches [`MulticastSystem::spawn`], with only `g0`'s log
-    /// in play.
+    /// one group on its own `order-rounds` thread. No merge reads it, so
+    /// it needs no rounds and no skips: a command is proposed as soon as
+    /// it is queued, and every decided Paxos instance is a stream batch.
+    /// `g0` is both the only stream and `g_all`, so serialized multicasts
+    /// land on it too. Durable-log behavior matches
+    /// [`MulticastSystem::spawn`], with only `g0`'s log in play.
     ///
     /// # Panics
     ///
@@ -294,19 +262,23 @@ impl MulticastSystem {
     ///
     /// As [`MulticastSystem::spawn_single`].
     pub fn spawn_single_with_runtime(cfg: &SystemConfig, rt: Runtime) -> Self {
+        Self::launch(cfg, rt, 1)
+    }
+
+    /// Spawns `groups` groups on one ordering thread; the loop takes its
+    /// rules from that count.
+    fn launch(cfg: &SystemConfig, rt: Runtime, groups: usize) -> Self {
         cfg.validate()
             .unwrap_or_else(|e| panic!("invalid SystemConfig: {e}"));
         trace::global().set_sample(cfg.trace_sample);
         let syncer = deployment_syncer(cfg, &rt);
-        let group = PaxosGroup::spawn_with_wal_mode(
-            0,
-            cfg,
-            LiveNet::with_runtime(rt.clone()),
-            group_wal_mode(cfg, 0, &syncer, &rt),
-        );
+        let modes = (0..groups)
+            .map(|gid| group_wal_mode(cfg, gid, &syncer, &rt))
+            .collect();
+        let orderer = LockstepGroups::spawn(cfg, &rt, modes);
         Self {
-            groups: vec![group.handle()],
-            orderer: Orderer::Single(group),
+            groups: orderer.handles().to_vec(),
+            orderer,
             syncer,
             rt,
         }
@@ -371,14 +343,16 @@ impl MulticastSystem {
     }
 
     /// Steps a new merge on the deployment's injected clock and scheduler
-    /// and, on a round-paced layout, wires it to the ordering thread.
+    /// and, on the P-SMR layout (whose rounds wait for their consumers),
+    /// wires it to the ordering thread.
     fn attach(&self, stream: MergedStream) -> MergedStream {
         let stream = stream
             .with_clock(Arc::clone(&self.rt.clock))
             .with_sched(Arc::clone(&self.rt.sched));
-        match &self.orderer {
-            Orderer::Rounds(groups) => stream.with_progress(groups.doorbell()),
-            Orderer::Single(_) => stream,
+        if self.groups.len() > 1 {
+            stream.with_progress(self.orderer.doorbell())
+        } else {
+            stream
         }
     }
 
@@ -622,8 +596,7 @@ mod tests {
 
     fn test_cfg(mpl: usize) -> SystemConfig {
         let mut cfg = SystemConfig::new(mpl);
-        cfg.batch_delay(Duration::from_micros(100))
-            .skip_interval(Duration::from_micros(500));
+        cfg.skip_interval(Duration::from_micros(500));
         cfg
     }
 

@@ -47,8 +47,7 @@ proptest! {
     ) {
         let mpl = 3;
         let mut cfg = SystemConfig::new(mpl);
-        cfg.batch_delay(Duration::from_micros(50))
-            .skip_interval(Duration::from_micros(300));
+        cfg.skip_interval(Duration::from_micros(300));
         let system = MulticastSystem::spawn(&cfg);
         let handle = system.handle();
         // Two "replicas": two independent subscriptions per worker.
@@ -101,8 +100,7 @@ proptest! {
 fn dependent_commands_order_identically_at_every_worker() {
     let mpl = 4;
     let mut cfg = SystemConfig::new(mpl);
-    cfg.batch_delay(Duration::from_micros(50))
-        .skip_interval(Duration::from_micros(300));
+    cfg.skip_interval(Duration::from_micros(300));
     let system = MulticastSystem::spawn(&cfg);
     let handle = system.handle();
     let mut workers: Vec<MergedStream> = (0..mpl)

@@ -1,12 +1,19 @@
-//! Thread census of a P-SMR deployment: one ordering thread for all
-//! `mpl + 1` groups, and none left after the shutdown.
+//! Thread census of a deployment: one ordering thread for all `mpl + 1`
+//! P-SMR groups, one for the single layout's stream, and none left after
+//! the shutdown.
 //!
 //! Its own test binary, so no other test's threads are in the process.
+//! The tests run one at a time: each counts every ordering thread of
+//! the process.
 
 use bytes::Bytes;
 use psmr_common::ids::{GroupId, WorkerId};
 use psmr_common::SystemConfig;
 use psmr_multicast::{Destinations, MulticastSystem};
+use std::sync::Mutex;
+use std::time::Duration;
+
+static SERIAL: Mutex<()> = Mutex::new(());
 
 /// Names of this process's threads, from `/proc/self/task/*/comm`.
 fn thread_names() -> Vec<String> {
@@ -29,6 +36,7 @@ fn ordering_threads() -> Vec<String> {
 
 #[test]
 fn one_ordering_thread_runs_every_group() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let system = MulticastSystem::spawn(&SystemConfig::new(3));
     let handle = system.handle();
     let mut w2 = system.worker_stream(WorkerId::new(2));
@@ -45,6 +53,40 @@ fn one_ordering_thread_runs_every_group() {
         thread_names()
     );
     drop(w2);
+    system.shutdown();
+    assert_eq!(ordering_threads(), Vec::<String>::new());
+}
+
+/// The single layout is ordered by the same loop, and its one stream,
+/// read by no merge, emits no skip rounds: idle, it stays where it is.
+#[test]
+fn the_single_stream_runs_on_one_ordering_thread_and_skips_nothing() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let mut cfg = SystemConfig::new(1);
+    cfg.skip_interval(Duration::from_millis(1));
+    let system = MulticastSystem::spawn_single(&cfg);
+    let handle = system.handle();
+    let mut stream = system.single_stream();
+    system.start();
+    handle.multicast(
+        &Destinations::one(GroupId::new(0)),
+        Bytes::from_static(b"x"),
+    );
+    assert_eq!(&stream.next().expect("delivered").payload[..], b"x");
+    assert_eq!(
+        ordering_threads(),
+        vec!["order-rounds".to_string()],
+        "one group, one ordering thread: {:?}",
+        thread_names()
+    );
+    let idle_seq = system.next_seq(GroupId::new(0));
+    std::thread::sleep(Duration::from_millis(500));
+    assert_eq!(
+        system.next_seq(GroupId::new(0)),
+        idle_seq,
+        "an idle single stream decides nothing"
+    );
+    drop(stream);
     system.shutdown();
     assert_eq!(ordering_threads(), Vec::<String>::new());
 }

@@ -9,7 +9,9 @@
 //! * a burst under `corrupt` + `dup` + `drop` chaos: every frame the
 //!   dice did not consume delivers exactly once, by replay;
 //! * a paxos round trip bridged over two meshes decides with ingress
-//!   running on the reader threads — no `bridge-chan*` thread exists.
+//!   running on the reader threads and the coordinator on the
+//!   `order-rounds` thread — no `bridge-chan*` or `coord-g*` thread
+//!   exists.
 //!
 //! The tests read process-global counters, so they run one at a time.
 
@@ -21,7 +23,7 @@ use psmr_net::codec::{decode_paxos, encode_paxos};
 use psmr_net::frame::{encode_frame, FrameDecoder};
 use psmr_net::{bridge, ClusterConfig, LinkChaos, NodeSpec, TcpMesh};
 use psmr_netsim::{LiveNet, NodeId};
-use psmr_paxos::runtime::{coordinator_node, PaxosGroup, RemoteAcceptor, WalMode};
+use psmr_paxos::runtime::{coordinator_node, LockstepGroups, RemoteAcceptor, WalMode};
 use psmr_paxos::NetMsg;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -355,7 +357,8 @@ fn bridged_paxos_round_trip_decides_without_bridge_threads() {
     }
     let mut cfg = SystemConfig::new(1);
     cfg.acceptors(2);
-    let group = PaxosGroup::spawn_hosted(0, &cfg, nets[0].clone(), WalMode::None, &[0]);
+    let groups = LockstepGroups::spawn_hosted(&cfg, nets[0].clone(), WalMode::None, &[0]);
+    let group = &groups.handles()[0];
     let acceptor = RemoteAcceptor::spawn(0, 1, nets[1].clone());
     let decided = group.subscribe();
     group.start();
@@ -378,7 +381,11 @@ fn bridged_paxos_round_trip_decides_without_bridge_threads() {
         !names.iter().any(|n| n.starts_with("bridge-chan")),
         "bridge ingress runs on the reader threads: {names:?}"
     );
-    group.shutdown();
+    assert!(
+        !names.iter().any(|n| n.starts_with("coord-g")),
+        "the hosted group is ordered on the order-rounds thread: {names:?}"
+    );
+    groups.shutdown();
     acceptor.shutdown();
     for mesh in &meshes {
         mesh.shutdown();

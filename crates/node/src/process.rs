@@ -9,9 +9,12 @@
 //!   run unmodified over real sockets, delivered straight from the mesh
 //!   reader threads;
 //! * on node 0 (the orderer): the paxos group — coordinator, WAL, and
-//!   acceptor 0, which votes inline on the coordinator thread — spawned
-//!   with [`PaxosGroup::spawn_hosted`], the
-//!   decided-batch **relay server** (mesh channel 2), and the periodic
+//!   acceptor 0 — spawned with [`LockstepGroups::spawn_hosted`] as the
+//!   one group of an `order-rounds` thread. Acceptor 0 votes inline on
+//!   that thread; the followers' votes arrive on the coordinator's inbox
+//!   and wake it. It proposes as soon as a command is queued and relays
+//!   every decided instance as one batch. Node 0 also runs the
+//!   decided-batch **relay server** (mesh channel 2) and the periodic
 //!   checkpoint driver;
 //! * on every other node: a [`RemoteAcceptor`] (acceptor `me` of the
 //!   group) and the relay **follower** that streams decided batches
@@ -46,7 +49,7 @@ use psmr_net::frame::encode_frame;
 use psmr_net::{bridge, ClusterConfig, TcpMesh};
 use psmr_netsim::{LiveNet, NodeId};
 use psmr_paxos::runtime::{
-    coordinator_node, GroupHandle, PaxosGroup, RemoteAcceptor, SubscribeError, WalMode,
+    coordinator_node, GroupHandle, LockstepGroups, RemoteAcceptor, SubscribeError, WalMode,
 };
 use psmr_paxos::NetMsg;
 use psmr_recovery::{
@@ -82,12 +85,28 @@ const METRICS_SNAPSHOT_PERIOD: Duration = Duration::from_millis(250);
 const PREFIX_RETAIN: u64 = 2048;
 
 /// Exported trace prefixes, keyed by stream sequence: the node-0
-/// executor deposits each sampled batch's [`ChainPrefix`] (with its
-/// export instant) *before* releasing the trace slot, so the relay
-/// forwarders can attach it to the wire envelope even after the local
-/// lifecycle folded. Forwarders re-age `submitted_age_ns` by the time
-/// the prefix sat in the cache.
-type PrefixCache = Arc<Mutex<HashMap<u64, (ChainPrefix, Instant)>>>;
+/// executor deposits each sampled batch's [`ChainPrefix`], anchored on
+/// the wall clock ([`reanchor`]), *before* releasing the trace slot, so
+/// the relay forwarders can attach it to the wire envelope even after
+/// the local lifecycle folded.
+type PrefixCache = Arc<Mutex<HashMap<u64, ChainPrefix>>>;
+
+/// Moves a trace prefix between its two anchors, and back (it is its own
+/// inverse). Read off a local recorder, `submitted_age_ns` is how long
+/// before the read `Submitted` was stamped; on the relay wire it holds
+/// the `Submitted` instant on the wall clock (unix ns) instead. Node 0
+/// converts at export and the follower converts back right after the
+/// receive, so the hop between the two ends stays in the follower's
+/// chain (in `appended_to_delivered`): an age read at the send and
+/// re-anchored at the receive would drop it. Both ends must read one
+/// wall clock — one host, or hosts kept in sync.
+fn reanchor(mut prefix: ChainPrefix) -> ChainPrefix {
+    let unix_ns = std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map_or(0, |d| d.as_nanos() as u64);
+    prefix.submitted_age_ns = unix_ns.saturating_sub(prefix.submitted_age_ns);
+    prefix
+}
 
 /// Tunables of one node process (CLI flags of `psmr-node`).
 #[derive(Debug, Clone)]
@@ -126,7 +145,7 @@ impl Default for NodeOptions {
 pub struct RunningNode {
     mesh: TcpMesh,
     _xfer_server: StateTransferServer,
-    _group: Option<PaxosGroup>,
+    _group: Option<LockstepGroups>,
     _racceptor: Option<RemoteAcceptor>,
     _driver: Option<AutoCheckpointer>,
     _metrics_recorder: JsonlSnapshotter,
@@ -446,14 +465,13 @@ pub fn run_node(
     if me == 0 {
         let wal = Wal::open(spec.data_dir.join("wal"), WalOptions::default())
             .map_err(|e| format!("open wal: {e}"))?;
-        let g = PaxosGroup::spawn_hosted(
-            0,
+        let g = LockstepGroups::spawn_hosted(
             &cfg,
             paxos_net.clone(),
             WalMode::Inline(Arc::new(wal)),
             &[0],
         );
-        let handle = g.handle();
+        let handle = g.handles()[0].clone();
         let from = resume.map_or(1, |cut: StreamCut| cut.seq);
         let rx = match handle.subscribe_from(from) {
             Ok(rx) => rx,
@@ -491,7 +509,7 @@ pub fn run_node(
                     // forwarders still need the prefix afterwards.
                     if let Some(p) = trace_global().chain_prefix(0, batch.seq, Instant::now()) {
                         let mut cache = exec_prefixes.lock();
-                        cache.insert(batch.seq, (p, Instant::now()));
+                        cache.insert(batch.seq, reanchor(p));
                         if cache.len() as u64 > PREFIX_RETAIN {
                             let floor = batch.seq.saturating_sub(PREFIX_RETAIN);
                             cache.retain(|&s, _| s > floor);
@@ -600,15 +618,16 @@ pub fn run_node(
     })
 }
 
-/// Reads the exported trace prefix for `seq`, preferring the executor's
-/// cache (re-aged by its cache residency) and falling back to the live
-/// trace slot for batches the executor has not reached yet.
+/// Reads the wall-clock-anchored trace prefix for `seq`, preferring the
+/// executor's cache and falling back to the live trace slot for batches
+/// the executor has not reached yet.
 fn prefix_for(prefixes: &PrefixCache, seq: u64) -> Option<ChainPrefix> {
-    if let Some((mut p, exported_at)) = prefixes.lock().get(&seq).copied() {
-        p.submitted_age_ns += exported_at.elapsed().as_nanos() as u64;
+    if let Some(p) = prefixes.lock().get(&seq).copied() {
         return Some(p);
     }
-    trace_global().chain_prefix(0, seq, Instant::now())
+    trace_global()
+        .chain_prefix(0, seq, Instant::now())
+        .map(reanchor)
 }
 
 /// Node 0's relay server: answers `Subscribe` with a forwarder thread
@@ -765,7 +784,7 @@ fn follower_ingest(
                                 // it into a cross-process chain.
                                 let now = Instant::now();
                                 let rec = trace_global();
-                                rec.adopt_prefix(0, seq, &prefix, now);
+                                rec.adopt_prefix(0, seq, &reanchor(prefix), now);
                                 rec.stamp_at(0, seq, Stage::Delivered, now);
                             }
                             core.execute_batch(seq, &commands);

@@ -37,11 +37,14 @@ pub enum RelayMsg {
     Batch {
         /// Stream sequence number (contiguous from 1).
         seq: u64,
-        /// The orderer's trace-chain prefix for this batch (ages of its
-        /// `Submitted`/`Ordered`/`WalAppended` stamps), present when the
+        /// The orderer's trace-chain prefix for this batch (its
+        /// `Submitted` instant on the wall clock, then the intervals to
+        /// its `Ordered` and `WalAppended` stamps), present when the
         /// sequence is sampled and the prefix is complete. The follower
-        /// re-anchors it with `TraceRecorder::adopt_prefix` so its own
-        /// report spans the full cross-process chain.
+        /// turns the instant back into an age at the receive and
+        /// re-anchors the prefix with `TraceRecorder::adopt_prefix`, so
+        /// its own report spans the full cross-process chain, the relay
+        /// hop included.
         trace: Option<ChainPrefix>,
         /// The batch's commands (encoded [`Request`]s).
         commands: Vec<Bytes>,

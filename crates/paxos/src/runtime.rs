@@ -1,14 +1,16 @@
 //! Threaded Paxos group runtime.
 //!
-//! A [`PaxosGroup`] is the execution of one multicast group's ordering
-//! protocol (§VI-A of the paper): a **coordinator** thread that batches
-//! submitted commands (8 KB cap) and drives phases 1 and 2 against `n`
-//! **acceptors** (3 in the paper). Acceptors that share the coordinator's
-//! process are state machines on the coordinator thread, called directly;
-//! the others are [`RemoteAcceptor`]s reached over a [`LiveNet`]. Every
-//! vote, inline or not, passes the net's fault filter
-//! ([`LiveNet::admit`]), so tests can inject link faults or crash an
-//! acceptor and verify the group still makes progress with a majority.
+//! [`LockstepGroups`] executes the ordering protocol of a deployment's
+//! multicast groups (§VI-A of the paper) on one `order-rounds` thread.
+//! Each group has a **coordinator** that batches submitted commands (8 KB
+//! cap) and drives phases 1 and 2 against `n` **acceptors** (3 in the
+//! paper). Acceptors that share the coordinator's process are state
+//! machines on the ordering thread, called directly; the others are
+//! [`RemoteAcceptor`]s reached over the group's [`LiveNet`], whose replies
+//! land on the coordinator's inbox and wake the thread. Every vote, inline
+//! or not, passes the net's fault filter ([`LiveNet::admit`]), so tests
+//! can inject link faults or crash an acceptor and verify the group still
+//! makes progress with a majority.
 //!
 //! The coordinator doubles as distinguished learner: once a quorum of
 //! `Accepted` replies arrives it delivers the batch, in instance order, to
@@ -16,25 +18,27 @@
 //! `Decide`). Subscribers are the per-replica worker threads of the
 //! replication engines in `psmr-core`.
 //!
-//! **Pacing.** A stand-alone [`PaxosGroup`] is traffic-driven: batches
-//! close when full or after the linger delay. Streams that are merged
-//! with others run round-paced instead ([`LockstepGroups`]): one
-//! `order-rounds` thread owns every group of a deployment and closes
-//! exactly one round (empty = *skip*) on each of them per fire, so all
-//! merged streams advance in lockstep, as with the skip messages of
-//! Multi-Ring Paxos. Fires are demand-driven: the next round fires as
-//! soon as the previous one is decided on every group, every subscriber
-//! took the one before it and some group has a queued command, so a lone
-//! command waits for one decide rather than a timer, and everything that
-//! arrives while a round is in flight rides in the next one — rounds
-//! grow with load. Only an idle deployment is paced by time: one skip
-//! round per `skip_interval`.
+//! **Pacing.** The loop takes its rules from the number of groups it
+//! orders. Several groups are merged by their readers, so they run
+//! round-paced: each fire closes exactly one round (empty = *skip*) on
+//! every group, so all merged streams advance in lockstep, as with the
+//! skip messages of Multi-Ring Paxos. Fires are demand-driven: the next
+//! round fires as soon as the previous one is decided on every group,
+//! every subscriber took the one before it and some group has a queued
+//! command, so a lone command waits for one decide rather than a timer,
+//! and everything that arrives while a round is in flight rides in the
+//! next one — rounds grow with load. Only an idle deployment is paced by
+//! time: one skip round per `skip_interval`. A single group (SMR, sP-SMR,
+//! `psmr-node`) is read by no merge: it proposes as soon as a command is
+//! queued and fewer than `MAX_INFLIGHT` (256) instances are open, delivers
+//! every decided instance as a stream batch of its own, and stays silent
+//! when idle.
 
 use crate::acceptor::Acceptor;
 use crate::msg::{Instance, PaxosMsg};
 use crate::proposer::Proposer;
 use bytes::Bytes;
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
+use crossbeam::channel::{bounded, Receiver, Sender, TryRecvError, TrySendError};
 use parking_lot::Mutex;
 use psmr_common::metrics::{counters, gauges, global};
 use psmr_common::runtime::{recv_timeout_via, Clock, ClockHandle, Runtime, SchedulePoint};
@@ -440,19 +444,20 @@ struct Inner {
     /// `Submitted` trace stamp covers the channel wait (the proposer loop
     /// can lag behind arrivals, e.g. while an inline-mode fsync runs).
     submit_tx: Sender<(Instant, Bytes)>,
-    /// The ordering thread's doorbell of a [`LockstepGroups`] member,
-    /// rung after every submission, at the start and at the shutdown.
-    doorbell: Option<Sender<()>>,
+    /// The ordering thread's doorbell, rung after every submission, at
+    /// the start and at the shutdown.
+    doorbell: Sender<()>,
     stream: Mutex<StreamState>,
     /// Pipelined-commit state of a [`WalMode::Pipelined`] group, plus
     /// the deployment syncer to nudge after urgent appends.
     pipeline: Option<Arc<Pipeline>>,
     syncer: Option<Arc<WalSyncer>>,
     shutdown: AtomicBool,
-    /// Gate: the coordinator proposes nothing (no batches, no skips) until
-    /// the group is started. Subscribers must register before the start so
-    /// that every subscriber observes the stream from sequence number 1 —
-    /// deterministic merge relies on that alignment.
+    /// Gate: the coordinator runs no phase 1 and proposes nothing (no
+    /// batches, no skips) until the group is started. Subscribers must
+    /// register before the start so that every subscriber observes the
+    /// stream from sequence number 1 — deterministic merge relies on that
+    /// alignment.
     started: AtomicBool,
     decided: AtomicU64,
     net: LiveNet<NetMsg>,
@@ -465,14 +470,14 @@ struct Inner {
 
 impl Inner {
     /// A group's shared state, with its stream seeded from the log's
-    /// records (see [`PaxosGroup::spawn_with_wal_mode`]), and the receiving
+    /// records (see [`LockstepGroups::spawn`]), and the receiving
     /// end of its submission queue.
     fn new(
         group_id: usize,
         cfg: &SystemConfig,
         net: &LiveNet<NetMsg>,
         mode: &WalMode,
-        doorbell: Option<Sender<()>>,
+        doorbell: Sender<()>,
     ) -> (Arc<Self>, Receiver<(Instant, Bytes)>) {
         let mut log = VecDeque::new();
         let mut next_seq = 1;
@@ -532,10 +537,8 @@ impl Inner {
     }
 
     fn ring(&self) {
-        if let Some(doorbell) = &self.doorbell {
-            // Full means a ring is already pending: the two merge.
-            let _ = doorbell.try_send(());
-        }
+        // Full means a ring is already pending: the two merge.
+        let _ = self.doorbell.try_send(());
     }
 
     /// Decided batches waiting in the fullest subscriber ring: how far
@@ -660,15 +663,6 @@ pub struct GroupHandle {
     inner: Arc<Inner>,
 }
 
-/// Spawner for Paxos group runtimes. See the [crate-level
-/// example](crate) for typical usage.
-#[derive(Debug)]
-pub struct PaxosGroup {
-    handle: GroupHandle,
-    /// The coordinator thread, which also runs the co-located acceptors.
-    thread: Option<JoinHandle<()>>,
-}
-
 /// Deterministic node-id layout of a group on its live net: coordinator at
 /// `group*100`, acceptor `i` at `group*100 + 1 + i`.
 pub fn coordinator_node(group_id: usize) -> NodeId {
@@ -680,155 +674,12 @@ pub fn acceptor_node(group_id: usize, i: usize) -> NodeId {
     NodeId::new(group_id as u64 * 100 + 1 + i as u64)
 }
 
-impl PaxosGroup {
-    /// Spawns a traffic-driven group with its own private network.
-    pub fn spawn(group_id: usize, cfg: &SystemConfig) -> Self {
-        Self::spawn_with(group_id, cfg, LiveNet::new())
-    }
-
-    /// Spawns a group on the given network.
-    ///
-    /// Tests pass a shared [`LiveNet`] here so they can crash acceptors or
-    /// inject link faults while the group runs.
-    pub fn spawn_with(group_id: usize, cfg: &SystemConfig, net: LiveNet<NetMsg>) -> Self {
-        Self::spawn_with_wal(group_id, cfg, net, None)
-    }
-
-    /// Like [`PaxosGroup::spawn_with`], additionally attaching a durable
-    /// write-ahead log in the inline (conservative) mode — shorthand for
-    /// [`PaxosGroup::spawn_with_wal_mode`] with [`WalMode::Inline`].
-    ///
-    /// # Panics
-    ///
-    /// See [`PaxosGroup::spawn_with_wal_mode`].
-    pub fn spawn_with_wal(
-        group_id: usize,
-        cfg: &SystemConfig,
-        net: LiveNet<NetMsg>,
-        wal: Option<Arc<Wal>>,
-    ) -> Self {
-        let mode = match wal {
-            Some(wal) => WalMode::Inline(wal),
-            None => WalMode::None,
-        };
-        Self::spawn_with_wal_mode(group_id, cfg, net, mode)
-    }
-
-    /// Spawns a group with the given durable-log mode. Every decided
-    /// batch is appended to the log before fan-out ([`WalMode::Inline`])
-    /// or concurrently with it ([`WalMode::Pipelined`]),
-    /// [`GroupHandle::trim_below`] trims its segments, and — crucially
-    /// for whole-deployment cold starts — the log's existing records are
-    /// **replayed into the retained log** here, so the stream
-    /// *continues* the old sequence numbering instead of restarting at
-    /// 1: checkpoint cuts taken before the crash stay comparable, and
-    /// `subscribe_from` reaches back into the pre-crash suffix.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the log's records cannot be replayed, or when replay
-    /// stops short of the log's tail (corruption in a *non-tail*
-    /// segment — a torn tail self-heals, a hole in the middle of the
-    /// stream cannot) — a group asked to be durable must not come up
-    /// with a silently truncated stream.
-    pub fn spawn_with_wal_mode(
-        group_id: usize,
-        cfg: &SystemConfig,
-        net: LiveNet<NetMsg>,
-        mode: WalMode,
-    ) -> Self {
-        let all: Vec<usize> = (0..cfg.n_acceptors).collect();
-        Self::spawn_hosted(group_id, cfg, net, mode, &all)
-    }
-
-    /// Like [`PaxosGroup::spawn_with_wal_mode`], but hosts only the
-    /// acceptors in `local_acceptors`. Those run inline on the
-    /// coordinator thread — no thread and no inbox of their own: the
-    /// coordinator hands each `Prepare`/`Accept` to them by a direct call
-    /// and feeds their replies straight to its proposer, after the net's
-    /// fault filter ([`LiveNet::admit`]) in each direction, so crashing
-    /// or degrading their [`acceptor_node`] ids still works. The
-    /// remaining acceptors are expected to run elsewhere — typically in
-    /// other OS processes reached through the net's gateway (see
-    /// `psmr_netsim::live::LiveNet::set_gateway` and the `psmr-net`
-    /// bridge) — as [`RemoteAcceptor`]s registered under the same
-    /// [`acceptor_node`] ids. Quorum logic is unchanged: the coordinator
-    /// still addresses all `cfg.n_acceptors` acceptors and needs a
-    /// majority of them reachable to decide. It sends no `Decide`.
-    ///
-    /// # Panics
-    ///
-    /// See [`PaxosGroup::spawn_with_wal_mode`].
-    pub fn spawn_hosted(
-        group_id: usize,
-        cfg: &SystemConfig,
-        net: LiveNet<NetMsg>,
-        mode: WalMode,
-        local_acceptors: &[usize],
-    ) -> Self {
-        let (inner, submit_rx) = Inner::new(group_id, cfg, &net, &mode, None);
-        for &i in local_acceptors {
-            assert!(
-                i < cfg.n_acceptors,
-                "local acceptor index {i} out of range (group has {})",
-                cfg.n_acceptors
-            );
-        }
-        let acceptors = Acceptors::new(group_id, &net, cfg.n_acceptors, local_acceptors);
-        let coord_inbox = net.register(coordinator_node(group_id));
-        let coord_inner = Arc::clone(&inner);
-        let cfg = cfg.clone();
-        let thread = std::thread::Builder::new()
-            .name(format!("coord-g{group_id}"))
-            .spawn(move || coordinator_main(cfg, coord_inner, submit_rx, coord_inbox, acceptors))
-            .expect("spawn coordinator thread");
-
-        Self {
-            handle: GroupHandle { inner },
-            thread: Some(thread),
-        }
-    }
-
-    /// Returns a cloneable handle to the group.
-    pub fn handle(&self) -> GroupHandle {
-        self.handle.clone()
-    }
-
-    /// See [`GroupHandle::submit`].
-    pub fn submit(&self, command: Bytes) {
-        self.handle.submit(command);
-    }
-
-    /// See [`GroupHandle::subscribe`].
-    pub fn subscribe(&self) -> Receiver<Arc<DecidedBatch>> {
-        self.handle.subscribe()
-    }
-
-    /// See [`GroupHandle::start`].
-    pub fn start(&self) {
-        self.handle.start();
-    }
-
-    /// See [`GroupHandle::net`].
-    pub fn net(&self) -> LiveNet<NetMsg> {
-        self.handle.net()
-    }
-
-    /// Stops the group and joins its coordinator thread.
-    pub fn shutdown(mut self) {
-        self.handle.shutdown();
-        if let Some(thread) = self.thread.take() {
-            let _ = thread.join();
-        }
-    }
-}
-
 /// A stand-alone acceptor thread: one group member hosted by a process
 /// that does not run the group's coordinator.
 ///
 /// Multi-process deployments spawn the coordinator (whose co-located
-/// acceptor votes inline on the coordinator thread) with
-/// [`PaxosGroup::spawn_hosted`] on one node and a `RemoteAcceptor` per
+/// acceptor votes inline on the ordering thread) with
+/// [`LockstepGroups::spawn_hosted`] on one node and a `RemoteAcceptor` per
 /// remaining node; the coordinator's `Prepare`s and `Accept`s reach them
 /// through the net's gateway (bridged over TCP by `psmr-net`), and their
 /// replies come back the same way. No `Decide` is sent to them. Unlike
@@ -839,9 +690,13 @@ impl PaxosGroup {
 /// fixed coordinator that is also the distinguished learner: a value it
 /// decided is retained in its stream/WAL, so a restarted acceptor
 /// re-promising from scratch can never help a *different* value win.
+///
+/// The thread blocks on its inbox and wakes only for a message or for
+/// [`RemoteAcceptor::shutdown`], which disconnects the inbox.
 #[derive(Debug)]
 pub struct RemoteAcceptor {
-    stop: Arc<AtomicBool>,
+    net: LiveNet<NetMsg>,
+    node: NodeId,
     thread: Option<JoinHandle<()>>,
 }
 
@@ -851,39 +706,31 @@ impl RemoteAcceptor {
     pub fn spawn(group_id: usize, index: usize, net: LiveNet<NetMsg>) -> Self {
         let node = acceptor_node(group_id, index);
         let inbox = net.register(node);
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = Arc::clone(&stop);
-        let clock = net.runtime().clock.clone();
+        let replies = net.clone();
         let thread = std::thread::Builder::new()
             .name(format!("racceptor-g{group_id}-a{index}"))
             .spawn(move || {
                 let mut acceptor = Acceptor::<Batch>::new();
-                loop {
-                    match recv_timeout_via(&*clock, &inbox, Duration::from_millis(50)) {
-                        Ok((from, msg)) => {
-                            if let Some(reply) = acceptor.handle(msg) {
-                                net.send(node, from, reply);
-                            }
-                        }
-                        Err(RecvTimeoutError::Timeout) => {
-                            if stop_flag.load(Ordering::Relaxed) {
-                                return;
-                            }
-                        }
-                        Err(RecvTimeoutError::Disconnected) => return,
+                while let Ok((from, msg)) = inbox.recv() {
+                    if let Some(reply) = acceptor.handle(msg) {
+                        replies.send(node, from, reply);
                     }
                 }
             })
             .expect("spawn remote acceptor thread");
         Self {
-            stop,
+            net,
+            node,
             thread: Some(thread),
         }
     }
 
-    /// Stops the acceptor thread and joins it.
+    /// Stops the acceptor thread and joins it. Registering the node
+    /// again drops the old inbox's sender, which disconnects the thread's
+    /// `recv`; the new inbox is dropped at once, so the node stays
+    /// unreachable.
     pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::Relaxed);
+        drop(self.net.register(self.node));
         if let Some(t) = self.thread.take() {
             let _ = t.join();
         }
@@ -1123,7 +970,7 @@ impl std::fmt::Display for SubscribeError {
 
 impl std::error::Error for SubscribeError {}
 
-/// Upper bound on instances a traffic-driven coordinator has proposed but
+/// Upper bound on instances a single group's coordinator has proposed but
 /// not yet decided; bounds memory under overload while keeping the
 /// pipeline full.
 const MAX_INFLIGHT: usize = 256;
@@ -1157,15 +1004,16 @@ struct Held {
 
 /// The coordinator's side of its group's acceptors.
 ///
-/// Co-located acceptors — the ones [`PaxosGroup::spawn_hosted`] hosts —
-/// are state machines owned by the coordinator thread: a `Prepare` or
+/// Co-located acceptors — all of them for [`LockstepGroups::spawn`], the
+/// listed ones for [`LockstepGroups::spawn_hosted`] — are state machines
+/// owned by the ordering thread: a `Prepare` or
 /// `Accept` reaches each by a direct call, and the reply goes straight
 /// back into the [`Proposer`] on the same thread, with no thread, inbox
 /// or channel hop in between. Every such vote still passes
 /// [`LiveNet::admit`] in both directions, so crash-stop, link cuts, loss,
 /// delay and the injected scheduler apply to it exactly as to a message
-/// behind an inbox. A delayed vote waits on a due list the coordinator's
-/// wait timeout covers, never in a sleep on the coordinator thread: a
+/// behind an inbox. A delayed vote waits on a due list the ordering
+/// thread's wait timeout covers, never in a sleep on that thread: a
 /// slow acceptor is outvoted, not waited on.
 ///
 /// The other acceptors ([`RemoteAcceptor`]s) are reached with
@@ -1287,14 +1135,6 @@ impl Acceptors {
         }
     }
 
-    /// Caps a wait so that the next delayed vote is released on time.
-    fn wait(&self, timeout: Duration) -> Duration {
-        match self.held.iter().map(|h| h.due).min() {
-            Some(due) => timeout.min(due.saturating_duration_since(self.clock.now())),
-            None => timeout,
-        }
-    }
-
     /// The proposer's newly decided instances, in order.
     ///
     /// The co-located acceptors forget everything below them: this
@@ -1321,193 +1161,37 @@ impl Acceptors {
     }
 }
 
-fn coordinator_main(
-    cfg: SystemConfig,
-    inner: Arc<Inner>,
-    submit_rx: Receiver<(Instant, Bytes)>,
-    inbox: Receiver<(NodeId, NetMsg)>,
-    mut acceptors: Acceptors,
-) {
-    let clock = Arc::clone(&inner.rt.clock);
-    let mut prop: Proposer<Batch> =
-        Proposer::new(coordinator_node(inner.group_id).as_raw(), cfg.n_acceptors);
-
-    // Win leadership (phase 1) before accepting traffic.
-    let mut retry_at = clock.now();
-    while !prop.is_leading() {
-        if inner.shutdown.load(Ordering::Relaxed) {
-            return;
-        }
-        let now = clock.now();
-        if now >= retry_at {
-            let prepare = prop.start();
-            acceptors.drive(&mut prop, vec![prepare]);
-            retry_at = now + PREPARE_RETRY;
-            continue;
-        }
-        match recv_timeout_via(&*clock, &inbox, acceptors.wait(retry_at - now)) {
-            Ok((from, msg)) => acceptors.handle(&mut prop, from, msg),
-            Err(RecvTimeoutError::Timeout) => acceptors.drive(&mut prop, Vec::new()),
-            Err(RecvTimeoutError::Disconnected) => return,
-        }
-    }
-    batched_main(cfg, inner, submit_rx, inbox, prop, acceptors);
-}
-
-/// Traffic-driven batching (single-stream deployments: SMR, sP-SMR).
+/// The groups of one deployment, all ordered by one `order-rounds`
+/// thread: P-SMR's per-worker groups plus `g_all`, or the single stream
+/// of SMR, sP-SMR and `psmr-node`.
 ///
-/// Batches close when full (8 KB cap) or after the linger delay. The stream
-/// carries only real traffic — fine when nobody merges it with another
-/// stream.
-fn batched_main(
-    cfg: SystemConfig,
-    inner: Arc<Inner>,
-    submit_rx: Receiver<(Instant, Bytes)>,
-    inbox: Receiver<(NodeId, NetMsg)>,
-    mut prop: Proposer<Batch>,
-    mut acceptors: Acceptors,
-) {
-    // A WAL-seeded stream continues the pre-crash numbering: Paxos
-    // instances restart at 0 each incarnation, the stream seq does not.
-    let seq_base = inner.stream.lock().next_seq;
-    // Linger timing runs on the injected clock so a virtual-time test
-    // controls exactly when batches close.
-    let clock = Arc::clone(&inner.rt.clock);
-    let mut batch: Vec<Bytes> = Vec::new();
-    let mut batch_bytes = 0usize;
-    // Linger timer: when this loop *saw* the batch's first command.
-    let mut batch_opened_at: Option<Instant> = None;
-    // Trace origin: when that command was *enqueued* — includes the
-    // channel wait, which grows whenever this loop lags behind arrivals.
-    let mut batch_arrived_at: Option<Instant> = None;
-    // Mirrors the proposer's instance counter (instances are assigned
-    // sequentially in submission order), so the stream seq of a batch is
-    // known at submit time — where the Submitted trace stamp belongs.
-    let mut submitted: u64 = 0;
-
-    loop {
-        if inner.shutdown.load(Ordering::Relaxed) {
-            return;
-        }
-
-        // 0. Hold the gate until the group is started so every subscriber
-        //    sees the stream from its first batch.
-        if !inner.started.load(Ordering::Acquire) {
-            match inbox.recv_timeout(acceptors.wait(Duration::from_millis(1))) {
-                Ok((from, msg)) => acceptors.handle(&mut prop, from, msg),
-                Err(RecvTimeoutError::Timeout) => acceptors.drive(&mut prop, Vec::new()),
-                Err(RecvTimeoutError::Disconnected) => return,
-            }
-            continue;
-        }
-
-        // 1. Wait for work on either channel: a new submission or an
-        //    acceptor reply. The timeout covers the batch linger and the
-        //    next delayed co-located vote.
-        let timeout = match batch_opened_at {
-            Some(t) => cfg
-                .batch_delay
-                .saturating_sub(clock.now().saturating_duration_since(t))
-                .max(Duration::from_micros(1)),
-            None => Duration::from_millis(5),
-        };
-        crossbeam::channel::select! {
-            recv(submit_rx) -> cmd => {
-                if let Ok((at, cmd)) = cmd {
-                    batch_bytes += cmd.len();
-                    batch.push(cmd);
-                    if batch_opened_at.is_none() {
-                        batch_opened_at = Some(clock.now());
-                        batch_arrived_at = Some(at);
-                    }
-                }
-            }
-            recv(inbox) -> msg => {
-                match msg {
-                    Ok((from, msg)) => acceptors.handle(&mut prop, from, msg),
-                    Err(_) => return,
-                }
-            }
-            default(clock.poll_slice(acceptors.wait(timeout))) => {}
-        }
-        // Drain whatever else is queued, without blocking.
-        while batch_bytes < cfg.batch_bytes {
-            match submit_rx.try_recv() {
-                Ok((at, cmd)) => {
-                    batch_bytes += cmd.len();
-                    batch.push(cmd);
-                    if batch_opened_at.is_none() {
-                        batch_opened_at = Some(clock.now());
-                        batch_arrived_at = Some(at);
-                    }
-                }
-                Err(_) => break,
-            }
-        }
-        while let Ok((from, msg)) = inbox.try_recv() {
-            acceptors.handle(&mut prop, from, msg);
-        }
-        acceptors.drive(&mut prop, Vec::new());
-
-        // 2. Close the batch if full or lingered long enough (respect the
-        //    pipeline cap).
-        let linger_expired = batch_opened_at
-            .map(|t| clock.now().saturating_duration_since(t) >= cfg.batch_delay)
-            .unwrap_or(false);
-        if (batch_bytes >= cfg.batch_bytes || (linger_expired && !batch.is_empty()))
-            && prop.inflight_len() < MAX_INFLIGHT
-        {
-            let full = std::mem::take(&mut batch);
-            batch_bytes = 0;
-            batch_opened_at = None;
-            if let Some(arrived) = batch_arrived_at.take() {
-                trace::global().stamp_at(
-                    inner.group_id,
-                    seq_base + submitted,
-                    Stage::Submitted,
-                    arrived,
-                );
-            }
-            submitted += 1;
-            // One Arc for phase 2: every acceptor receives the same
-            // shared value, never a deep clone of the commands.
-            let accepts = prop.submit(Arc::new(full));
-            acceptors.drive(&mut prop, accepts);
-        }
-
-        // 3. Deliver decided batches to subscribers, in order (one stream
-        //    batch per decided instance). The decided value moves into
-        //    the stream batch as the same shared allocation.
-        for (instance, commands) in acceptors.take_decided(&mut prop) {
-            inner.decided.fetch_add(1, Ordering::Relaxed);
-            inner.deliver(Arc::new(DecidedBatch {
-                seq: seq_base + instance,
-                commands,
-            }));
-        }
-    }
-}
-
-/// The round-paced groups of one deployment (P-SMR's per-worker groups
-/// plus `g_all`), all ordered by one `order-rounds` thread.
+/// The thread owns every group's proposer, inline acceptors and stream,
+/// and takes its rules from the number of groups alone.
 ///
-/// Deterministic merge pairs batch `r` of every merged stream, so **all
-/// streams must produce batches at the same rate** — otherwise their
-/// sequence numbers drift apart without bound (the skip mechanism of
-/// Multi-Ring Paxos). The thread owns every group's proposer, acceptors
-/// (all inline), open round and stream, and each fire closes exactly one
-/// round on every group: everything queued, split across Paxos instances
-/// of at most `batch_bytes` each (the paper's 8 KB message cap), or a
-/// single empty *skip* instance when idle. Round `r + 1` fires once round
-/// `r` is decided on every group, and then as soon as every subscriber
-/// took round `r - 1` (its ring holds at most round `r`) and some group
-/// has a queued submission — or once `skip_interval` has passed since
-/// round `r` fired: the idle skip round, which also bounds how long a
-/// consumer that stopped reading holds rounds back. One pass proposes,
-/// votes, decides, logs and fans out the whole round: `g_all` (the last
-/// group) first, so a worker woken by its own group finds the round's
-/// `g_all` batch already in its ring, then the groups whose round carries
-/// commands, then the skips.
+/// **Several groups** are read by a deterministic merge, which pairs
+/// batch `r` of every stream, so **all streams must produce batches at
+/// the same rate** — otherwise their sequence numbers drift apart without
+/// bound (the skip mechanism of Multi-Ring Paxos). Each fire closes
+/// exactly one round on every group: everything queued, split across
+/// Paxos instances of at most `batch_bytes` each (the paper's 8 KB
+/// message cap) and delivered as one stream batch, or a single empty
+/// *skip* instance when idle. Round `r + 1` fires once round `r` is
+/// decided on every group, and then as soon as every subscriber took
+/// round `r - 1` (its ring holds at most round `r`) and some group has a
+/// queued submission — or once `skip_interval` has passed since round `r`
+/// fired: the idle skip round, which also bounds how long a consumer that
+/// stopped reading holds rounds back. One pass proposes, votes, decides,
+/// logs and fans out the whole round: `g_all` (the last group) first, so
+/// a worker woken by its own group finds the round's `g_all` batch
+/// already in its ring, then the groups whose round carries commands,
+/// then the skips.
+///
+/// **One group** is read by no merge, so it has neither rounds nor skips:
+/// it proposes everything queued, in instances of at most `batch_bytes`,
+/// as soon as a command arrives while fewer than `MAX_INFLIGHT` (256)
+/// instances are open, and delivers every decided instance as a stream
+/// batch of its own — the instances a restarted coordinator's phase 1
+/// recovers from remote acceptors included.
 ///
 /// Precondition: every group keeps an acceptor majority (the `f = 1`
 /// fault model). A group that cannot decide holds the next round on
@@ -1523,29 +1207,98 @@ pub struct LockstepGroups {
 
 impl LockstepGroups {
     /// Spawns one group per entry of `modes` (group `i` logs in
-    /// `modes[i]`), each on its own [`LiveNet`] over `rt`, and the thread
-    /// that orders them. The WAL replay of
-    /// [`PaxosGroup::spawn_with_wal_mode`] applies to each.
+    /// `modes[i]`), each on its own [`LiveNet`] over `rt` with every
+    /// acceptor inline, and the thread that orders them.
+    ///
+    /// Every decided batch is appended to the group's log before fan-out
+    /// ([`WalMode::Inline`]) or concurrently with it
+    /// ([`WalMode::Pipelined`]), [`GroupHandle::trim_below`] trims its
+    /// segments, and — crucially for whole-deployment cold starts — the
+    /// log's existing records are **replayed into the retained log** here,
+    /// so the stream *continues* the old sequence numbering instead of
+    /// restarting at 1: checkpoint cuts taken before the crash stay
+    /// comparable, and `subscribe_from` reaches back into the pre-crash
+    /// suffix.
     ///
     /// # Panics
     ///
-    /// See [`PaxosGroup::spawn_with_wal_mode`].
+    /// Panics when a log's records cannot be replayed, or when replay
+    /// stops short of the log's tail (corruption in a *non-tail*
+    /// segment — a torn tail self-heals, a hole in the middle of the
+    /// stream cannot) — a group asked to be durable must not come up
+    /// with a silently truncated stream.
     pub fn spawn(cfg: &SystemConfig, rt: &Runtime, modes: Vec<WalMode>) -> Self {
-        let (doorbell, rings) = bounded(1);
         let all: Vec<usize> = (0..cfg.n_acceptors).collect();
-        let (handles, groups) = modes
-            .iter()
+        let groups = modes
+            .into_iter()
+            .map(|mode| (LiveNet::with_runtime(rt.clone()), mode))
+            .collect();
+        Self::launch(cfg, rt, groups, &all, None)
+    }
+
+    /// Spawns one group, group 0, on `net`, hosting only the acceptors in
+    /// `local_acceptors`. Those vote inline on the ordering thread, after
+    /// the net's fault filter ([`LiveNet::admit`]) in each direction, so
+    /// crashing or degrading their [`acceptor_node`] ids still works. The
+    /// remaining acceptors are expected to run elsewhere — typically in
+    /// other OS processes reached through the net's gateway (see
+    /// `psmr_netsim::live::LiveNet::set_gateway` and the `psmr-net`
+    /// bridge) — as [`RemoteAcceptor`]s registered under the same
+    /// [`acceptor_node`] ids; their replies reach the ordering thread on
+    /// the [`coordinator_node`] inbox, which wakes it. Quorum logic is
+    /// unchanged: the coordinator still addresses all `cfg.n_acceptors`
+    /// acceptors and needs a majority of them reachable to decide. It
+    /// sends no `Decide`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an index in `local_acceptors` is not below
+    /// `cfg.n_acceptors`, and as [`LockstepGroups::spawn`].
+    pub fn spawn_hosted(
+        cfg: &SystemConfig,
+        net: LiveNet<NetMsg>,
+        mode: WalMode,
+        local_acceptors: &[usize],
+    ) -> Self {
+        for &i in local_acceptors {
+            assert!(
+                i < cfg.n_acceptors,
+                "local acceptor index {i} out of range (group has {})",
+                cfg.n_acceptors
+            );
+        }
+        let inbox = (0..cfg.n_acceptors)
+            .any(|i| !local_acceptors.contains(&i))
+            .then(|| net.register(coordinator_node(0)));
+        let rt = net.runtime().clone();
+        Self::launch(cfg, &rt, vec![(net, mode)], local_acceptors, inbox)
+    }
+
+    /// Spawns the groups, each hosting `local` acceptors inline, and the
+    /// thread that orders them. `inbox` is the coordinator inbox of a
+    /// lone group with remote acceptors.
+    fn launch(
+        cfg: &SystemConfig,
+        rt: &Runtime,
+        groups: Vec<(LiveNet<NetMsg>, WalMode)>,
+        local: &[usize],
+        inbox: Option<Receiver<(NodeId, NetMsg)>>,
+    ) -> Self {
+        let (doorbell, rings) = bounded(1);
+        let (handles, groups) = groups
+            .into_iter()
             .enumerate()
-            .map(|(gid, mode)| {
-                let net = LiveNet::with_runtime(rt.clone());
-                let (inner, submit_rx) = Inner::new(gid, cfg, &net, mode, Some(doorbell.clone()));
+            .map(|(gid, (net, mode))| {
+                let (inner, submit_rx) = Inner::new(gid, cfg, &net, &mode, doorbell.clone());
+                let next_seq = inner.stream.lock().next_seq;
                 let group = RoundGroup {
                     prop: Proposer::new(coordinator_node(gid).as_raw(), cfg.n_acceptors),
-                    acceptors: Acceptors::new(gid, &net, cfg.n_acceptors, &all),
+                    acceptors: Acceptors::new(gid, &net, cfg.n_acceptors, local),
                     submit_rx,
                     undecided: 0,
                     commands: Vec::new(),
-                    next_seq: inner.stream.lock().next_seq,
+                    next_seq,
+                    first_seq: next_seq,
                     retry_at: rt.clock.now(),
                     inner: Arc::clone(&inner),
                 };
@@ -1556,7 +1309,7 @@ impl LockstepGroups {
         let cfg = cfg.clone();
         let thread = std::thread::Builder::new()
             .name("order-rounds".into())
-            .spawn(move || order_rounds_main(groups, &rings, &*clock, &cfg))
+            .spawn(move || order_rounds_main(groups, inbox, &rings, &*clock, &cfg))
             .expect("spawn round ordering thread");
         Self {
             handles,
@@ -1570,9 +1323,10 @@ impl LockstepGroups {
         &self.handles
     }
 
-    /// The ordering thread's `bounded(1)` doorbell. A consumer rings it
-    /// after taking a round out of its delivery rings, so a round held
-    /// back for slow consumers fires as soon as they caught up.
+    /// The ordering thread's `bounded(1)` doorbell. A consumer of merged
+    /// streams rings it after taking a round out of its delivery rings,
+    /// so a round held back for slow consumers fires as soon as they
+    /// caught up.
     pub fn doorbell(&self) -> Sender<()> {
         self.doorbell.clone()
     }
@@ -1595,13 +1349,18 @@ struct RoundGroup {
     submit_rx: Receiver<(Instant, Bytes)>,
     prop: Proposer<Batch>,
     acceptors: Acceptors,
-    /// Instances of the open round not yet decided (0: no round open).
+    /// Merged groups: instances of the open round not yet decided (0: no
+    /// round open).
     undecided: usize,
-    /// Commands of the open round's decided instances, in instance order.
+    /// Merged groups: commands of the open round's decided instances, in
+    /// instance order.
     commands: Vec<Bytes>,
     /// Stream seq of the open (or next) round; a WAL-seeded stream
     /// continues the pre-crash numbering.
     next_seq: u64,
+    /// Stream seq of this incarnation's instance 0: a lone group delivers
+    /// instance `i` as seq `first_seq + i`.
+    first_seq: u64,
     /// When phase 1 may start (again).
     retry_at: Instant,
 }
@@ -1612,9 +1371,12 @@ impl RoundGroup {
         self.undecided == 0 && self.prop.is_leading()
     }
 
-    /// Starts phase 1 when it is due and releases delayed votes that
-    /// came due.
+    /// Once the group is started: starts phase 1 when it is due and
+    /// releases delayed votes that came due.
     fn step(&mut self, now: Instant) {
+        if !self.inner.started.load(Ordering::Acquire) {
+            return;
+        }
         let mut msgs = Vec::new();
         if !self.prop.is_leading() && now >= self.retry_at {
             msgs.push(self.prop.start());
@@ -1623,59 +1385,88 @@ impl RoundGroup {
         self.acceptors.drive(&mut self.prop, msgs);
     }
 
-    /// Opens the next round: everything queued now, split into instances
-    /// of at most `batch_bytes`, or one empty skip instance. Returns
-    /// whether the round carries commands.
-    fn fire(&mut self, batch_bytes: usize) -> bool {
-        let mut opened: Option<Instant> = None;
-        let mut instances: Vec<Vec<Bytes>> = vec![Vec::new()];
-        let mut last_bytes = 0usize;
-        while let Ok((at, cmd)) = self.submit_rx.try_recv() {
-            opened.get_or_insert(at);
-            if last_bytes + cmd.len() > batch_bytes && !instances[instances.len() - 1].is_empty() {
-                instances.push(Vec::new());
-                last_bytes = 0;
-            }
-            last_bytes += cmd.len();
-            instances.last_mut().expect("non-empty").push(cmd);
-        }
-        // The enqueue time travels with each command, so the Submitted
-        // stamp of the round covers the queue wait of its oldest command.
-        if let Some(opened) = opened {
-            trace::global().stamp_at(self.inner.group_id, self.next_seq, Stage::Submitted, opened);
-        }
-        self.undecided = instances.len();
-        for instance in instances {
-            let accepts = self.prop.submit(Arc::new(instance));
-            self.acceptors.drive(&mut self.prop, accepts);
-        }
-        opened.is_some()
+    /// Feeds a remote acceptor's reply to the proposer.
+    fn handle(&mut self, from: NodeId, msg: NetMsg) {
+        self.acceptors.handle(&mut self.prop, from, msg);
     }
 
-    /// Folds decided instances into the open round and delivers it once
-    /// all of them are decided. Folding clones only the `Bytes` handles:
-    /// the payloads stay shared with the consensus layer.
-    fn deliver_decided(&mut self) {
+    /// Proposes everything queued now, split into instances of at most
+    /// `batch_bytes`; a merged group with nothing queued proposes one
+    /// empty skip instance, and the instances are its next round.
+    /// Returns whether anything was queued.
+    fn fire(&mut self, batch_bytes: usize, merged: bool) -> bool {
+        let mut instances: Vec<(Option<Instant>, Vec<Bytes>)> = vec![(None, Vec::new())];
+        let mut last_bytes = 0usize;
+        while let Ok((at, cmd)) = self.submit_rx.try_recv() {
+            let (opened, last) = instances.last_mut().expect("non-empty");
+            if last_bytes + cmd.len() > batch_bytes && !last.is_empty() {
+                instances.push((Some(at), Vec::new()));
+                last_bytes = 0;
+            } else {
+                opened.get_or_insert(at);
+            }
+            last_bytes += cmd.len();
+            instances.last_mut().expect("non-empty").1.push(cmd);
+        }
+        let loaded = instances[0].0.is_some();
+        if merged {
+            self.undecided = instances.len();
+        } else if !loaded {
+            return false;
+        }
+        for (opened, commands) in instances {
+            let accepts = self.prop.submit(Arc::new(commands));
+            // The enqueue time travels with each command, so the Submitted
+            // stamp covers the queue wait of the batch's oldest command. A
+            // round's instances all stamp the round's seq: the first, and
+            // oldest, stamp wins.
+            if let (Some(at), Some(PaxosMsg::Accept { instance, .. })) = (opened, accepts.first()) {
+                let seq = if merged {
+                    self.next_seq
+                } else {
+                    self.first_seq + instance
+                };
+                trace::global().stamp_at(self.inner.group_id, seq, Stage::Submitted, at);
+            }
+            self.acceptors.drive(&mut self.prop, accepts);
+        }
+        loaded
+    }
+
+    /// Delivers decided instances: a merged group folds them into the
+    /// open round and delivers it once all of them are decided; a lone
+    /// group delivers each as its own batch. Folding clones only the
+    /// `Bytes` handles: the payloads stay shared with the consensus layer.
+    fn deliver_decided(&mut self, merged: bool) {
         for (_, commands) in self.acceptors.take_decided(&mut self.prop) {
+            if !merged {
+                self.emit(commands);
+                continue;
+            }
             self.commands.extend(commands.iter().cloned());
             self.undecided -= 1;
             if self.undecided == 0 {
-                self.inner.decided.fetch_add(1, Ordering::Relaxed);
-                let seq = self.next_seq;
-                self.next_seq += 1;
-                self.inner.deliver(Arc::new(DecidedBatch {
-                    seq,
-                    commands: Arc::new(std::mem::take(&mut self.commands)),
-                }));
+                let round = Arc::new(std::mem::take(&mut self.commands));
+                self.emit(round);
             }
         }
+    }
+
+    /// Logs and fans out the next stream batch.
+    fn emit(&mut self, commands: Batch) {
+        self.inner.decided.fetch_add(1, Ordering::Relaxed);
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.inner.deliver(Arc::new(DecidedBatch { seq, commands }));
     }
 
     /// When the group next needs the thread without a ring: a phase-1
     /// retry, a delayed vote coming due, or the [`ACCEPT_RETRY`] re-send
     /// of undecided instances.
     fn deadline(&self) -> Option<Instant> {
-        let retry = if !self.prop.is_leading() {
+        let retry = if !self.inner.started.load(Ordering::Acquire) {
+            None
+        } else if !self.prop.is_leading() {
             Some(self.retry_at)
         } else if self.prop.inflight_len() > 0 {
             Some(self.acceptors.progress_at + ACCEPT_RETRY)
@@ -1686,16 +1477,26 @@ impl RoundGroup {
     }
 }
 
+/// How long a lone group's ordering thread parks with nothing due. Every
+/// event that gives it work rings the doorbell or lands on its inbox, so
+/// this bound paces nothing.
+const PARK: Duration = Duration::from_secs(3600);
+
 /// The `order-rounds` thread (see [`LockstepGroups`]). It parks on one
-/// doorbell — rung by submissions, consumers, the start and the shutdown —
-/// for at most the time left until the idle skip round or the nearest
-/// group [`RoundGroup::deadline`], all on the injected `clock`.
+/// doorbell — rung by submissions, merge consumers, the start and the
+/// shutdown — and on the coordinator `inbox` of a hosted group, for at
+/// most the time left until the idle skip round of merged groups or the
+/// nearest group [`RoundGroup::deadline`], all on the injected `clock`.
 fn order_rounds_main(
     mut groups: Vec<RoundGroup>,
+    inbox: Option<Receiver<(NodeId, NetMsg)>>,
     rings: &Receiver<()>,
     clock: &dyn Clock,
     cfg: &SystemConfig,
 ) {
+    // Only streams that a merge reads need rounds, skips and the
+    // consumer backlog rule.
+    let merged = groups.len() > 1;
     let idle = cfg.skip_interval;
     let mut fired_at = clock.now();
     loop {
@@ -1708,73 +1509,117 @@ fn order_rounds_main(
         {
             return;
         }
+        // Replies of remote acceptors; only a lone group has them.
+        if let Some(inbox) = &inbox {
+            loop {
+                match inbox.try_recv() {
+                    Ok((from, msg)) => groups[0].handle(from, msg),
+                    Err(TryRecvError::Empty) => break,
+                    Err(TryRecvError::Disconnected) => return,
+                }
+            }
+        }
         let now = clock.now();
         for g in groups.iter_mut().rev() {
             g.step(now);
-            g.deliver_decided();
+            g.deliver_decided(merged);
         }
-        let ready = groups
-            .iter()
-            .all(|g| g.closed() && g.inner.started.load(Ordering::Acquire));
-        let since = clock.now().saturating_duration_since(fired_at);
-        if ready
-            && (since >= idle
-                // A consumer may still hold round `r`: waiting for it to
-                // take that too would tie every command's latency to the
-                // slowest replica's execution of the previous round.
-                || groups.iter().all(|g| g.inner.backlog() <= 1)
-                    && groups.iter().any(|g| !g.submit_rx.is_empty()))
-        {
-            let loaded: Vec<bool> = groups.iter_mut().map(|g| g.fire(cfg.batch_bytes)).collect();
-            fired_at = clock.now();
-            // `g_all` first, then the groups with commands: their workers
-            // wake before the ones that only take a skip.
-            let last = groups.len() - 1;
-            let mut order: Vec<usize> = (0..groups.len()).collect();
-            order.sort_by_key(|&i| (i != last, !loaded[i]));
-            for i in order {
-                groups[i].deliver_decided();
+        let mut timeout = PARK;
+        if merged {
+            let ready = groups
+                .iter()
+                .all(|g| g.closed() && g.inner.started.load(Ordering::Acquire));
+            let since = clock.now().saturating_duration_since(fired_at);
+            if ready
+                && (since >= idle
+                    // A consumer may still hold round `r`: waiting for it
+                    // to take that too would tie every command's latency
+                    // to the slowest replica's execution of the previous
+                    // round.
+                    || groups.iter().all(|g| g.inner.backlog() <= 1)
+                        && groups.iter().any(|g| !g.submit_rx.is_empty()))
+            {
+                let loaded: Vec<bool> = groups
+                    .iter_mut()
+                    .map(|g| g.fire(cfg.batch_bytes, true))
+                    .collect();
+                fired_at = clock.now();
+                // `g_all` first, then the groups with commands: their
+                // workers wake before the ones that only take a skip.
+                let last = groups.len() - 1;
+                let mut order: Vec<usize> = (0..groups.len()).collect();
+                order.sort_by_key(|&i| (i != last, !loaded[i]));
+                for i in order {
+                    groups[i].deliver_decided(true);
+                }
+                continue;
             }
+            timeout = if ready {
+                idle - since
+            } else {
+                idle.max(ACCEPT_RETRY)
+            };
+        } else if groups[0].prop.is_leading()
+            && groups[0].prop.inflight_len() < MAX_INFLIGHT
+            && groups[0].fire(cfg.batch_bytes, false)
+        {
+            groups[0].deliver_decided(false);
             continue;
         }
-        let mut timeout = if ready {
-            idle - since
-        } else {
-            idle.max(ACCEPT_RETRY)
-        };
         if let Some(due) = groups.iter().filter_map(RoundGroup::deadline).min() {
             timeout = timeout.min(due.saturating_duration_since(clock.now()));
         }
-        let _ = recv_timeout_via(clock, rings, timeout);
+        match &inbox {
+            None => {
+                let _ = recv_timeout_via(clock, rings, timeout);
+            }
+            Some(inbox) => crossbeam::channel::select! {
+                recv(*rings) -> _ => {}
+                recv(*inbox) -> msg => {
+                    match msg {
+                        Ok((from, msg)) => groups[0].handle(from, msg),
+                        Err(_) => return,
+                    }
+                }
+                default(clock.poll_slice(timeout)) => {}
+            },
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crossbeam::channel::RecvTimeoutError;
 
     fn test_cfg() -> SystemConfig {
         let mut cfg = SystemConfig::new(1);
-        cfg.batch_delay(Duration::from_micros(100))
-            .skip_interval(Duration::from_millis(5));
+        cfg.skip_interval(Duration::from_millis(5));
         cfg
+    }
+
+    /// One group on its own net, every acceptor inline.
+    fn single(cfg: &SystemConfig) -> LockstepGroups {
+        LockstepGroups::spawn(cfg, &Runtime::real(), vec![WalMode::None])
     }
 
     #[test]
     fn single_command_is_delivered() {
-        let group = PaxosGroup::spawn(1, &test_cfg());
+        let groups = single(&test_cfg());
+        let group = &groups.handles()[0];
         let sub = group.subscribe();
         group.start();
         group.submit(Bytes::from_static(b"hello"));
         let batch = sub.recv_timeout(Duration::from_secs(5)).expect("delivered");
         assert_eq!(batch.seq, 1);
         assert_eq!(&batch.commands[..], &[Bytes::from_static(b"hello")]);
-        group.shutdown();
+        groups.shutdown();
     }
 
     #[test]
     fn stream_seq_numbers_are_contiguous() {
-        let group = PaxosGroup::spawn(2, &test_cfg());
+        let groups = single(&test_cfg());
+        let group = &groups.handles()[0];
         let sub = group.subscribe();
         group.start();
         for i in 0..200u32 {
@@ -1794,12 +1639,13 @@ mod tests {
             );
         }
         assert_eq!(got, (0..200).collect::<Vec<_>>(), "FIFO order preserved");
-        group.shutdown();
+        groups.shutdown();
     }
 
     #[test]
     fn all_subscribers_see_the_same_stream() {
-        let group = PaxosGroup::spawn(3, &test_cfg());
+        let groups = single(&test_cfg());
+        let group = &groups.handles()[0];
         let sub1 = group.subscribe();
         let sub2 = group.subscribe();
         group.start();
@@ -1815,14 +1661,15 @@ mod tests {
             cmds
         };
         assert_eq!(drain(&sub1), drain(&sub2));
-        group.shutdown();
+        groups.shutdown();
     }
 
     #[test]
     fn batching_respects_size_cap() {
         let mut cfg = test_cfg();
         cfg.batch_bytes(64);
-        let group = PaxosGroup::spawn(4, &cfg);
+        let groups = single(&cfg);
+        let group = &groups.handles()[0];
         let sub = group.subscribe();
         group.start();
         // 32 commands of 16 bytes each; no batch may exceed ~64+16 bytes.
@@ -1836,7 +1683,7 @@ mod tests {
             assert!(bytes <= 64 + 16, "batch of {bytes} bytes exceeds cap");
             seen += b.commands.len();
         }
-        group.shutdown();
+        groups.shutdown();
     }
 
     /// `n` lockstep groups on the real clock with an idle skip round
@@ -1903,14 +1750,17 @@ mod tests {
     fn lockstep_round_splits_oversized_backlog_into_capped_instances() {
         let mut cfg = test_cfg();
         cfg.batch_bytes(64);
-        let groups = lockstep(1, Duration::from_secs(10), &mut cfg);
+        // Two groups: only merged streams deliver a round as one batch.
+        let groups = lockstep(2, Duration::from_secs(10), &mut cfg);
         let g0 = &groups.handles()[0];
         let sub = g0.subscribe();
         for i in 0..32u64 {
             g0.submit(Bytes::from(vec![i as u8; 16]));
         }
         std::thread::sleep(Duration::from_millis(20));
-        g0.start();
+        for g in groups.handles() {
+            g.start();
+        }
         // All 32 commands arrive as ONE stream batch (one round) even
         // though they were decided as multiple 64-byte Paxos instances.
         let batch = sub
@@ -1925,7 +1775,9 @@ mod tests {
     #[test]
     fn survives_one_acceptor_crash() {
         let net: LiveNet<NetMsg> = LiveNet::new();
-        let group = PaxosGroup::spawn_with(6, &test_cfg(), net.clone());
+        let groups =
+            LockstepGroups::spawn_hosted(&test_cfg(), net.clone(), WalMode::None, &[0, 1, 2]);
+        let group = &groups.handles()[0];
         let sub = group.subscribe();
         group.start();
         group.submit(Bytes::from_static(b"before"));
@@ -1934,7 +1786,7 @@ mod tests {
             .expect("pre-crash traffic");
         assert_eq!(&b.commands[0][..], b"before");
         // Crash one of the three acceptors: majority (2) remains.
-        net.crash(acceptor_node(6, 2));
+        net.crash(acceptor_node(0, 2));
         for _ in 0..20 {
             group.submit(Bytes::from_static(b"after"));
         }
@@ -1945,24 +1797,26 @@ mod tests {
                 .expect("post-crash progress");
             seen += b.commands.len();
         }
-        group.shutdown();
+        groups.shutdown();
     }
 
     #[test]
     fn decided_count_tracks_batches() {
-        let group = PaxosGroup::spawn(7, &test_cfg());
+        let groups = single(&test_cfg());
+        let group = &groups.handles()[0];
         let sub = group.subscribe();
         group.start();
         group.submit(Bytes::from_static(b"x"));
         let _ = sub.recv_timeout(Duration::from_secs(5)).expect("delivered");
-        assert!(group.handle().decided_count() >= 1);
-        assert_eq!(group.handle().group_id(), 7);
-        group.shutdown();
+        assert!(group.decided_count() >= 1);
+        assert_eq!(group.group_id(), 0);
+        groups.shutdown();
     }
 
     #[test]
     fn late_subscriber_replays_the_retained_suffix() {
-        let group = PaxosGroup::spawn(11, &test_cfg());
+        let groups = single(&test_cfg());
+        let group = &groups.handles()[0];
         let live = group.subscribe();
         group.start();
         for i in 0..20u32 {
@@ -1979,7 +1833,7 @@ mod tests {
             last_seq = b.seq;
         }
         // A catch-up subscriber from seq 1 replays the identical stream.
-        let replay = group.handle().subscribe_from(1).expect("log retained");
+        let replay = group.subscribe_from(1).expect("log retained");
         let mut got = Vec::new();
         let mut expect_seq = 1;
         while got.len() < 20 {
@@ -1996,20 +1850,18 @@ mod tests {
         }
         assert_eq!(got, (0..20).collect::<Vec<_>>());
         // Mid-stream resumption also works.
-        let partial = group
-            .handle()
-            .subscribe_from(last_seq)
-            .expect("still retained");
+        let partial = group.subscribe_from(last_seq).expect("still retained");
         let b = partial
             .recv_timeout(Duration::from_secs(5))
             .expect("replayed");
         assert_eq!(b.seq, last_seq);
-        group.shutdown();
+        groups.shutdown();
     }
 
     #[test]
     fn trim_below_bounds_the_log_and_fails_stale_subscribers() {
-        let group = PaxosGroup::spawn(12, &test_cfg());
+        let groups = single(&test_cfg());
+        let group = &groups.handles()[0];
         let sub = group.subscribe();
         group.start();
         // Submit one at a time, waiting for delivery, so the batcher
@@ -2022,30 +1874,30 @@ mod tests {
                 seen += b.commands.len();
             }
         }
-        let handle = group.handle();
-        let retained_before = handle.retained_len();
+        let retained_before = group.retained_len();
         assert!(retained_before >= 1);
-        handle.trim_below(3);
-        assert_eq!(handle.first_retained_seq(), Some(3));
-        assert!(handle.retained_len() < retained_before + 1);
-        match handle.subscribe_from(1) {
+        group.trim_below(3);
+        assert_eq!(group.first_retained_seq(), Some(3));
+        assert!(group.retained_len() < retained_before + 1);
+        match group.subscribe_from(1) {
             Err(SubscribeError::Trimmed { first_retained }) => {
                 assert_eq!(first_retained, 3)
             }
             other => panic!("expected trimmed error, got {other:?}"),
         }
         assert!(matches!(
-            handle.subscribe_from(u64::MAX),
+            group.subscribe_from(u64::MAX),
             Err(SubscribeError::Future { .. })
         ));
-        group.shutdown();
+        groups.shutdown();
     }
 
     #[test]
     fn retention_cap_bounds_memory_without_checkpoints() {
         let mut cfg = test_cfg();
         cfg.log_retention(4);
-        let group = PaxosGroup::spawn(13, &cfg);
+        let groups = single(&cfg);
+        let group = &groups.handles()[0];
         let sub = group.subscribe();
         group.start();
         for i in 0..200u32 {
@@ -2057,11 +1909,11 @@ mod tests {
             seen += b.commands.len();
         }
         assert!(
-            group.handle().retained_len() <= 4,
+            group.retained_len() <= 4,
             "retained {} > cap 4",
-            group.handle().retained_len()
+            group.retained_len()
         );
-        group.shutdown();
+        groups.shutdown();
     }
 
     /// Corruption in a *non-tail* segment leaves a hole in the stream
@@ -2103,7 +1955,8 @@ mod tests {
         let wal = Arc::new(Wal::open(&dir, opts).unwrap());
         // (The panic unwinds before any cleanup; the pid-stamped dir is
         // reclaimed by the next run's remove_dir_all.)
-        let _group = PaxosGroup::spawn_with_wal(21, &test_cfg(), LiveNet::new(), Some(wal));
+        let _groups =
+            LockstepGroups::spawn(&test_cfg(), &Runtime::real(), vec![WalMode::Inline(wal)]);
     }
 
     /// The durable-ordered-log contract: a group spawned over the WAL a
@@ -2115,10 +1968,14 @@ mod tests {
         use psmr_wal::{Wal, WalOptions};
         let dir = std::env::temp_dir().join(format!("psmr-paxos-wal-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let open_wal = || Some(Arc::new(Wal::open(&dir, WalOptions::default()).unwrap()));
+        let incarnation = || {
+            let wal = Arc::new(Wal::open(&dir, WalOptions::default()).unwrap());
+            LockstepGroups::spawn(&test_cfg(), &Runtime::real(), vec![WalMode::Inline(wal)])
+        };
 
         // First incarnation: decide a few batches, then die (shutdown).
-        let group = PaxosGroup::spawn_with_wal(20, &test_cfg(), LiveNet::new(), open_wal());
+        let groups = incarnation();
+        let group = &groups.handles()[0];
         let sub = group.subscribe();
         group.start();
         let mut last_seq = 0;
@@ -2132,15 +1989,13 @@ mod tests {
             }
         }
         assert!(last_seq >= 10);
-        group.shutdown();
+        groups.shutdown();
 
         // Second incarnation over the same directory: the whole stream
         // replays from the retained log and the numbering continues.
-        let group = PaxosGroup::spawn_with_wal(20, &test_cfg(), LiveNet::new(), open_wal());
-        let replay = group
-            .handle()
-            .subscribe_from(1)
-            .expect("pre-crash suffix retained");
+        let groups = incarnation();
+        let group = &groups.handles()[0];
+        let replay = group.subscribe_from(1).expect("pre-crash suffix retained");
         group.start();
         group.submit(Bytes::from_static(b"post-crash"));
         let mut got = Vec::new();
@@ -2167,8 +2022,8 @@ mod tests {
         assert_eq!(pre_crash, (0..10).collect::<Vec<_>>());
         // trim_below reclaims WAL segments too (covered in psmr-wal's own
         // tests; here we just exercise the wiring).
-        group.handle().trim_below(last_seq);
-        group.shutdown();
+        group.trim_below(last_seq);
+        groups.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -2193,41 +2048,40 @@ mod tests {
             .unwrap(),
         );
         let syncer = WalSyncer::spawn(Duration::from_micros(200));
-        let group = PaxosGroup::spawn_with_wal_mode(
-            30,
+        let groups = LockstepGroups::spawn(
             &test_cfg(),
-            LiveNet::new(),
-            WalMode::Pipelined {
+            &Runtime::real(),
+            vec![WalMode::Pipelined {
                 wal,
                 syncer: Arc::clone(&syncer),
-            },
+            }],
         );
-        let handle = group.handle();
+        let group = &groups.handles()[0];
         let sub = group.subscribe();
         group.start();
-        handle.hold_wal_sync(true);
-        let durable_before = handle.durable_seq();
+        group.hold_wal_sync(true);
+        let durable_before = group.durable_seq();
         group.submit(Bytes::from_static(b"overlapped"));
         let batch = sub
             .recv_timeout(Duration::from_secs(5))
             .expect("fan-out does not wait for the fsync");
         assert_eq!(&batch.commands[0][..], b"overlapped");
         assert_eq!(
-            handle.durable_seq(),
+            group.durable_seq(),
             0,
             "held sync thread must not advance the watermark"
         );
-        handle.hold_wal_sync(false);
+        group.hold_wal_sync(false);
         let deadline = Instant::now() + Duration::from_secs(5);
-        while handle.durable_seq() < batch.seq {
+        while group.durable_seq() < batch.seq {
             assert!(Instant::now() < deadline, "watermark never caught up");
             std::thread::sleep(Duration::from_millis(1));
         }
         assert!(
-            handle.durable_seq() > durable_before,
+            group.durable_seq() > durable_before,
             "fsync completion advanced the watermark"
         );
-        group.shutdown();
+        groups.shutdown();
         syncer.stop();
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -2246,16 +2100,16 @@ mod tests {
             batch: usize::MAX,
         };
         let syncer = WalSyncer::spawn(Duration::from_micros(200));
-        let group = PaxosGroup::spawn_with_wal_mode(
-            31,
+        let groups = LockstepGroups::spawn(
             &test_cfg(),
-            LiveNet::new(),
-            WalMode::Pipelined {
+            &Runtime::real(),
+            vec![WalMode::Pipelined {
                 wal: Arc::new(Wal::open(&dir, opts).unwrap()),
                 syncer: Arc::clone(&syncer),
-            },
+            }],
         );
-        let handle = group.handle();
+        let group = &groups.handles()[0];
+        let handle = group.clone();
         let sub = group.subscribe();
         group.start();
         // Phase 1: decided and fsynced (watermark catches up).
@@ -2278,20 +2132,20 @@ mod tests {
         }
         assert_eq!(handle.durable_seq(), durable_seq, "suffix is not durable");
         // Crash + power failure: threads stop, the unsynced tail is gone.
-        group.shutdown();
+        groups.shutdown();
         syncer.stop();
         let dropped = handle.power_fail();
         assert!(dropped >= 3, "the held suffix was discarded ({dropped})");
 
         // The respawn sees exactly the durable prefix.
-        let group = PaxosGroup::spawn_with_wal(
-            31,
+        let groups = LockstepGroups::spawn(
             &test_cfg(),
-            LiveNet::new(),
-            Some(Arc::new(Wal::open(&dir, opts).unwrap())),
+            &Runtime::real(),
+            vec![WalMode::Inline(Arc::new(Wal::open(&dir, opts).unwrap()))],
         );
-        assert_eq!(group.handle().next_seq(), durable_seq + 1);
-        let replay = group.handle().subscribe_from(1).expect("prefix retained");
+        let group = &groups.handles()[0];
+        assert_eq!(group.next_seq(), durable_seq + 1);
+        let replay = group.subscribe_from(1).expect("prefix retained");
         let mut got = Vec::new();
         while got.len() < 5 {
             let b = replay
@@ -2308,7 +2162,7 @@ mod tests {
             (0..5).collect::<Vec<_>>(),
             "prefix intact, suffix gone"
         );
-        group.shutdown();
+        groups.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -2320,7 +2174,8 @@ mod tests {
     fn slow_subscriber_throttles_ordering_with_bounded_memory() {
         let mut cfg = test_cfg();
         cfg.batch_bytes(32).delivery_queue(4);
-        let group = PaxosGroup::spawn_with(32, &cfg, LiveNet::new());
+        let groups = single(&cfg);
+        let group = &groups.handles()[0];
         let sub = group.subscribe();
         group.start();
         let stalls_before = global().value(counters::DELIVERY_BACKPRESSURE_STALLS);
@@ -2348,7 +2203,7 @@ mod tests {
             got.extend(b.commands.iter().map(|c| c[0]));
         }
         assert_eq!(got, (0..32).collect::<Vec<_>>());
-        group.shutdown();
+        groups.shutdown();
     }
 
     /// Co-located acceptors forget what their coordinator learned: after
@@ -2419,9 +2274,10 @@ mod tests {
             }));
         }
         let remotes: Vec<RemoteAcceptor> = (1..3)
-            .map(|i| RemoteAcceptor::spawn(41, i, far.clone()))
+            .map(|i| RemoteAcceptor::spawn(0, i, far.clone()))
             .collect();
-        let group = PaxosGroup::spawn_hosted(41, &test_cfg(), near, WalMode::None, &[0]);
+        let groups = LockstepGroups::spawn_hosted(&test_cfg(), near, WalMode::None, &[0]);
+        let group = &groups.handles()[0];
         let sub = group.subscribe();
         group.start();
         for i in 0..20u32 {
@@ -2436,14 +2292,90 @@ mod tests {
         assert_eq!(decides.load(Ordering::Relaxed), 0, "no Decide is sent");
         let names = thread_names();
         assert!(
-            names.iter().any(|n| n.starts_with("coord-g41")),
-            "the /proc scan sees the coordinator: {names:?}"
+            names.iter().any(|n| n == "order-rounds"),
+            "the /proc scan sees the ordering thread: {names:?}"
         );
         assert!(
-            !names.iter().any(|n| n.starts_with("acceptor-g")),
-            "co-located acceptors run on the coordinator thread: {names:?}"
+            !names
+                .iter()
+                .any(|n| n.starts_with("acceptor-g") || n.starts_with("coord-g")),
+            "the coordinator and its co-located acceptor run on the ordering thread: {names:?}"
         );
-        group.shutdown();
+        groups.shutdown();
+        for remote in remotes {
+            remote.shutdown();
+        }
+    }
+
+    /// A restarted coordinator's phase 1 gets back the instances its
+    /// remote acceptors accepted under the first incarnation and proposes
+    /// them again; they decide before any round opens. The lone stream
+    /// delivers each once, in instance order, with contiguous seqs, and
+    /// the new submissions follow.
+    #[test]
+    fn restarted_coordinator_delivers_recovered_instances_before_new_ones() {
+        let far: LiveNet<NetMsg> = LiveNet::new();
+        let remotes: Vec<RemoteAcceptor> = (1..3)
+            .map(|i| RemoteAcceptor::spawn(0, i, far.clone()))
+            .collect();
+        // One coordinator incarnation on a net of its own, bridged both
+        // ways to the remote acceptors' net.
+        let incarnation = || {
+            let near: LiveNet<NetMsg> = LiveNet::new();
+            let to_far = far.clone();
+            near.set_gateway(Arc::new(move |from, to, msg: &NetMsg| {
+                to_far.deliver(from, to, msg.clone())
+            }));
+            let to_near = near.clone();
+            far.set_gateway(Arc::new(move |from, to, msg: &NetMsg| {
+                to_near.deliver(from, to, msg.clone())
+            }));
+            LockstepGroups::spawn_hosted(&test_cfg(), near, WalMode::None, &[0])
+        };
+        let command = |i: u32| Bytes::from(i.to_le_bytes().to_vec());
+
+        let first = incarnation();
+        let group = &first.handles()[0];
+        let sub = group.subscribe();
+        group.start();
+        for i in 0..5u32 {
+            group.submit(command(i));
+            sub.recv_timeout(Duration::from_secs(5))
+                .expect("the first incarnation decides");
+        }
+        first.shutdown();
+
+        let second = incarnation();
+        let group = &second.handles()[0];
+        let sub = group.subscribe();
+        group.start();
+        for i in 5..8u32 {
+            group.submit(command(i));
+        }
+        let mut got = Vec::new();
+        let mut expect_seq = 1;
+        while got.len() < 8 {
+            let b = sub
+                .recv_timeout(Duration::from_secs(5))
+                .expect("recovered and new instances are delivered");
+            assert_eq!(b.seq, expect_seq, "contiguous stream");
+            expect_seq += 1;
+            got.extend(
+                b.commands
+                    .iter()
+                    .map(|c| u32::from_le_bytes(c[..4].try_into().unwrap())),
+            );
+        }
+        assert_eq!(
+            got,
+            (0..8).collect::<Vec<_>>(),
+            "every recovered instance in instance order, then the new commands"
+        );
+        assert!(
+            sub.recv_timeout(Duration::from_millis(200)).is_err(),
+            "nothing is delivered twice"
+        );
+        second.shutdown();
         for remote in remotes {
             remote.shutdown();
         }
@@ -2451,10 +2383,11 @@ mod tests {
 
     #[test]
     fn shutdown_disconnects_subscribers() {
-        let group = PaxosGroup::spawn(8, &test_cfg());
+        let groups = single(&test_cfg());
+        let group = &groups.handles()[0];
         let sub = group.subscribe();
         group.start();
-        group.shutdown();
+        groups.shutdown();
         // After shutdown the subscriber eventually disconnects.
         loop {
             match sub.recv_timeout(Duration::from_secs(5)) {

@@ -6,13 +6,18 @@ use bytes::Bytes;
 use psmr_common::runtime::Runtime;
 use psmr_common::SystemConfig;
 use psmr_netsim::live::{LinkFault, LiveNet};
-use psmr_paxos::runtime::{acceptor_node, coordinator_node, LockstepGroups, PaxosGroup, WalMode};
+use psmr_paxos::runtime::{acceptor_node, coordinator_node, LockstepGroups, WalMode};
+use psmr_paxos::NetMsg;
 use std::time::Duration;
+
+/// One group on `net`, every acceptor inline on the ordering thread.
+fn spawn_on(net: &LiveNet<NetMsg>) -> LockstepGroups {
+    LockstepGroups::spawn_hosted(&test_cfg(), net.clone(), WalMode::None, &[0, 1, 2])
+}
 
 fn test_cfg() -> SystemConfig {
     let mut cfg = SystemConfig::new(1);
-    cfg.batch_delay(Duration::from_micros(100))
-        .skip_interval(Duration::from_millis(1));
+    cfg.skip_interval(Duration::from_millis(1));
     cfg
 }
 
@@ -41,13 +46,14 @@ fn drain_exactly(
 #[test]
 fn delivers_with_one_lossy_acceptor_link() {
     let net = LiveNet::new();
-    let group = PaxosGroup::spawn_with(1, &test_cfg(), net.clone());
+    let groups = spawn_on(&net);
+    let group = &groups.handles()[0];
     let sub = group.subscribe();
     group.start();
     // Coordinator→acceptor-0 link drops everything: quorum {1, 2} remains.
     net.inject(
-        coordinator_node(1),
-        acceptor_node(1, 0),
+        coordinator_node(0),
+        acceptor_node(0, 0),
         LinkFault::loss(1.0),
     );
     for i in 0..100u32 {
@@ -55,20 +61,21 @@ fn delivers_with_one_lossy_acceptor_link() {
     }
     let got = drain_exactly(&sub, 100);
     assert_eq!(got, (0..100).collect::<Vec<_>>());
-    group.shutdown();
+    groups.shutdown();
 }
 
 #[test]
 fn delivers_with_a_slow_acceptor() {
     let net = LiveNet::new();
-    let group = PaxosGroup::spawn_with(2, &test_cfg(), net.clone());
+    let groups = spawn_on(&net);
+    let group = &groups.handles()[0];
     let sub = group.subscribe();
     group.start();
-    // One acceptor's replies are delayed well beyond the batch linger; the
-    // other two still form a timely quorum.
+    // One acceptor's replies are delayed far beyond a decide; the other
+    // two still form a timely quorum.
     net.inject(
-        acceptor_node(2, 1),
-        coordinator_node(2),
+        acceptor_node(0, 1),
+        coordinator_node(0),
         LinkFault::delay(Duration::from_millis(20)),
     );
     for i in 0..50u32 {
@@ -76,24 +83,25 @@ fn delivers_with_a_slow_acceptor() {
     }
     let got = drain_exactly(&sub, 50);
     assert_eq!(got, (0..50).collect::<Vec<_>>());
-    group.shutdown();
+    groups.shutdown();
 }
 
 #[test]
 fn crash_then_heavy_traffic_keeps_fifo_order() {
     let net = LiveNet::new();
-    let group = PaxosGroup::spawn_with(3, &test_cfg(), net.clone());
+    let groups = spawn_on(&net);
+    let group = &groups.handles()[0];
     let sub = group.subscribe();
     group.start();
     for i in 0..200u32 {
         group.submit(Bytes::from(i.to_le_bytes().to_vec()));
         if i == 50 {
-            net.crash(acceptor_node(3, 2));
+            net.crash(acceptor_node(0, 2));
         }
     }
     let got = drain_exactly(&sub, 200);
     assert_eq!(got, (0..200).collect::<Vec<_>>());
-    group.shutdown();
+    groups.shutdown();
 }
 
 #[test]
@@ -119,17 +127,18 @@ fn two_crashed_acceptors_block_progress_until_heal() {
     // be delivered (safety over liveness). We verify no delivery within a
     // grace period, then heal one link and watch the backlog flush.
     let net = LiveNet::new();
-    let group = PaxosGroup::spawn_with(5, &test_cfg(), net.clone());
+    let groups = spawn_on(&net);
+    let group = &groups.handles()[0];
     let sub = group.subscribe();
     group.start();
     net.inject(
-        coordinator_node(5),
-        acceptor_node(5, 0),
+        coordinator_node(0),
+        acceptor_node(0, 0),
         LinkFault::loss(1.0),
     );
     net.inject(
-        coordinator_node(5),
-        acceptor_node(5, 1),
+        coordinator_node(0),
+        acceptor_node(0, 1),
         LinkFault::loss(1.0),
     );
     for i in 0..10u32 {
@@ -139,7 +148,7 @@ fn two_crashed_acceptors_block_progress_until_heal() {
         sub.recv_timeout(Duration::from_millis(200)).is_err(),
         "no quorum, no delivery"
     );
-    net.heal(coordinator_node(5), acceptor_node(5, 0));
+    net.heal(coordinator_node(0), acceptor_node(0, 0));
     // New traffic re-proposes; the coordinator retries its open batch only
     // when new submissions arrive, so nudge it.
     for i in 10..20u32 {
@@ -147,7 +156,7 @@ fn two_crashed_acceptors_block_progress_until_heal() {
     }
     let got = drain_exactly(&sub, 20);
     assert_eq!(got, (0..20).collect::<Vec<_>>());
-    group.shutdown();
+    groups.shutdown();
 }
 
 #[test]
@@ -157,12 +166,13 @@ fn slow_colocated_acceptor_is_outvoted_not_waited_on() {
     // vote waits on the coordinator's due list, never in a sleep on the
     // coordinator thread (which would cost 20 x 200 ms here).
     let net = LiveNet::new();
-    let group = PaxosGroup::spawn_with(6, &test_cfg(), net.clone());
+    let groups = spawn_on(&net);
+    let group = &groups.handles()[0];
     let sub = group.subscribe();
     group.start();
     net.inject(
-        acceptor_node(6, 1),
-        coordinator_node(6),
+        acceptor_node(0, 1),
+        coordinator_node(0),
         LinkFault::delay(Duration::from_millis(200)),
     );
     let started = std::time::Instant::now();
@@ -182,5 +192,5 @@ fn slow_colocated_acceptor_is_outvoted_not_waited_on() {
         elapsed < Duration::from_millis(1500),
         "20 round trips took {elapsed:?}: the slow acceptor was waited on"
     );
-    group.shutdown();
+    groups.shutdown();
 }

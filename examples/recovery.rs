@@ -19,7 +19,6 @@ fn main() {
     let _ = std::fs::remove_dir_all(&snap_dir);
     let mut cfg = SystemConfig::new(4);
     cfg.replicas(2)
-        .batch_delay(Duration::from_micros(100))
         .skip_interval(Duration::from_micros(500))
         .snapshot_dir(Some(snap_dir.clone()));
     let mut engine = PsmrEngine::spawn_recoverable(&cfg, fine_dependency_spec().into_map(), || {

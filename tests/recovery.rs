@@ -25,7 +25,6 @@ use std::time::{Duration, Instant};
 fn cfg(mpl: usize) -> SystemConfig {
     let mut cfg = SystemConfig::new(mpl);
     cfg.replicas(2)
-        .batch_delay(Duration::from_micros(100))
         .skip_interval(Duration::from_micros(500))
         .checkpoint_interval(Some(Duration::from_millis(20)));
     cfg
