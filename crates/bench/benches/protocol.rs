@@ -15,9 +15,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 fn quick_cfg(mpl: usize) -> SystemConfig {
-    let mut cfg = SystemConfig::new(mpl);
-    cfg.skip_interval(Duration::from_micros(200));
-    cfg
+    SystemConfig::new(mpl)
 }
 
 /// Ordered delivery through one Paxos-backed group, end to end.

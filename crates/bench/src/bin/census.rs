@@ -5,7 +5,9 @@
 //! it prints, per thread role, CPU µs, voluntary switches (parks) and
 //! run-queue wait µs per command, plus how many commands each decided
 //! `g_all` batch carried and how many rendezvous a replica's workers met
-//! at per batch.
+//! at per batch. Its `idle` point first runs the same deployment for 1 s
+//! with no client and prints, per role, CPU ms and voluntary switches
+//! per second: what the deployment costs while nothing happens.
 //!
 //! ```text
 //! cargo run --release -p psmr-bench --bin census [-- --quick] [--secs F] [--keys N]
@@ -28,11 +30,13 @@ use rand::SeedableRng;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 const REPLICAS: usize = 2;
 const WORKERS: usize = 2;
 const CLIENTS: u64 = 2;
+/// How long the `idle` point watches a deployment with no client.
+const IDLE: Duration = Duration::from_secs(1);
 
 thread_local! {
     /// Whether this thread is a replica worker (`psmr-r<R>-t<i>`).
@@ -181,8 +185,48 @@ fn report(name: &str, window: usize, start: &Mark, end: &Mark) {
     );
 }
 
+/// Prints per role what the deployment costs over [`IDLE`] with no
+/// client connected.
+fn idle(args: &BenchArgs) {
+    let mut cfg = SystemConfig::new(WORKERS);
+    cfg.replicas(REPLICAS);
+    let keys = args.keys;
+    let engine = PsmrEngine::spawn(&cfg, fine_dependency_spec().into_map(), move || {
+        KvService::with_keys_and_work(keys, EXEC_WORK)
+    });
+    let before = ThreadCensus::take();
+    std::thread::sleep(IDLE);
+    let after = ThreadCensus::take();
+    engine.shutdown();
+    println!("idle: no client for {:.1} s", IDLE.as_secs_f64());
+    let (Some(before), Some(after)) = (before, after) else {
+        println!("  (no /proc/self/task: no per-role census)");
+        return;
+    };
+    println!(
+        "  {:<16} {:>7} {:>10} {:>14}",
+        "role", "threads", "cpu ms/s", "switches/s"
+    );
+    let secs = IDLE.as_secs_f64();
+    let mut total = (0.0, 0.0);
+    for role in after.since(&before) {
+        let cpu = role.cost.cpu_ns as f64 / 1e6 / secs;
+        let switches = role.cost.voluntary_switches as f64 / secs;
+        total = (total.0 + cpu, total.1 + switches);
+        println!(
+            "  {:<16} {:>7} {cpu:>10.2} {switches:>14.1}",
+            role.role, role.threads
+        );
+    }
+    println!(
+        "  {:<16} {:>7} {:>10.2} {:>14.1}",
+        "total", "", total.0, total.1
+    );
+}
+
 fn main() {
     let args = BenchArgs::from_env();
+    idle(&args);
     for (name, mix) in [
         ("kv_indep", KvMix::read_only()),
         ("kv_dep", KvMix::mixed(50.0)),

@@ -85,15 +85,6 @@ pub struct SystemConfig {
     /// it takes everything queued, split into instances of at most this
     /// size, so batches grow with load.
     pub batch_bytes: usize,
-    /// Idle skip period of merged (P-SMR) streams. Rounds are
-    /// demand-driven: the next round fires once the previous one is
-    /// decided on every group and taken by every worker, and only when a
-    /// command is waiting. With no traffic the clock still decides one
-    /// *skip* round per `skip_interval`. The same interval bounds how long
-    /// a stalled consumer can hold the next round back before the clock
-    /// re-checks it. A single stream (SMR, sP-SMR) is merged with nothing,
-    /// has no rounds and emits no skips, so the knob does not apply to it.
-    pub skip_interval: Duration,
     /// Decided batches each group retains for replica catch-up, beyond
     /// what checkpoints have made reclaimable. Checkpoints trim the logs
     /// down to their cut; this cap additionally bounds memory when no
@@ -168,7 +159,6 @@ impl SystemConfig {
             n_replicas: 2,
             n_acceptors: 3,
             batch_bytes: 8 * 1024,
-            skip_interval: Duration::from_millis(1),
             log_retention: 4096,
             checkpoint_interval: None,
             snapshot_dir: None,
@@ -237,12 +227,6 @@ impl SystemConfig {
     /// [`SystemConfig::validate`]).
     pub fn batch_bytes(&mut self, bytes: usize) -> &mut Self {
         self.batch_bytes = bytes;
-        self
-    }
-
-    /// Sets the skip-round interval for idle groups.
-    pub fn skip_interval(&mut self, interval: Duration) -> &mut Self {
-        self.skip_interval = interval;
         self
     }
 

@@ -44,7 +44,7 @@
 //! otherwise — replays the retained log suffix, and the replica
 //! converges with the rest.
 
-use super::recover::{RecoveryReport, CRASH_POLL};
+use super::recover::RecoveryReport;
 use super::replicated::{Executor, ReplicaCtx, ReplicatedEngine};
 use super::sync::Rendezvous;
 use crate::conflict::CommandMap;
@@ -231,10 +231,8 @@ fn worker_main<S: Service>(ctx: WorkerCtx<S>, mut stream: MergedStream) {
         if ctx.shared.kill.load(Ordering::Relaxed) {
             return;
         }
-        let delivered = match stream.next_timeout(CRASH_POLL) {
-            Ok(Some(delivered)) => delivered,
-            Ok(None) => continue, // idle poll: re-check the crash flag
-            Err(_) => return,     // system shut down
+        let Some(delivered) = stream.next() else {
+            return; // shutdown or crash
         };
         let (group, seq) = (delivered.group.as_raw(), delivered.batch_seq);
         trace::global().stamp(group, seq, Stage::Delivered);

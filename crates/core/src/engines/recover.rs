@@ -15,6 +15,7 @@
 use super::sync::Rendezvous;
 use crate::client::RequestSink;
 use crate::service::RecoverableService;
+use crossbeam::channel::Sender;
 use psmr_common::envelope::Request;
 use psmr_common::ids::{ClientId, GroupId, RequestId};
 use psmr_common::metrics::{counters, global};
@@ -31,9 +32,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
-
-/// How often blocked replica threads re-check their crash flag.
-pub(crate) const CRASH_POLL: Duration = Duration::from_millis(20);
 
 /// How often a restart re-fetches from peers when a concurrent trim
 /// races the cut it is restoring at, before giving up with
@@ -560,12 +558,16 @@ pub(crate) fn auto_checkpointer(
 }
 
 /// One replica's runtime state, uniform across engines: its threads, the
-/// flag that crash-stops them, the rendezvous of a P-SMR replica's
+/// flag that crash-stops them, the senders whose drop wakes them where
+/// they park on their streams, the rendezvous of a P-SMR replica's
 /// workers (woken on crash), and (for recoverable deployments) the live
 /// service instance so tests can compare replica states.
 pub(crate) struct ReplicaSlot {
     pub threads: Vec<JoinHandle<()>>,
     pub kill: Arc<AtomicBool>,
+    /// Stream `i` of the replica stops once `halt[i]` is dropped (see
+    /// `MergedStream::with_stop`).
+    pub halt: Vec<Sender<()>>,
     pub rendezvous: Option<Arc<Rendezvous>>,
     pub service: Option<Arc<dyn RecoverableService>>,
     pub crashed: bool,
@@ -583,11 +585,12 @@ impl ReplicaSlot {
         self.crashed = true;
     }
 
-    /// Raises the kill flag, wakes workers parked on the rendezvous and
-    /// joins every thread (shutdown; [`ReplicaSlot::crash`] adds the
-    /// bookkeeping).
+    /// Raises the kill flag, wakes the threads parked on their streams
+    /// or on the rendezvous and joins every thread (shutdown;
+    /// [`ReplicaSlot::crash`] adds the bookkeeping).
     pub fn stop(&mut self) {
         self.kill.store(true, Ordering::Relaxed);
+        self.halt.clear();
         if let Some(rendezvous) = &self.rendezvous {
             rendezvous.shutdown();
         }

@@ -27,7 +27,7 @@
 
 use super::holdback::ResponseGate;
 use super::recover::{
-    auto_checkpointer, CheckpointHook, EngineRecovery, RecoveryReport, ReplicaSlot, CRASH_POLL,
+    auto_checkpointer, CheckpointHook, EngineRecovery, RecoveryReport, ReplicaSlot,
 };
 use super::{psmr, spsmr, CgSink, Engine, TotalOrderSink};
 use crate::client::{ClientProxy, RequestSink};
@@ -320,6 +320,15 @@ impl<T> ReplicatedEngine<T> {
         hook: Option<CheckpointHook>,
     ) -> ReplicaSlot {
         let kill = Arc::new(AtomicBool::new(false));
+        // One stop channel per stream: workers of a replica wake together,
+        // and a shared channel's lock would make them queue on it.
+        let (halt, streams) = streams
+            .into_iter()
+            .map(|s| {
+                let (halt, halted) = crossbeam::channel::bounded(1);
+                (halt, s.with_stop(halted))
+            })
+            .unzip();
         let ctx = ReplicaCtx {
             service,
             gate: Arc::clone(&self.gate),
@@ -342,6 +351,7 @@ impl<T> ReplicatedEngine<T> {
         ReplicaSlot {
             threads,
             kill,
+            halt,
             rendezvous,
             service: dyn_service,
             crashed: false,
@@ -568,10 +578,8 @@ fn spawn_executor<S: Service>(
             if ctx.kill.load(Ordering::Relaxed) {
                 return;
             }
-            let delivered = match stream.next_timeout(CRASH_POLL) {
-                Ok(Some(delivered)) => delivered,
-                Ok(None) => continue,
-                Err(_) => return,
+            let Some(delivered) = stream.next() else {
+                return; // shutdown or crash
             };
             let Ok(req) = Request::decode(&delivered.payload) else {
                 debug_assert!(false, "malformed request");

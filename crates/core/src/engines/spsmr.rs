@@ -14,7 +14,7 @@
 //! that point of the total order. Crash/restart is the lifecycle every
 //! replicated engine shares ([`ReplicatedEngine`]).
 
-use super::recover::{RecoveryReport, CRASH_POLL};
+use super::recover::RecoveryReport;
 use super::replicated::{Executor, ReplicaCtx, ReplicatedEngine};
 use super::scheduler::{ExecStage, EXEC_RING};
 use crate::conflict::CommandMap;
@@ -102,10 +102,8 @@ fn scheduler_main<S>(ctx: ReplicaCtx<S>, mut stream: MergedStream, mut stage: Ex
         if ctx.kill.load(Ordering::Relaxed) {
             break;
         }
-        let delivered = match stream.next_timeout(CRASH_POLL) {
-            Ok(Some(delivered)) => delivered,
-            Ok(None) => continue,
-            Err(_) => break,
+        let Some(delivered) = stream.next() else {
+            break; // shutdown or crash
         };
         let Ok(req) = Request::decode(&delivered.payload) else {
             debug_assert!(false, "malformed request");

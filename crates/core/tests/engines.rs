@@ -72,7 +72,7 @@ fn spec() -> DependencySpec {
 
 fn cfg(mpl: usize) -> SystemConfig {
     let mut cfg = SystemConfig::new(mpl);
-    cfg.replicas(2).skip_interval(Duration::from_micros(500));
+    cfg.replicas(2);
     cfg
 }
 

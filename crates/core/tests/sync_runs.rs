@@ -115,9 +115,9 @@ fn spec() -> DependencySpec {
     spec
 }
 
-fn cfg(skip_interval: Duration) -> SystemConfig {
+fn cfg() -> SystemConfig {
     let mut cfg = SystemConfig::new(WORKERS);
-    cfg.replicas(2).skip_interval(skip_interval);
+    cfg.replicas(2);
     cfg
 }
 
@@ -207,10 +207,7 @@ fn a_g_all_batch_costs_one_rendezvous_per_replica() {
             probes.lock().unwrap().push(Arc::clone(&probe));
             probe
         };
-        // No idle round fires during the test, so the round that carries
-        // the keyed writes below fires as soon as they are queued.
-        let cfg = cfg(Duration::from_secs(5));
-        PsmrEngine::spawn_with_runtime(&cfg, spec().into_map(), factory, gate.runtime())
+        PsmrEngine::spawn_with_runtime(&cfg(), spec().into_map(), factory, gate.runtime())
     };
     let probes: Vec<Arc<Probe>> = probes.lock().unwrap().clone();
     assert_eq!(probes.len(), 2, "one service per replica");
@@ -270,13 +267,15 @@ fn a_checkpoint_inside_a_run_cuts_it_exactly() {
     let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let gate = Arc::new(Gate::default());
     let mut engine = PsmrEngine::spawn_recoverable_with_runtime(
-        &cfg(Duration::from_micros(500)),
+        &cfg(),
         spec().into_map(),
         Probe::default,
         gate.runtime(),
     );
     let store = engine.checkpoint_store().expect("recoverable deployment");
     let mut client = engine.client();
+    // The first round fires for this write, and the gate holds it.
+    client.submit(PUT, put(u64::MAX, 0));
     gate.await_held();
     for i in 0..BEFORE {
         client.submit(GLOBAL_PUT, put(i, i + 1));
@@ -286,12 +285,13 @@ fn a_checkpoint_inside_a_run_cuts_it_exactly() {
         client.submit(GLOBAL_PUT, put(i, i + 1));
     }
     gate.open.store(true, Ordering::SeqCst);
-    drain(&mut client, BEFORE + 1 + AFTER);
+    drain(&mut client, 1 + BEFORE + 1 + AFTER);
     await_true("a checkpoint installs", || store.latest().is_some());
 
     let checkpoint = store.latest().unwrap();
     assert_eq!(checkpoint.cut.offset, BEFORE as usize, "{checkpoint:?}");
     let fresh = Probe::default();
+    fresh.execute(PUT, &put(u64::MAX, 0));
     for i in 0..BEFORE {
         fresh.execute(GLOBAL_PUT, &put(i, i + 1));
     }

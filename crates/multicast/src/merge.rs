@@ -15,16 +15,16 @@
 //! round on every group, so the merge never waits on a stream that has
 //! fallen behind. Fires are demand-driven — the next round fires once the
 //! previous one is decided everywhere, every merge took the one before it
-//! (see [`MergedStream::with_progress`]) and a command is queued — and an idle
-//! deployment closes one skip round per `skip_interval`, so a command
-//! waits for one round to be decided, not for a timer.
+//! (see [`MergedStream::with_progress`]) and a command is queued — so a
+//! command waits for one round to be decided, not for a timer, and an
+//! idle deployment closes no round at all: its merges park until a
+//! command arrives or their consumer stops them
+//! ([`MergedStream::with_stop`]).
 
 use bytes::Bytes;
-use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{Receiver, Sender};
 use psmr_common::ids::GroupId;
-use psmr_common::runtime::{
-    recv_timeout_via, ClockHandle, FifoScheduler, RealClock, SchedulePoint, Scheduler,
-};
+use psmr_common::runtime::{FifoScheduler, SchedulePoint, Scheduler};
 use psmr_paxos::runtime::DecidedBatch;
 use psmr_recovery::StreamCut;
 use std::collections::VecDeque;
@@ -62,10 +62,6 @@ pub struct MergedStream {
     /// `(group, seq)` at offsets `<= offset` were already executed before
     /// the cut and must not be redelivered.
     resume_skip: Option<StreamCut>,
-    /// Timebase of [`MergedStream::next_timeout`] deadlines — the
-    /// deployment's injected clock, so a virtual-time test controls when
-    /// worker polls expire.
-    clock: ClockHandle,
     /// Schedule-point hook crossed for every command handed to this
     /// subscriber. Unlike the group-side fan-out point (which delays
     /// every replica equally), this one is **per subscriber**: an
@@ -75,6 +71,9 @@ pub struct MergedStream {
     /// Doorbell of the deployment's ordering thread, rung each time this
     /// merge took a whole round (see [`MergedStream::with_progress`]).
     progress: Option<Sender<()>>,
+    /// Disconnects when the consumer is stopped (see
+    /// [`MergedStream::with_stop`]).
+    stop: Option<Receiver<()>>,
 }
 
 impl MergedStream {
@@ -103,18 +102,10 @@ impl MergedStream {
             delivered: 0,
             skipped_batches: 0,
             resume_skip: None,
-            clock: Arc::new(RealClock),
             sched: Arc::new(FifoScheduler),
             progress: None,
+            stop: None,
         }
-    }
-
-    /// Replaces the timebase of [`MergedStream::next_timeout`] deadlines
-    /// (the spawn paths pass the deployment's injected clock through
-    /// here).
-    pub fn with_clock(mut self, clock: ClockHandle) -> Self {
-        self.clock = clock;
-        self
     }
 
     /// Installs the scheduler whose [`SchedulePoint::Delivered`] hook is
@@ -133,6 +124,15 @@ impl MergedStream {
     /// release that round, so it does not ring.
     pub fn with_progress(mut self, doorbell: Sender<()>) -> Self {
         self.progress = Some(doorbell);
+        self
+    }
+
+    /// Makes [`MergedStream::next`] return `None` once every sender of
+    /// `stop` is dropped and no batch is waiting: how a replica's crash
+    /// or shutdown wakes its parked workers, with no timer. Batches
+    /// already in the delivery rings are still handed out first.
+    pub fn with_stop(mut self, stop: Receiver<()>) -> Self {
+        self.stop = Some(stop);
         self
     }
 
@@ -175,9 +175,9 @@ impl MergedStream {
             delivered: 0,
             skipped_batches: 0,
             resume_skip: Some(cut),
-            clock: Arc::new(RealClock),
             sched: Arc::new(FifoScheduler),
             progress: None,
+            stop: None,
         }
     }
 
@@ -253,9 +253,11 @@ impl MergedStream {
 
     /// Blocks until the next command is available.
     ///
-    /// Returns `None` when any input stream disconnects (system shutdown).
+    /// Returns `None` when any input stream disconnects (system shutdown)
+    /// or, with [`MergedStream::with_stop`], once the consumer is stopped
+    /// while the ring it waits on is empty.
     // Deliberately not `Iterator`: iteration would hide the blocking
-    // semantics, and the engines use `next_timeout` anyway.
+    // semantics.
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Option<Delivered> {
         loop {
@@ -263,47 +265,26 @@ impl MergedStream {
                 return Some(self.hand_out(cmd));
             }
             let (group, rx) = &self.streams[self.cursor];
-            let batch = rx.recv().ok()?;
+            let batch = match &self.stop {
+                None => rx.recv().ok()?,
+                Some(stop) => {
+                    // The ring's arm is listed first: a waiting batch
+                    // wins over the stop.
+                    let mut batch = None;
+                    crossbeam::channel::select! {
+                        recv(*rx) -> b => { batch = b.ok(); }
+                        recv(*stop) -> _stopped => {}
+                        default(Duration::MAX) => {}
+                    }
+                    batch?
+                }
+            };
             debug_assert_eq!(
                 batch.seq, self.round,
                 "stream {group} delivered batch out of order"
             );
             let group = *group;
             self.admit(group, &batch);
-        }
-    }
-
-    /// Like [`MergedStream::next`] but gives up after `timeout` with
-    /// `Ok(None)` — the polling variant replica workers use so a crash
-    /// flag can interrupt an idle stream.
-    ///
-    /// The timeout bounds the **total** wait, not the per-batch wait: on a
-    /// round-paced deployment idle skip batches keep arriving even with
-    /// zero traffic, and a per-receive timeout would never fire — leaving
-    /// crashed workers blocked here indefinitely.
-    pub fn next_timeout(&mut self, timeout: Duration) -> Result<Option<Delivered>, Disconnected> {
-        let deadline = self.clock.now() + timeout;
-        loop {
-            if let Some(cmd) = self.ready.pop_front() {
-                return Ok(Some(self.hand_out(cmd)));
-            }
-            let remaining = deadline.saturating_duration_since(self.clock.now());
-            if remaining.is_zero() {
-                return Ok(None);
-            }
-            let (group, rx) = &self.streams[self.cursor];
-            match recv_timeout_via(&*self.clock, rx, remaining) {
-                Ok(batch) => {
-                    debug_assert_eq!(
-                        batch.seq, self.round,
-                        "stream {group} delivered batch out of order"
-                    );
-                    let group = *group;
-                    self.admit(group, &batch);
-                }
-                Err(RecvTimeoutError::Timeout) => return Ok(None),
-                Err(RecvTimeoutError::Disconnected) => return Err(Disconnected),
-            }
         }
     }
 
@@ -530,24 +511,25 @@ mod tests {
     }
 
     #[test]
-    fn next_timeout_times_out_and_delivers() {
+    fn stop_wakes_a_parked_merge_after_the_waiting_batches() {
         let (tx, rx) = unbounded();
-        let mut m = MergedStream::new(vec![(GroupId::new(0), rx)]);
-        assert_eq!(
-            m.next_timeout(std::time::Duration::from_millis(5)),
-            Ok(None)
-        );
+        let (stop_tx, stop) = unbounded();
+        let mut m = MergedStream::new(vec![(GroupId::new(0), rx)]).with_stop(stop);
         tx.send(batch(1, &["a"])).unwrap();
-        let d = m
-            .next_timeout(std::time::Duration::from_secs(1))
-            .unwrap()
-            .expect("delivered");
-        assert_eq!(&d.payload[..], b"a");
-        drop(tx);
-        assert_eq!(
-            m.next_timeout(std::time::Duration::from_millis(5)),
-            Err(Disconnected)
-        );
+        tx.send(batch(2, &["b"])).unwrap();
+        drop(stop_tx);
+        // Stopped with two batches in the ring: both are still handed out.
+        assert_eq!(payloads(&mut m, 2), vec!["a", "b"]);
+        assert_eq!(m.next(), None, "stopped, ring empty");
+        // A merge parked on an empty ring wakes when its stop drops.
+        let (stop_tx, stop) = unbounded();
+        let (_tx, rx) = unbounded();
+        let mut m = MergedStream::new(vec![(GroupId::new(0), rx)]).with_stop(stop);
+        let parked = std::thread::spawn(move || m.next());
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        assert!(!parked.is_finished(), "an idle merge returned");
+        drop(stop_tx);
+        assert_eq!(parked.join().unwrap(), None);
     }
 
     #[test]

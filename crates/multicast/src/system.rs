@@ -208,10 +208,10 @@ impl MulticastSystem {
     /// (index `k`), where `k = cfg.mpl`, all round-paced by one
     /// `order-rounds` thread ([`LockstepGroups`]): a submission to any
     /// group fires the next round on every group as soon as the previous
-    /// round is decided everywhere, and an idle deployment closes one skip
-    /// round per `cfg.skip_interval`. With `cfg.wal_dir` set, every
-    /// group's decided stream is additionally appended to a durable
-    /// write-ahead log under `<wal_dir>/g<gid>`, and a spawn over a
+    /// round is decided everywhere, and an idle deployment closes no
+    /// round at all. With `cfg.wal_dir` set, every group's decided stream
+    /// is additionally appended to a durable write-ahead log under
+    /// `<wal_dir>/g<gid>`, and a spawn over a
     /// directory a previous incarnation wrote **continues** the old
     /// streams (sequence numbers and retained logs included) — the
     /// substrate half of a whole-deployment cold start. Note that a
@@ -342,13 +342,11 @@ impl MulticastSystem {
         }
     }
 
-    /// Steps a new merge on the deployment's injected clock and scheduler
-    /// and, on the P-SMR layout (whose rounds wait for their consumers),
-    /// wires it to the ordering thread.
+    /// Steps a new merge on the deployment's injected scheduler and, on
+    /// the P-SMR layout (whose rounds wait for their consumers), wires it
+    /// to the ordering thread.
     fn attach(&self, stream: MergedStream) -> MergedStream {
-        let stream = stream
-            .with_clock(Arc::clone(&self.rt.clock))
-            .with_sched(Arc::clone(&self.rt.sched));
+        let stream = stream.with_sched(Arc::clone(&self.rt.sched));
         if self.groups.len() > 1 {
             stream.with_progress(self.orderer.doorbell())
         } else {
@@ -595,9 +593,7 @@ mod tests {
     use std::time::Duration;
 
     fn test_cfg(mpl: usize) -> SystemConfig {
-        let mut cfg = SystemConfig::new(mpl);
-        cfg.skip_interval(Duration::from_micros(500));
-        cfg
+        SystemConfig::new(mpl)
     }
 
     #[test]
@@ -608,13 +604,6 @@ mod tests {
         let d = Destinations::all(4);
         assert!(!d.is_singleton());
         assert_eq!(d.executor(), GroupId::new(0));
-    }
-
-    /// A deployment whose idle skip round comes only every `idle`.
-    fn idle_cfg(mpl: usize, idle: Duration) -> SystemConfig {
-        let mut cfg = test_cfg(mpl);
-        cfg.skip_interval(idle);
-        cfg
     }
 
     /// Waits until every group's stream reached the same `next_seq` and
@@ -639,7 +628,7 @@ mod tests {
 
     #[test]
     fn lone_command_does_not_wait_for_the_idle_skip_round() {
-        let system = MulticastSystem::spawn(&idle_cfg(2, Duration::from_millis(200)));
+        let system = MulticastSystem::spawn(&test_cfg(2));
         let handle = system.handle();
         let mut w0 = system.worker_stream(WorkerId::new(0));
         system.start();
@@ -663,7 +652,7 @@ mod tests {
     #[test]
     fn burst_rides_in_far_fewer_rounds_than_commands() {
         const PER_THREAD: u32 = 1_000;
-        let system = MulticastSystem::spawn(&idle_cfg(2, Duration::from_secs(10)));
+        let system = MulticastSystem::spawn(&test_cfg(2));
         let handle = system.handle();
         let mut streams: Vec<_> = (0..2)
             .map(|w| system.worker_stream(WorkerId::new(w)))
@@ -686,9 +675,9 @@ mod tests {
             s.join().unwrap();
         }
         // Drain both streams side by side, and keep draining one that is
-        // done: the clock holds the next round while any worker stream
-        // has not taken the last one, so a stream left unread would park
-        // every further round until the 10 s idle skip.
+        // done: the loop holds the next round while any worker stream has
+        // not taken the last one, so a stream left unread would hold every
+        // further round for the stall bound.
         let mut next = [0u32; 2];
         while next.iter().any(|n| *n < PER_THREAD) {
             let mut idle = true;
@@ -714,7 +703,7 @@ mod tests {
 
     #[test]
     fn groups_close_rounds_in_lockstep() {
-        let system = MulticastSystem::spawn(&idle_cfg(3, Duration::from_secs(10)));
+        let system = MulticastSystem::spawn(&test_cfg(3));
         let handle = system.handle();
         let mut w1 = system.worker_stream(WorkerId::new(1));
         system.start();
@@ -730,7 +719,7 @@ mod tests {
         }
         let next = quiesced_next_seq(&system);
         assert!(next > 1, "rounds were closed");
-        // Quiet now (the idle round is 10 s away): nobody moves on alone.
+        // Quiet now: with nothing queued, no group moves on.
         std::thread::sleep(Duration::from_millis(20));
         assert_eq!(quiesced_next_seq(&system), next);
         system.shutdown();
@@ -738,7 +727,7 @@ mod tests {
 
     #[test]
     fn shutdown_does_not_wait_out_the_idle_interval() {
-        let system = MulticastSystem::spawn(&idle_cfg(2, Duration::from_secs(10)));
+        let system = MulticastSystem::spawn(&test_cfg(2));
         let handle = system.handle();
         let mut w0 = system.worker_stream(WorkerId::new(0));
         system.start();
@@ -757,70 +746,107 @@ mod tests {
         );
         // Never started: the clock parks before the start, and still
         // stops at once.
-        let system = MulticastSystem::spawn(&idle_cfg(2, Duration::from_secs(10)));
+        let system = MulticastSystem::spawn(&test_cfg(2));
         let t = std::time::Instant::now();
         system.shutdown();
         assert!(t.elapsed() < Duration::from_secs(1));
     }
 
-    /// The clock waits on the injected clock: on frozen virtual time a
-    /// command is still ordered at once (demand, not time, fires its
-    /// round), and the idle skip round comes only when virtual time
-    /// passes `skip_interval`.
+    /// Sends `n` commands to `g0` one at a time and waits for each on
+    /// worker 0's merge, failing after `limit` rather than hanging.
+    fn deliver_one_by_one(
+        system: &MulticastSystem,
+        w0: &mut MergedStream,
+        n: u32,
+        limit: Duration,
+    ) {
+        let handle = system.handle();
+        for i in 0..n {
+            handle.multicast(
+                &Destinations::one(GroupId::new(0)),
+                Bytes::from(i.to_le_bytes().to_vec()),
+            );
+            let deadline = std::time::Instant::now() + limit;
+            let d = loop {
+                if let Some(d) = w0.try_next().expect("system alive") {
+                    break d;
+                }
+                assert!(
+                    std::time::Instant::now() < deadline,
+                    "command {i} was held back"
+                );
+                std::thread::sleep(Duration::from_micros(200));
+            };
+            assert_eq!(&d.payload[..], &i.to_le_bytes());
+        }
+    }
+
+    /// A subscriber of `g1` that stops reading holds the next round back
+    /// (its ring keeps two rounds), but a queued command on `g0` still
+    /// fires once the stall bound passed: the reading merge gets every
+    /// command.
+    #[test]
+    fn a_consumer_that_stops_reading_holds_queued_commands_only_briefly() {
+        let system = MulticastSystem::spawn(&test_cfg(2));
+        let _stalled = system.groups[1].subscribe();
+        let mut w0 = system.worker_stream(WorkerId::new(0));
+        system.start();
+        deliver_one_by_one(&system, &mut w0, 20, Duration::from_secs(5));
+        assert_eq!(quiesced_next_seq(&system), 21, "one round per command");
+        system.shutdown();
+    }
+
+    /// The stall bound runs on the injected clock: on frozen virtual time
+    /// a command is ordered at once while every consumer keeps up, a
+    /// command held back by a consumer that stopped reading waits for
+    /// virtual time, not host time, and advancing virtual time past the
+    /// bound fires its round.
     #[test]
     fn round_clock_runs_on_the_injected_clock() {
         use psmr_common::runtime::{ClockHandle, VirtualClock};
         let vc = VirtualClock::manual();
         let rt = Runtime::with_clock(Arc::clone(&vc) as ClockHandle);
-        let system =
-            MulticastSystem::spawn_with_runtime(&idle_cfg(2, Duration::from_secs(3600)), rt);
-        let handle = system.handle();
+        let system = MulticastSystem::spawn_with_runtime(&test_cfg(2), rt);
+        let _stalled = system.groups[1].subscribe();
         let mut w0 = system.worker_stream(WorkerId::new(0));
         system.start();
-        handle.multicast(
+        // Rounds 1 and 2 fit in the stalled ring's slack.
+        deliver_one_by_one(&system, &mut w0, 2, Duration::from_secs(5));
+        system.handle().multicast(
             &Destinations::one(GroupId::new(0)),
-            Bytes::from_static(b"frozen"),
+            Bytes::from_static(b"held"),
         );
-        assert_eq!(&w0.next().expect("delivered").payload[..], b"frozen");
-        let after_command = quiesced_next_seq(&system);
         std::thread::sleep(Duration::from_millis(30));
-        assert_eq!(
-            quiesced_next_seq(&system),
-            after_command,
-            "host time fired an idle round"
-        );
-        vc.advance(Duration::from_secs(3600));
+        assert_eq!(w0.try_next(), Ok(None), "host time fired a held round");
+        assert_eq!(quiesced_next_seq(&system), 3);
+        vc.advance(Duration::from_millis(1));
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while system.next_seq(GroupId::new(0)) == after_command {
+        let d = loop {
+            if let Some(d) = w0.try_next().expect("system alive") {
+                break d;
+            }
             assert!(
                 std::time::Instant::now() < deadline,
-                "virtual time passed, no idle round"
+                "virtual time passed the stall bound, no round"
             );
             std::thread::sleep(Duration::from_millis(1));
-        }
-        assert_eq!(quiesced_next_seq(&system), after_command + 1);
+        };
+        assert_eq!(&d.payload[..], b"held");
+        vc.close();
         system.shutdown();
     }
 
+    /// An idle merged deployment closes no round: no skip reaches a
+    /// worker and no stream moves on.
     #[test]
-    fn next_timeout_fires_under_steady_skip_traffic() {
-        // An idle round-paced (merged) deployment still closes one skip
-        // round every skip_interval. The timeout must bound the total
-        // wait — a per-receive timeout would never fire, leaving crashed
-        // workers blocked in next_timeout indefinitely.
+    fn an_idle_merged_deployment_closes_no_round() {
         let system = MulticastSystem::spawn(&test_cfg(2));
         let mut stream = system.worker_stream(WorkerId::new(0));
         system.start();
-        let started = std::time::Instant::now();
-        let delivered = stream
-            .next_timeout(Duration::from_millis(40))
-            .expect("system alive");
-        assert!(delivered.is_none(), "no traffic was submitted");
-        assert!(
-            started.elapsed() < Duration::from_secs(2),
-            "timed out promptly despite continuous skips ({:?})",
-            started.elapsed()
-        );
+        std::thread::sleep(Duration::from_millis(50));
+        assert_eq!(stream.try_next(), Ok(None));
+        assert_eq!(stream.skipped_batches(), 0, "no skip was delivered");
+        assert_eq!(quiesced_next_seq(&system), 1);
         system.shutdown();
     }
 

@@ -7,7 +7,6 @@ use proptest::prelude::*;
 use psmr_common::ids::{GroupId, WorkerId};
 use psmr_common::SystemConfig;
 use psmr_multicast::{Destinations, MergedStream, MulticastSystem};
-use std::time::Duration;
 
 /// One client action in the generated schedule.
 #[derive(Debug, Clone)]
@@ -46,8 +45,7 @@ proptest! {
         actions in prop::collection::vec(action_strategy(3), 1..60),
     ) {
         let mpl = 3;
-        let mut cfg = SystemConfig::new(mpl);
-        cfg.skip_interval(Duration::from_micros(300));
+        let cfg = SystemConfig::new(mpl);
         let system = MulticastSystem::spawn(&cfg);
         let handle = system.handle();
         // Two "replicas": two independent subscriptions per worker.
@@ -99,8 +97,7 @@ proptest! {
 #[test]
 fn dependent_commands_order_identically_at_every_worker() {
     let mpl = 4;
-    let mut cfg = SystemConfig::new(mpl);
-    cfg.skip_interval(Duration::from_micros(300));
+    let cfg = SystemConfig::new(mpl);
     let system = MulticastSystem::spawn(&cfg);
     let handle = system.handle();
     let mut workers: Vec<MergedStream> = (0..mpl)

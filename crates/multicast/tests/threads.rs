@@ -62,9 +62,7 @@ fn one_ordering_thread_runs_every_group() {
 #[test]
 fn the_single_stream_runs_on_one_ordering_thread_and_skips_nothing() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let mut cfg = SystemConfig::new(1);
-    cfg.skip_interval(Duration::from_millis(1));
-    let system = MulticastSystem::spawn_single(&cfg);
+    let system = MulticastSystem::spawn_single(&SystemConfig::new(1));
     let handle = system.handle();
     let mut stream = system.single_stream();
     system.start();

@@ -4,11 +4,10 @@ use psmr_common::SystemConfig;
 use psmr_core::engines::{Engine, PsmrEngine, SmrEngine, SpSmrEngine};
 use psmr_netfs::client::NetFsClient;
 use psmr_netfs::{dependency_spec, NetFsService};
-use std::time::Duration;
 
 fn cfg(mpl: usize) -> SystemConfig {
     let mut cfg = SystemConfig::new(mpl);
-    cfg.replicas(2).skip_interval(Duration::from_micros(500));
+    cfg.replicas(2);
     cfg
 }
 

@@ -633,8 +633,9 @@ fn prefix_for(prefixes: &PrefixCache, seq: u64) -> Option<ChainPrefix> {
 /// Node 0's relay server: answers `Subscribe` with a forwarder thread
 /// streaming decided batches to the follower, and orders forwarded
 /// `Submit`s. A newer `Subscribe` from the same follower supersedes the
-/// old forwarder (generation counter); the superseded thread drops its
-/// stream subscription, which the group prunes.
+/// old forwarder (generation counter). The forwarder blocks on its
+/// subscription: a superseded one exits at its next batch, or when the
+/// group drops its subscription, and the group prunes what it left.
 fn relay_server(mesh: TcpMesh, handle: GroupHandle, prefixes: PrefixCache) {
     let rx = mesh.subscribe(2);
     std::thread::Builder::new()
@@ -658,35 +659,20 @@ fn relay_server(mesh: TcpMesh, handle: GroupHandle, prefixes: PrefixCache) {
                                 let prefixes = Arc::clone(&prefixes);
                                 std::thread::Builder::new()
                                     .name(format!("relay-fwd-{peer}"))
-                                    .spawn(move || loop {
-                                        let stale =
-                                            || generations.lock().get(&peer) != Some(&generation);
-                                        match batches.recv_timeout(Duration::from_millis(100)) {
-                                            Ok(batch) => {
-                                                if stale() {
-                                                    return;
-                                                }
-                                                let msg = RelayMsg::Batch {
-                                                    seq: batch.seq,
-                                                    trace: prefix_for(&prefixes, batch.seq),
-                                                    commands: (*batch.commands).clone(),
-                                                };
-                                                if !mesh.send(
-                                                    peer as usize,
-                                                    2,
-                                                    0,
-                                                    peer,
-                                                    &msg.encode(),
-                                                ) {
-                                                    return;
-                                                }
+                                    .spawn(move || {
+                                        while let Ok(batch) = batches.recv() {
+                                            if generations.lock().get(&peer) != Some(&generation) {
+                                                return;
                                             }
-                                            Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
-                                                if stale() {
-                                                    return;
-                                                }
+                                            let msg = RelayMsg::Batch {
+                                                seq: batch.seq,
+                                                trace: prefix_for(&prefixes, batch.seq),
+                                                commands: (*batch.commands).clone(),
+                                            };
+                                            if !mesh.send(peer as usize, 2, 0, peer, &msg.encode())
+                                            {
+                                                return;
                                             }
-                                            Err(_) => return,
                                         }
                                     })
                                     .expect("spawn relay forwarder");

@@ -22,13 +22,16 @@
 //! orders. Several groups are merged by their readers, so they run
 //! round-paced: each fire closes exactly one round (empty = *skip*) on
 //! every group, so all merged streams advance in lockstep, as with the
-//! skip messages of Multi-Ring Paxos. Fires are demand-driven: the next
-//! round fires as soon as the previous one is decided on every group,
-//! every subscriber took the one before it and some group has a queued
-//! command, so a lone command waits for one decide rather than a timer,
-//! and everything that arrives while a round is in flight rides in the
-//! next one — rounds grow with load. Only an idle deployment is paced by
-//! time: one skip round per `skip_interval`. A single group (SMR, sP-SMR,
+//! skip messages of Multi-Ring Paxos — but since one thread sees every
+//! group, a skip is only ever needed inside a fire. Fires are
+//! demand-driven: the next round fires as soon as the previous one is
+//! decided on every group, every subscriber took the one before it and
+//! some group has a queued command, so a lone command waits for one
+//! decide rather than a timer, and everything that arrives while a round
+//! is in flight rides in the next one — rounds grow with load. A queued
+//! command waits at most 1 ms (`STALL`) on a consumer that stopped taking
+//! rounds. With nothing queued, nothing fires: an idle deployment parks
+//! the thread until a submission rings it. A single group (SMR, sP-SMR,
 //! `psmr-node`) is read by no merge: it proposes as soon as a command is
 //! queued and fewer than `MAX_INFLIGHT` (256) instances are open, delivers
 //! every decided instance as a stream batch of its own, and stays silent
@@ -1175,16 +1178,21 @@ impl Acceptors {
 /// exactly one round on every group: everything queued, split across
 /// Paxos instances of at most `batch_bytes` each (the paper's 8 KB
 /// message cap) and delivered as one stream batch, or a single empty
-/// *skip* instance when idle. Round `r + 1` fires once round `r` is
+/// *skip* instance on a group with nothing queued. Round `r + 1` fires
+/// only while some group has a queued submission: once round `r` is
 /// decided on every group, and then as soon as every subscriber took
-/// round `r - 1` (its ring holds at most round `r`) and some group has a
-/// queued submission — or once `skip_interval` has passed since round `r`
-/// fired: the idle skip round, which also bounds how long a consumer that
-/// stopped reading holds rounds back. One pass proposes, votes, decides,
-/// logs and fans out the whole round: `g_all` (the last group) first, so
-/// a worker woken by its own group finds the round's `g_all` batch
-/// already in its ring, then the groups whose round carries commands,
-/// then the skips.
+/// round `r - 1` (its ring holds at most round `r`) — or once `STALL`
+/// has passed since round `r` fired, which bounds how long a consumer
+/// that stopped reading holds a queued command back. With nothing queued
+/// no round fires. One pass proposes, votes, decides, logs and fans out
+/// the whole round: `g_all` (the last group) first, so a worker woken by
+/// its own group finds the round's `g_all` batch already in its ring,
+/// then the groups whose round carries commands, then the skips. Streams
+/// a cold start left at different lengths (their logs lost different
+/// unsynced suffixes) are first brought level: while some group is
+/// behind, a fire closes a round on the groups furthest behind only,
+/// queued or not, so no command already in a log waits on a stream
+/// that has not reached its round.
 ///
 /// **One group** is read by no merge, so it has neither rounds nor skips:
 /// it proposes everything queued, in instances of at most `batch_bytes`,
@@ -1306,10 +1314,10 @@ impl LockstepGroups {
             })
             .unzip();
         let clock = Arc::clone(&rt.clock);
-        let cfg = cfg.clone();
+        let batch_bytes = cfg.batch_bytes;
         let thread = std::thread::Builder::new()
             .name("order-rounds".into())
-            .spawn(move || order_rounds_main(groups, inbox, &rings, &*clock, &cfg))
+            .spawn(move || order_rounds_main(groups, inbox, &rings, &*clock, batch_bytes))
             .expect("spawn round ordering thread");
         Self {
             handles,
@@ -1477,27 +1485,32 @@ impl RoundGroup {
     }
 }
 
-/// How long a lone group's ordering thread parks with nothing due. Every
-/// event that gives it work rings the doorbell or lands on its inbox, so
-/// this bound paces nothing.
+/// How long the ordering thread parks with nothing due. Every event
+/// that gives it work rings the doorbell or lands on its inbox, so this
+/// bound paces nothing.
 const PARK: Duration = Duration::from_secs(3600);
+
+/// How long a queued command waits, at most, for a merged stream's
+/// consumer that stopped taking rounds before its round fires anyway
+/// (see [`LockstepGroups`]).
+const STALL: Duration = Duration::from_millis(1);
 
 /// The `order-rounds` thread (see [`LockstepGroups`]). It parks on one
 /// doorbell — rung by submissions, merge consumers, the start and the
 /// shutdown — and on the coordinator `inbox` of a hosted group, for at
-/// most the time left until the idle skip round of merged groups or the
-/// nearest group [`RoundGroup::deadline`], all on the injected `clock`.
+/// most the time left until the `STALL` bound of a queued command or
+/// the nearest group [`RoundGroup::deadline`], all on the injected
+/// `clock`.
 fn order_rounds_main(
     mut groups: Vec<RoundGroup>,
     inbox: Option<Receiver<(NodeId, NetMsg)>>,
     rings: &Receiver<()>,
     clock: &dyn Clock,
-    cfg: &SystemConfig,
+    batch_bytes: usize,
 ) {
     // Only streams that a merge reads need rounds, skips and the
     // consumer backlog rule.
     let merged = groups.len() > 1;
-    let idle = cfg.skip_interval;
     let mut fired_at = clock.now();
     loop {
         // Take a pending ring before looking at anything: whatever lands
@@ -1529,19 +1542,23 @@ fn order_rounds_main(
             let ready = groups
                 .iter()
                 .all(|g| g.closed() && g.inner.started.load(Ordering::Acquire));
-            let since = clock.now().saturating_duration_since(fired_at);
+            let low = groups.iter().map(|g| g.next_seq).min().unwrap_or(0);
+            let level = groups.iter().all(|g| g.next_seq == low);
+            let queued = groups.iter().any(|g| !g.submit_rx.is_empty());
+            let stall_left = STALL.saturating_sub(clock.now().saturating_duration_since(fired_at));
             if ready
-                && (since >= idle
-                    // A consumer may still hold round `r`: waiting for it
-                    // to take that too would tie every command's latency
-                    // to the slowest replica's execution of the previous
-                    // round.
-                    || groups.iter().all(|g| g.inner.backlog() <= 1)
-                        && groups.iter().any(|g| !g.submit_rx.is_empty()))
+                && (!level
+                    || queued
+                        && (stall_left.is_zero()
+                        // A consumer may still hold round `r`: waiting for
+                        // it to take that too would tie every command's
+                        // latency to the slowest replica's execution of
+                        // the previous round.
+                        || groups.iter().all(|g| g.inner.backlog() <= 1)))
             {
                 let loaded: Vec<bool> = groups
                     .iter_mut()
-                    .map(|g| g.fire(cfg.batch_bytes, true))
+                    .map(|g| g.next_seq == low && g.fire(batch_bytes, true))
                     .collect();
                 fired_at = clock.now();
                 // `g_all` first, then the groups with commands: their
@@ -1554,14 +1571,12 @@ fn order_rounds_main(
                 }
                 continue;
             }
-            timeout = if ready {
-                idle - since
-            } else {
-                idle.max(ACCEPT_RETRY)
-            };
+            if ready && queued {
+                timeout = stall_left;
+            }
         } else if groups[0].prop.is_leading()
             && groups[0].prop.inflight_len() < MAX_INFLIGHT
-            && groups[0].fire(cfg.batch_bytes, false)
+            && groups[0].fire(batch_bytes, false)
         {
             groups[0].deliver_decided(false);
             continue;
@@ -1593,9 +1608,7 @@ mod tests {
     use crossbeam::channel::RecvTimeoutError;
 
     fn test_cfg() -> SystemConfig {
-        let mut cfg = SystemConfig::new(1);
-        cfg.skip_interval(Duration::from_millis(5));
-        cfg
+        SystemConfig::new(1)
     }
 
     /// One group on its own net, every acceptor inline.
@@ -1686,34 +1699,38 @@ mod tests {
         groups.shutdown();
     }
 
-    /// `n` lockstep groups on the real clock with an idle skip round
-    /// every `idle`.
-    fn lockstep(n: usize, idle: Duration, cfg: &mut SystemConfig) -> LockstepGroups {
-        cfg.skip_interval(idle);
+    /// `n` lockstep groups on the real clock.
+    fn lockstep(n: usize, cfg: &SystemConfig) -> LockstepGroups {
         LockstepGroups::spawn(cfg, &Runtime::real(), vec![WalMode::None; n])
     }
 
+    /// An idle merged deployment closes no round: no skip flows before
+    /// the first command, and the first command's round is round 1.
     #[test]
-    fn lockstep_groups_emit_skip_rounds_when_idle() {
-        let groups = lockstep(2, Duration::from_millis(5), &mut test_cfg());
+    fn lockstep_groups_close_no_round_while_idle() {
+        let groups = lockstep(2, &test_cfg());
         let subs: Vec<_> = groups.handles().iter().map(|g| g.subscribe()).collect();
         for g in groups.handles() {
             g.start();
         }
+        assert!(
+            subs[1].recv_timeout(Duration::from_millis(50)).is_err(),
+            "an idle deployment closed a round"
+        );
+        assert_eq!(groups.handles()[0].decided_count(), 0);
+        groups.handles()[0].submit(Bytes::from_static(b"x"));
         for sub in &subs {
             let batch = sub
                 .recv_timeout(Duration::from_secs(5))
-                .expect("skip arrives");
-            assert!(batch.is_skip());
+                .expect("round arrives");
             assert_eq!(batch.seq, 1);
         }
-        assert!(groups.handles()[0].decided_count() >= 1);
         groups.shutdown();
     }
 
     #[test]
     fn lockstep_groups_pack_queued_submissions_into_one_round() {
-        let groups = lockstep(2, Duration::from_millis(200), &mut test_cfg());
+        let groups = lockstep(2, &test_cfg());
         let subs: Vec<_> = groups.handles().iter().map(|g| g.subscribe()).collect();
         let g0 = &groups.handles()[0];
         // Nothing fires before the start: the submissions wait in the
@@ -1737,13 +1754,53 @@ mod tests {
             other.is_skip() && other.seq == 1,
             "every group closes round 1"
         );
-        // The next round with no traffic is the idle skip, with the next seq.
-        let batch = subs[0]
-            .recv_timeout(Duration::from_secs(5))
-            .expect("skip arrives");
-        assert!(batch.is_skip());
-        assert_eq!(batch.seq, 2);
+        // With nothing queued the next round never comes.
+        assert!(
+            subs[0].recv_timeout(Duration::from_millis(50)).is_err(),
+            "a round fired with nothing queued"
+        );
+        assert_eq!(g0.next_seq(), 2);
         groups.shutdown();
+    }
+
+    /// Streams a cold start left at different lengths are brought level
+    /// with skips before anything is queued: a command already in the
+    /// longer log must not wait on a stream that never reaches its round.
+    #[test]
+    fn lockstep_groups_level_uneven_logs_with_skips() {
+        use psmr_wal::{Wal, WalOptions};
+        let dir = std::env::temp_dir().join(format!("psmr-paxos-level-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let modes = [3u64, 1]
+            .iter()
+            .enumerate()
+            .map(|(g, &records)| {
+                let wal = Wal::open(dir.join(format!("g{g}")), WalOptions::default()).unwrap();
+                for seq in 1..=records {
+                    wal.append(seq, &[Bytes::from_static(b"logged")]).unwrap();
+                }
+                WalMode::Inline(Arc::new(wal))
+            })
+            .collect();
+        let groups = LockstepGroups::spawn(&test_cfg(), &Runtime::real(), modes);
+        let behind = groups.handles()[1].subscribe_from(2).expect("retained");
+        for g in groups.handles() {
+            g.start();
+        }
+        for seq in 2..=3 {
+            let batch = behind
+                .recv_timeout(Duration::from_secs(5))
+                .expect("a levelling skip");
+            assert_eq!(batch.seq, seq);
+            assert!(batch.is_skip());
+        }
+        assert!(
+            behind.recv_timeout(Duration::from_millis(50)).is_err(),
+            "level streams closed another round with nothing queued"
+        );
+        assert_eq!(groups.handles()[0].next_seq(), 4, "the longer log waits");
+        groups.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1751,7 +1808,7 @@ mod tests {
         let mut cfg = test_cfg();
         cfg.batch_bytes(64);
         // Two groups: only merged streams deliver a round as one batch.
-        let groups = lockstep(2, Duration::from_secs(10), &mut cfg);
+        let groups = lockstep(2, &cfg);
         let g0 = &groups.handles()[0];
         let sub = g0.subscribe();
         for i in 0..32u64 {

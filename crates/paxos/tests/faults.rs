@@ -16,9 +16,7 @@ fn spawn_on(net: &LiveNet<NetMsg>) -> LockstepGroups {
 }
 
 fn test_cfg() -> SystemConfig {
-    let mut cfg = SystemConfig::new(1);
-    cfg.skip_interval(Duration::from_millis(1));
-    cfg
+    SystemConfig::new(1)
 }
 
 fn drain_exactly(

@@ -52,8 +52,7 @@ fn next_seqs(groups: &LockstepGroups) -> Vec<u64> {
 
 #[test]
 fn a_round_without_quorum_parks_the_ordering_thread() {
-    let mut cfg = SystemConfig::new(2);
-    cfg.skip_interval(Duration::from_millis(1));
+    let cfg = SystemConfig::new(2);
     let groups = LockstepGroups::spawn(&cfg, &Runtime::real(), vec![WalMode::None; 3]);
     let subs: Vec<_> = groups.handles().iter().map(|g| g.subscribe()).collect();
     for g in groups.handles() {
@@ -119,8 +118,10 @@ fn a_round_without_quorum_parks_the_ordering_thread() {
         for (sub, got) in subs.iter().zip(&mut got) {
             drain(sub, got);
         }
+        // The healed round closed on every group, and with nothing queued
+        // no further round fires: the groups end level.
         let seqs = next_seqs(&groups);
-        if seqs.iter().all(|s| *s == seqs[0]) && seqs[0] > stuck[1] + 1 {
+        if seqs.iter().all(|s| *s == seqs[0]) && seqs[0] > stuck[1] {
             break;
         }
         assert!(Instant::now() < deadline, "groups left lockstep: {seqs:?}");

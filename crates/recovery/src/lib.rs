@@ -52,7 +52,6 @@ pub use transfer::{
 use parking_lot::Mutex;
 use psmr_common::ids::{CommandId, GroupId};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -338,9 +337,14 @@ impl From<transfer::TransferError> for RecoveryError {
 
 /// Periodically fires a checkpoint trigger (typically a closure that
 /// multicasts a [`CHECKPOINT`] command) until stopped.
+///
+/// The thread waits out each interval on a channel that [`stop`]
+/// disconnects, so it wakes once per interval and stops at once.
+///
+/// [`stop`]: AutoCheckpointer::stop
 #[derive(Debug)]
 pub struct AutoCheckpointer {
-    stop: Arc<AtomicBool>,
+    stop: Option<crossbeam::channel::Sender<()>>,
     thread: Option<JoinHandle<()>>,
 }
 
@@ -358,36 +362,30 @@ impl AutoCheckpointer {
         clock: psmr_common::runtime::ClockHandle,
         mut trigger: impl FnMut() + Send + 'static,
     ) -> Self {
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = Arc::clone(&stop);
+        let (stop, stopped) = crossbeam::channel::bounded::<()>(1);
         let thread = std::thread::Builder::new()
             .name("auto-checkpoint".into())
             .spawn(move || {
-                // Sleep in small slices so stop() returns promptly even
-                // with long intervals.
-                let slice = interval
-                    .min(Duration::from_millis(20))
-                    .max(Duration::from_micros(100));
-                let mut elapsed = Duration::ZERO;
-                while !stop_flag.load(Ordering::Relaxed) {
-                    clock.sleep(slice);
-                    elapsed += slice;
-                    if elapsed >= interval {
-                        elapsed = Duration::ZERO;
-                        trigger();
-                    }
+                while let Err(crossbeam::channel::RecvTimeoutError::Timeout) =
+                    psmr_common::runtime::recv_timeout_via(&*clock, &stopped, interval)
+                {
+                    trigger();
                 }
             })
             .expect("spawn auto-checkpointer");
         Self {
-            stop,
+            stop: Some(stop),
             thread: Some(thread),
         }
     }
 
     /// Stops the driver and joins its thread.
     pub fn stop(mut self) {
-        self.stop.store(true, Ordering::Relaxed);
+        self.halt();
+    }
+
+    fn halt(&mut self) {
+        self.stop = None;
         if let Some(t) = self.thread.take() {
             let _ = t.join();
         }
@@ -396,17 +394,14 @@ impl AutoCheckpointer {
 
 impl Drop for AutoCheckpointer {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
+        self.halt();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn cut(seq: u64, offset: usize) -> StreamCut {
         StreamCut {

@@ -26,13 +26,9 @@ use psmr_common::runtime::{recv_timeout_via, Clock, RealClock};
 use psmr_netsim::live::LiveNet;
 use psmr_netsim::NodeId;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
-
-/// How often a serving peer's loop re-checks its stop flag while idle.
-const SERVE_POLL: Duration = Duration::from_millis(10);
 
 /// The message network state transfer runs over.
 pub type TransferNet = LiveNet<TransferMsg>;
@@ -120,10 +116,13 @@ pub struct FetchedState {
 ///
 /// Spawned per live replica; stopped (and its node crashed on the
 /// transfer network) when the replica crashes, so fetchers see dead
-/// peers as silence, not errors.
+/// peers as silence, not errors. The thread blocks on its inbox and
+/// wakes only for a message or for its stop, which disconnects the
+/// inbox.
 #[derive(Debug)]
 pub struct StateTransferServer {
-    stop: Arc<AtomicBool>,
+    net: TransferNet,
+    node: NodeId,
     thread: Option<JoinHandle<()>>,
 }
 
@@ -137,27 +136,22 @@ impl StateTransferServer {
         store: Arc<CheckpointStore>,
         chunk_bytes: usize,
     ) -> Self {
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = Arc::clone(&stop);
         let chunk_bytes = chunk_bytes.max(1);
         let inbox = net.register(node);
+        let replies = net.clone();
         let thread = std::thread::Builder::new()
             .name(format!("xfer-serve-{}", node.as_raw()))
             .spawn(move || {
-                while !stop_flag.load(Ordering::Relaxed) {
-                    let (from, msg) = match inbox.recv_timeout(SERVE_POLL) {
-                        Ok(received) => received,
-                        Err(crossbeam::channel::RecvTimeoutError::Timeout) => continue,
-                        Err(crossbeam::channel::RecvTimeoutError::Disconnected) => return,
-                    };
+                while let Ok((from, msg)) = inbox.recv() {
                     if let TransferMsg::Fetch = msg {
-                        serve_one(&net, node, from, &store, chunk_bytes);
+                        serve_one(&replies, node, from, &store, chunk_bytes);
                     }
                 }
             })
             .expect("spawn state-transfer server");
         Self {
-            stop,
+            net,
+            node,
             thread: Some(thread),
         }
     }
@@ -167,9 +161,12 @@ impl StateTransferServer {
         self.halt();
     }
 
+    /// Registering the node again drops the old inbox's sender, which
+    /// disconnects the thread's `recv`; the new inbox is dropped at once,
+    /// so the node stays unreachable.
     fn halt(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
         if let Some(t) = self.thread.take() {
+            drop(self.net.register(self.node));
             let _ = t.join();
         }
     }

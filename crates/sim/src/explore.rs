@@ -163,7 +163,7 @@ fn sim_dependency_spec(inject_ordering_bug: bool) -> DependencySpec {
 
 fn base_cfg(mpl: usize) -> SystemConfig {
     let mut cfg = SystemConfig::new(mpl);
-    cfg.replicas(2).skip_interval(Duration::from_micros(500));
+    cfg.replicas(2);
     cfg
 }
 

@@ -50,7 +50,7 @@
 //! let _ = std::fs::remove_dir_all(&dir);
 //! let wal = Wal::open(&dir, WalOptions::default()).unwrap();
 //! wal.append(1, &[Bytes::from_static(b"cmd-a")]).unwrap();
-//! wal.append(2, &[]).unwrap(); // an idle skip round
+//! wal.append(2, &[]).unwrap(); // a skip
 //! wal.sync().unwrap();
 //! drop(wal);
 //!

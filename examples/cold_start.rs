@@ -24,7 +24,6 @@ fn main() {
     let _ = std::fs::remove_dir_all(&base);
     let mut cfg = SystemConfig::new(4);
     cfg.replicas(2)
-        .skip_interval(Duration::from_micros(500))
         .wal_dir(Some(base.join("wal")))
         .snapshot_dir(Some(base.join("snap")));
     cfg.validate().expect("durability knobs are sane");

@@ -18,9 +18,7 @@ fn main() {
     let snap_dir = std::env::temp_dir().join(format!("psmr-recovery-demo-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&snap_dir);
     let mut cfg = SystemConfig::new(4);
-    cfg.replicas(2)
-        .skip_interval(Duration::from_micros(500))
-        .snapshot_dir(Some(snap_dir.clone()));
+    cfg.replicas(2).snapshot_dir(Some(snap_dir.clone()));
     let mut engine = PsmrEngine::spawn_recoverable(&cfg, fine_dependency_spec().into_map(), || {
         KvService::with_keys(64)
     });

@@ -50,16 +50,20 @@ impl<T> Shared<T> {
         self.wake_receivers(state, false);
     }
 
-    /// Signals every registered `select!` waker (under the lock, so the
-    /// set signalled is exactly the set registered when the message
-    /// landed), then wakes one — or, on disconnect, every — thread parked
-    /// in `recv`, after the lock is released.
+    /// Signals every `select!` waker registered when the message landed,
+    /// then wakes one — or, on disconnect, every — thread parked in
+    /// `recv`, both after the lock is released: a woken thread's first
+    /// step takes this lock, and finding it still held would park it
+    /// again.
     fn wake_receivers(&self, state: MutexGuard<'_, State<T>>, all: bool) {
-        for waker in &state.selectors {
-            waker.signal();
-        }
+        let selectors = (!state.selectors.is_empty()).then(|| state.selectors.clone());
         let parked = state.parked_receivers > 0;
         drop(state);
+        // A waker signalled after its selection returned is dropped
+        // unread, so signalling outside the lock loses nothing.
+        for waker in selectors.iter().flatten() {
+            waker.signal();
+        }
         if parked {
             if all {
                 self.recv_ready.notify_all();
@@ -337,10 +341,14 @@ impl SelectWaker {
     }
 
     /// Parks until signalled (consuming the signal; `true`) or until
-    /// `deadline` passes (`false`).
-    fn wait(&self, deadline: Instant) -> bool {
+    /// `deadline`, if any, passes (`false`).
+    fn wait(&self, deadline: Option<Instant>) -> bool {
         let mut signalled = self.signalled.lock().unwrap_or_else(|e| e.into_inner());
         while !*signalled {
+            let Some(deadline) = deadline else {
+                signalled = self.cv.wait(signalled).unwrap_or_else(|e| e.into_inner());
+                continue;
+            };
             let now = Instant::now();
             if now >= deadline {
                 return false;
@@ -384,8 +392,9 @@ impl<T> SelectArm for Receiver<T> {
 pub struct Selection<'a> {
     arms: &'a [&'a dyn SelectArm],
     timeout: Duration,
-    /// The registered waker and the instant the `default` arm is due.
-    waker: Option<(Arc<SelectWaker>, Instant)>,
+    /// The registered waker and the instant the `default` arm is due
+    /// (`None`: a timeout too long to represent, i.e. never).
+    waker: Option<(Arc<SelectWaker>, Option<Instant>)>,
 }
 
 impl<'a> Selection<'a> {
@@ -416,7 +425,7 @@ impl<'a> Selection<'a> {
                 for arm in self.arms {
                     arm.register(&waker);
                 }
-                self.waker = Some((waker, Instant::now() + self.timeout));
+                self.waker = Some((waker, Instant::now().checked_add(self.timeout)));
                 true
             }
         }
@@ -571,6 +580,26 @@ mod tests {
             default(Duration::from_millis(2)) => { fell_through = true; }
         }
         assert!(fell_through, "nothing was sent, default must fire");
+    }
+
+    #[test]
+    fn select_with_an_endless_default_waits_for_a_disconnect() {
+        let (tx, rx) = unbounded::<u8>();
+        let (stop_tx, stop) = unbounded::<()>();
+        let waiter = std::thread::spawn(move || {
+            let mut stopped = false;
+            crate::select! {
+                recv(rx) -> _v => {}
+                recv(stop) -> _s => { stopped = true; }
+                default(Duration::MAX) => {}
+            }
+            stopped
+        });
+        std::thread::sleep(Duration::from_millis(20));
+        assert!(!waiter.is_finished(), "an endless default timed out");
+        drop(stop_tx);
+        assert!(waiter.join().unwrap(), "the stop arm fired");
+        drop(tx);
     }
 
     /// Two senders race 200 000 messages across three arms into one

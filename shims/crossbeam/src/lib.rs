@@ -14,8 +14,8 @@ pub mod channel;
 /// that landed between the first poll and the registration is taken
 /// here instead of being slept through), and the thread waits until a
 /// send, or the last sender leaving, signals the waker — or until the
-/// timeout, which runs the `default` arm. The waker is unregistered
-/// before any arm body runs.
+/// timeout, which runs the `default` arm (`Duration::MAX`: never). The
+/// waker is unregistered before any arm body runs.
 #[macro_export]
 macro_rules! select {
     (

@@ -43,7 +43,6 @@ fn cfg(mpl: usize, tag: &str) -> SystemConfig {
     let (wal, snap) = unique_dirs(tag);
     let mut cfg = SystemConfig::new(mpl);
     cfg.replicas(2)
-        .skip_interval(Duration::from_micros(500))
         .checkpoint_interval(Some(Duration::from_millis(20)))
         .wal_dir(Some(wal))
         .snapshot_dir(Some(snap));

@@ -8,11 +8,11 @@ use psmr_suite::core::engines::{Engine, NoRepEngine, PsmrEngine, SmrEngine, SpSm
 use psmr_suite::kvstore::{fine_dependency_spec, KvOp, KvResult, LockedKvEngine};
 use psmr_suite::sim::check::{assert_linearizable, client_session, kv, KEYS};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 fn cfg(mpl: usize) -> SystemConfig {
     let mut cfg = SystemConfig::new(mpl);
-    cfg.replicas(2).skip_interval(Duration::from_micros(500));
+    cfg.replicas(2);
     cfg
 }
 
