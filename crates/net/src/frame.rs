@@ -65,7 +65,11 @@ pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
 /// [`HEADER_LEN`] bytes of room followed by the payload. The result is
 /// byte for byte what [`encode_frame`] returns for that payload, without
 /// a second copy of the payload.
-pub(crate) fn seal_frame(frame: &mut [u8]) {
+///
+/// # Panics
+///
+/// When the payload is longer than [`MAX_FRAME`].
+pub fn seal_frame(frame: &mut [u8]) {
     let len = frame.len() - HEADER_LEN;
     assert!(len <= MAX_FRAME, "frame payload over MAX_FRAME");
     let crc = crc32(&frame[HEADER_LEN..]);

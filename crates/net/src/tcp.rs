@@ -50,12 +50,12 @@
 use crate::chaos::{ChaosHandle, EgressPlan, Rng, CLEAN_WRITE};
 use crate::cluster::ClusterConfig;
 use crate::frame::{encode_frame, seal_frame, FrameDecoder, HEADER_LEN};
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use psmr_common::metrics::{counters, global, histograms, ScopedCounter, ScopedHistogram};
 use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -70,7 +70,11 @@ const WRITE_CAP: usize = 256 * 1024;
 const BACKOFF_MIN: Duration = Duration::from_millis(10);
 /// Retry delays stop doubling here.
 const BACKOFF_MAX: Duration = Duration::from_secs(1);
-/// How often parked threads re-check the shutdown flag.
+/// The pace of the waits that poll: a withheld (partitioned) frame's
+/// re-check of the chaos policy, a backoff slice, the handshake read and
+/// the readers' read timeout, each of which then re-checks the shutdown
+/// flag. An idle connected dialer and the accept loop block instead, and
+/// [`TcpMesh::shutdown`] wakes them.
 const POLL: Duration = Duration::from_millis(50);
 
 /// Frame kinds inside the envelope payload.
@@ -225,6 +229,9 @@ struct MeshInner {
     /// same address, so peers can tell a reconnect from a restart.
     incarnation: u64,
     shutdown: AtomicBool,
+    /// Where the accept loop listens: [`TcpMesh::shutdown`] connects
+    /// here once to wake it from its blocking `accept`.
+    listen_addr: SocketAddr,
     /// Index = peer id; `None` at `me`.
     links: Vec<Option<Link>>,
     /// Channel → consumer. [`dispatch`] clones the `Arc` out and
@@ -277,7 +284,14 @@ impl TcpMesh {
     /// The bind error when the mesh address is unavailable.
     pub fn spawn(me: usize, cluster: &ClusterConfig) -> std::io::Result<Self> {
         let listener = TcpListener::bind(&cluster.nodes[me].addr)?;
-        listener.set_nonblocking(true)?;
+        let mut listen_addr = listener.local_addr()?;
+        if listen_addr.ip().is_unspecified() {
+            listen_addr.set_ip(if listen_addr.is_ipv4() {
+                Ipv4Addr::LOCALHOST.into()
+            } else {
+                Ipv6Addr::LOCALHOST.into()
+            });
+        }
         // Build each link together with its dialer's wake receiver
         // (bounded(1): wakes coalesce while the dialer is busy).
         let mut wake_rxs: Vec<Option<Receiver<()>>> = Vec::with_capacity(cluster.len());
@@ -308,6 +322,7 @@ impl TcpMesh {
             me,
             incarnation,
             shutdown: AtomicBool::new(false),
+            listen_addr,
             links,
             subscribers: Mutex::new(HashMap::new()),
             last_seen: Mutex::new(HashMap::new()),
@@ -457,6 +472,9 @@ impl TcpMesh {
         for link in self.inner.links.iter().flatten() {
             let _ = link.wake.try_send(());
         }
+        // The accept loop blocks in `accept`: one connection wakes it to
+        // see the flag. Refused once it is gone, which is just as good.
+        let _ = TcpStream::connect_timeout(&self.inner.listen_addr, POLL);
         let drained: Vec<JoinHandle<()>> = std::mem::take(&mut *self.threads.lock());
         for t in drained {
             let _ = t.join();
@@ -587,9 +605,9 @@ fn dialer_main(inner: &Arc<MeshInner>, peer: usize, addr: &str, wake: Receiver<(
         pump.frames.clear();
         link.state.lock().frames_from(cursor, &mut pump.frames);
         if pump.frames.is_empty() {
-            match wake.recv_timeout(POLL) {
-                Ok(()) | Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => return,
+            // Idle: `send` and `shutdown` ring the wake.
+            if wake.recv().is_err() {
+                return;
             }
             continue;
         }
@@ -784,14 +802,19 @@ fn read_ack(inner: &MeshInner, stream: &mut TcpStream) -> std::io::Result<u64> {
     }
 }
 
-/// The accept loop: one reader thread per inbound connection.
+/// The accept loop: one reader thread per inbound connection. It blocks
+/// in `accept`; [`TcpMesh::shutdown`] connects once to wake it.
 fn accept_main(
     inner: &Arc<MeshInner>,
     listener: TcpListener,
     threads: &Arc<Mutex<Vec<JoinHandle<()>>>>,
 ) {
-    while !inner.shutdown.load(Ordering::Relaxed) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if inner.shutdown.load(Ordering::Relaxed) {
+            return;
+        }
+        match accepted {
             Ok((stream, _)) => {
                 let _ = stream.set_nodelay(true);
                 let _ = stream.set_read_timeout(Some(POLL));
@@ -803,9 +826,7 @@ fn accept_main(
                     .expect("spawn mesh reader");
                 threads.lock().push(handle);
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
             Err(_) => return,
         }
     }

@@ -13,9 +13,15 @@
 //!   one group of an `order-rounds` thread. Acceptor 0 votes inline on
 //!   that thread; the followers' votes arrive on the coordinator's inbox
 //!   and wake it. It proposes as soon as a command is queued and relays
-//!   every decided instance as one batch. Node 0 also runs the
-//!   decided-batch **relay server** (mesh channel 2) and the periodic
-//!   checkpoint driver;
+//!   every decided instance as one batch. Node 0 also serves the
+//!   decided-batch **relay** (mesh channel 2) and runs the periodic
+//!   checkpoint driver. The relay has no thread of its own: a handler
+//!   on the mesh reader thread answers `Subscribe` with a `relay-fwd-*`
+//!   forwarder and queues a follower's `Submit` with
+//!   [`GroupHandle::try_submit`], which never blocks (a reader stalled on
+//!   a full queue would hold that link's paxos votes behind it). Each
+//!   decided batch is encoded once, by the first forwarder to reach it,
+//!   and that body is shared with the other forwarders (`RelayCache`);
 //! * on every other node: a [`RemoteAcceptor`] (acceptor `me` of the
 //!   group) and the relay **follower** that streams decided batches
 //!   from node 0, re-subscribing on gaps and falling back to TCP state
@@ -28,11 +34,18 @@
 //! converge on the same store state; a node answers exactly the clients
 //! connected to *it* (command provenance rides in the ordered
 //! [`Request`] envelope).
+//!
+//! The client and relay planes pay their costs per batch, not per
+//! command: a client connection hands every request one socket read
+//! decoded to ordering at once (a follower forwards them to node 0 as
+//! one `Submit` frame), and the executor gathers an executed batch's
+//! replies per connection and sends each connection's with one write.
 
 use crate::admin::{self, AdminHub};
 use crate::logger;
 use crate::wire::{
-    decode_stale_read, encode_response, encode_stale_response, NodeClient, RelayMsg, STALE_READ,
+    decode_stale_read, encode_batch, encode_response, encode_stale_response, push_response_frame,
+    NodeClient, RelayMsg, STALE_READ,
 };
 use bytes::Bytes;
 use parking_lot::Mutex;
@@ -49,7 +62,8 @@ use psmr_net::frame::encode_frame;
 use psmr_net::{bridge, ClusterConfig, TcpMesh};
 use psmr_netsim::{LiveNet, NodeId};
 use psmr_paxos::runtime::{
-    coordinator_node, GroupHandle, LockstepGroups, RemoteAcceptor, SubscribeError, WalMode,
+    coordinator_node, DecidedBatch, GroupHandle, LockstepGroups, RemoteAcceptor, SubscribeError,
+    WalMode,
 };
 use psmr_paxos::NetMsg;
 use psmr_recovery::{
@@ -57,7 +71,7 @@ use psmr_recovery::{
     StateTransferServer, StreamCut, TransferMsg, CHECKPOINT,
 };
 use psmr_wal::{Wal, WalOptions};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::Path;
@@ -80,16 +94,62 @@ const DISK_RETAIN: usize = 2;
 /// How often the metrics flight recorder appends a snapshot.
 const METRICS_SNAPSHOT_PERIOD: Duration = Duration::from_millis(250);
 
-/// Sequences the orderer keeps exported trace prefixes around for (the
-/// relay forwarders of lagging followers may ask for old batches).
-const PREFIX_RETAIN: u64 = 2048;
+/// Sequences node 0's [`RelayCache`] holds at most (the relay
+/// forwarders of lagging followers may ask for old batches).
+const RELAY_RETAIN: usize = 2048;
 
-/// Exported trace prefixes, keyed by stream sequence: the node-0
-/// executor deposits each sampled batch's [`ChainPrefix`], anchored on
-/// the wall clock ([`reanchor`]), *before* releasing the trace slot, so
-/// the relay forwarders can attach it to the wire envelope even after
-/// the local lifecycle folded.
-type PrefixCache = Arc<Mutex<HashMap<u64, ChainPrefix>>>;
+/// What node 0 keeps per stream sequence for its relay forwarders.
+enum Relayed {
+    /// A sampled batch's [`ChainPrefix`], anchored on the wall clock
+    /// ([`reanchor`]). The executor deposits it *before* its `Released`
+    /// stamp frees the trace slot, so a forwarder that reaches the batch
+    /// after the local lifecycle folded can still attach it.
+    Prefix(ChainPrefix),
+    /// The batch's encoded [`RelayMsg::Batch`] body, trace prefix
+    /// included: what every forwarder sends for this sequence.
+    Body(Arc<Vec<u8>>),
+}
+
+/// Node 0's per-sequence relay state, shared by the executor and every
+/// relay forwarder: the first forwarder to reach a decided batch encodes
+/// it, the others send that same body. Holds the newest
+/// [`RELAY_RETAIN`] sequences that were touched.
+#[derive(Default)]
+struct RelayCache(Mutex<BTreeMap<u64, Relayed>>);
+
+impl RelayCache {
+    /// Keeps the exported trace prefix of `seq` for the forwarders,
+    /// unless one of them already encoded the batch.
+    fn deposit_prefix(&self, seq: u64, prefix: ChainPrefix) {
+        let mut slots = self.0.lock();
+        slots.entry(seq).or_insert(Relayed::Prefix(prefix));
+        Self::bound(&mut slots);
+    }
+
+    /// The encoded relay body of `batch`, encoded here on the first ask.
+    /// Its trace prefix comes from the executor's deposit, or from the
+    /// live trace slot for a batch the executor has not reached yet.
+    fn body(&self, batch: &DecidedBatch) -> Arc<Vec<u8>> {
+        let mut slots = self.0.lock();
+        let trace = match slots.get(&batch.seq) {
+            Some(Relayed::Body(body)) => return Arc::clone(body),
+            Some(Relayed::Prefix(prefix)) => Some(*prefix),
+            None => trace_global()
+                .chain_prefix(0, batch.seq, Instant::now())
+                .map(reanchor),
+        };
+        let body = Arc::new(encode_batch(batch.seq, trace.as_ref(), &batch.commands));
+        slots.insert(batch.seq, Relayed::Body(Arc::clone(&body)));
+        Self::bound(&mut slots);
+        body
+    }
+
+    fn bound(slots: &mut BTreeMap<u64, Relayed>) {
+        while slots.len() > RELAY_RETAIN {
+            slots.pop_first();
+        }
+    }
+}
 
 /// Moves a trace prefix between its two anchors, and back (it is its own
 /// inverse). Read off a local recorder, `submitted_age_ns` is how long
@@ -193,9 +253,17 @@ struct Core {
     /// (see [`encode_node_snapshot`]) so restored replicas keep
     /// recognizing duplicates of pre-cut originals.
     dedup: DedupTable,
+    /// The replies of the batch being executed, in stream order:
+    /// `(client, request, result)`.
+    replies: Vec<(u64, RequestId, Vec<u8>)>,
 }
 
-type Clients = Arc<Mutex<HashMap<u64, Arc<Mutex<TcpStream>>>>>;
+/// The write half of one client connection, shared by its reader thread
+/// (stale-read answers) and the executor (ordered replies).
+type Conn = Arc<Mutex<TcpStream>>;
+
+/// Client id → the connection that client last sent a request on.
+type Clients = Arc<Mutex<HashMap<u64, Conn>>>;
 
 impl Core {
     fn execute_batch(&mut self, seq: u64, commands: &[Bytes]) {
@@ -229,7 +297,7 @@ impl Core {
                             // never re-execute.
                             metrics_global().counter(counters::REQUESTS_DEDUPED).inc();
                             let cached = cached.clone();
-                            self.respond(req.client, req.request, &cached);
+                            self.respond(req.client, req.request, cached);
                             continue;
                         }
                         Some(&(last, _)) if request_raw < last => {
@@ -245,10 +313,13 @@ impl Core {
                 if client_raw != DRIVER_CLIENT {
                     self.dedup.insert(client_raw, (request_raw, result.clone()));
                 }
-                self.respond(req.client, req.request, &result);
+                self.respond(req.client, req.request, result);
             }
             applied += 1;
         }
+        // A reply is released when it is written, so the batch's replies
+        // go out before the Executed and Released stamps.
+        self.flush_replies();
         rec.stamp(0, seq, Stage::Executed);
         rec.stamp(0, seq, Stage::Released);
         if applied > 0 {
@@ -281,15 +352,46 @@ impl Core {
         }
         // Ack client-submitted checkpoints once the trim is done (the
         // driver's sentinel client has no connection; nothing is sent).
-        self.respond(req.client, req.request, &id.to_le_bytes());
+        self.respond(req.client, req.request, id.to_le_bytes().to_vec());
     }
 
-    fn respond(&self, client: ClientId, request: RequestId, result: &[u8]) {
-        let conn = self.clients.lock().get(&client.as_raw()).cloned();
-        if let Some(conn) = conn {
-            let frame = encode_frame(&encode_response(request, result));
-            if conn.lock().write_all(&frame).is_err() {
-                self.clients.lock().remove(&client.as_raw());
+    /// Queues a reply for the end of the batch ([`Core::flush_replies`]).
+    fn respond(&mut self, client: ClientId, request: RequestId, result: Vec<u8>) {
+        if client.as_raw() != DRIVER_CLIENT {
+            self.replies.push((client.as_raw(), request, result));
+        }
+    }
+
+    /// Sends the queued replies of one batch: the frames of each
+    /// connection, in stream order, with one `write_all`. One `clients`
+    /// lock looks every connection up; replies to clients connected to
+    /// another node are dropped. A failed write unregisters the
+    /// connection.
+    fn flush_replies(&mut self) {
+        if self.replies.is_empty() {
+            return;
+        }
+        // Frames per connection; a batch touches few connections.
+        let mut outgoing: Vec<(Conn, Vec<u8>)> = Vec::new();
+        {
+            let clients = self.clients.lock();
+            for (client, request, result) in self.replies.drain(..) {
+                let Some(conn) = clients.get(&client) else {
+                    continue;
+                };
+                let at = match outgoing.iter().position(|(c, _)| Arc::ptr_eq(c, conn)) {
+                    Some(at) => at,
+                    None => {
+                        outgoing.push((Arc::clone(conn), Vec::new()));
+                        outgoing.len() - 1
+                    }
+                };
+                push_response_frame(&mut outgoing[at].1, request, &result);
+            }
+        }
+        for (conn, frames) in outgoing {
+            if conn.lock().write_all(&frames).is_err() {
+                self.clients.lock().retain(|_, c| !Arc::ptr_eq(c, &conn));
             }
         }
     }
@@ -460,7 +562,7 @@ pub fn run_node(
     let mut racceptor = None;
     let mut driver = None;
     let mut admin_handle = None;
-    let submit: Arc<dyn Fn(Vec<u8>) + Send + Sync>;
+    let submit: SubmitFn;
 
     if me == 0 {
         let wal = Wal::open(spec.data_dir.join("wal"), WalOptions::default())
@@ -496,9 +598,10 @@ pub fn run_node(
             resume,
             executed: Arc::clone(&executed),
             dedup: restored_dedup,
+            replies: Vec::new(),
         };
-        let prefixes: PrefixCache = Arc::new(Mutex::new(HashMap::new()));
-        let exec_prefixes = Arc::clone(&prefixes);
+        let relayed = Arc::new(RelayCache::default());
+        let exec_relayed = Arc::clone(&relayed);
         let exec_last_ordered = Arc::clone(&last_ordered);
         std::thread::Builder::new()
             .name("node-exec".into())
@@ -508,12 +611,7 @@ pub fn run_node(
                     // Released stamp below frees the slot, and the relay
                     // forwarders still need the prefix afterwards.
                     if let Some(p) = trace_global().chain_prefix(0, batch.seq, Instant::now()) {
-                        let mut cache = exec_prefixes.lock();
-                        cache.insert(batch.seq, reanchor(p));
-                        if cache.len() as u64 > PREFIX_RETAIN {
-                            let floor = batch.seq.saturating_sub(PREFIX_RETAIN);
-                            cache.retain(|&s, _| s > floor);
-                        }
+                        exec_relayed.deposit_prefix(batch.seq, reanchor(p));
                     }
                     core.execute_batch(batch.seq, &batch.commands);
                     exec_last_ordered.store(unix_ms(), Ordering::Relaxed);
@@ -521,7 +619,7 @@ pub fn run_node(
             })
             .map_err(|e| format!("spawn executor: {e}"))?;
 
-        relay_server(mesh.clone(), handle.clone(), prefixes);
+        relay_server(&mesh, handle.clone(), relayed);
         admin_handle = Some(handle.clone());
 
         if let Some(interval) = opts.checkpoint_interval {
@@ -541,8 +639,10 @@ pub fn run_node(
         }
 
         let submit_handle = handle;
-        submit = Arc::new(move |command: Vec<u8>| {
-            submit_handle.submit(Bytes::from(command));
+        submit = Arc::new(move |commands: Vec<Bytes>| {
+            for command in commands {
+                submit_handle.submit(command);
+            }
         });
         group = Some(g);
     } else {
@@ -557,6 +657,7 @@ pub fn run_node(
             resume,
             executed: Arc::clone(&executed),
             dedup: restored_dedup,
+            replies: Vec::new(),
         };
         follower_ingest(
             mesh.clone(),
@@ -568,8 +669,8 @@ pub fn run_node(
 
         let submit_mesh = mesh.clone();
         let from = me as u64;
-        submit = Arc::new(move |command: Vec<u8>| {
-            submit_mesh.send(0, 2, from, 0, &RelayMsg::Submit { command }.encode());
+        submit = Arc::new(move |commands: Vec<Bytes>| {
+            submit_mesh.send(0, 2, from, 0, &RelayMsg::Submit { commands }.encode());
         });
     }
 
@@ -618,93 +719,69 @@ pub fn run_node(
     })
 }
 
-/// Reads the wall-clock-anchored trace prefix for `seq`, preferring the
-/// executor's cache and falling back to the live trace slot for batches
-/// the executor has not reached yet.
-fn prefix_for(prefixes: &PrefixCache, seq: u64) -> Option<ChainPrefix> {
-    if let Some(p) = prefixes.lock().get(&seq).copied() {
-        return Some(p);
-    }
-    trace_global()
-        .chain_prefix(0, seq, Instant::now())
-        .map(reanchor)
-}
-
-/// Node 0's relay server: answers `Subscribe` with a forwarder thread
-/// streaming decided batches to the follower, and orders forwarded
-/// `Submit`s. A newer `Subscribe` from the same follower supersedes the
-/// old forwarder (generation counter). The forwarder blocks on its
-/// subscription: a superseded one exits at its next batch, or when the
-/// group drops its subscription, and the group prunes what it left.
-fn relay_server(mesh: TcpMesh, handle: GroupHandle, prefixes: PrefixCache) {
-    let rx = mesh.subscribe(2);
-    std::thread::Builder::new()
-        .name("relay-server".into())
-        .spawn(move || {
-            let generations: Arc<Mutex<HashMap<u64, u64>>> = Arc::new(Mutex::new(HashMap::new()));
-            while let Ok(inbound) = rx.recv() {
-                match RelayMsg::decode(&inbound.body) {
-                    Some(RelayMsg::Subscribe { from_seq }) => {
-                        let peer = inbound.from;
-                        let generation = {
-                            let mut g = generations.lock();
-                            let slot = g.entry(peer).or_insert(0);
-                            *slot += 1;
-                            *slot
-                        };
-                        match handle.subscribe_from(from_seq) {
-                            Ok(batches) => {
-                                let mesh = mesh.clone();
-                                let generations = Arc::clone(&generations);
-                                let prefixes = Arc::clone(&prefixes);
-                                std::thread::Builder::new()
-                                    .name(format!("relay-fwd-{peer}"))
-                                    .spawn(move || {
-                                        while let Ok(batch) = batches.recv() {
-                                            if generations.lock().get(&peer) != Some(&generation) {
-                                                return;
-                                            }
-                                            let msg = RelayMsg::Batch {
-                                                seq: batch.seq,
-                                                trace: prefix_for(&prefixes, batch.seq),
-                                                commands: (*batch.commands).clone(),
-                                            };
-                                            if !mesh.send(peer as usize, 2, 0, peer, &msg.encode())
-                                            {
-                                                return;
-                                            }
-                                        }
-                                    })
-                                    .expect("spawn relay forwarder");
+/// Node 0's relay server, a handler on the mesh reader thread of
+/// channel 2 (no thread of its own). It answers `Subscribe` with a
+/// `relay-fwd-*` forwarder thread streaming decided batches to the
+/// follower, and queues a forwarded `Submit`'s commands, in order, with
+/// [`GroupHandle::try_submit`]: the handler must never block, since the
+/// link's next frames — its paxos votes among them — wait for it, so a
+/// command that finds the submission queue full is dropped and counted
+/// (`requests_dropped`), and its client retransmits. A newer `Subscribe`
+/// from the same follower supersedes the old forwarder (generation
+/// counter). The forwarder blocks on its subscription: a superseded one
+/// exits at its next batch, or when the group drops its subscription,
+/// and the group prunes what it left. Every forwarder sends the one body
+/// [`RelayCache::body`] encodes per batch.
+fn relay_server(mesh: &TcpMesh, handle: GroupHandle, relayed: Arc<RelayCache>) {
+    let generations: Arc<Mutex<HashMap<u64, u64>>> = Arc::new(Mutex::new(HashMap::new()));
+    let fwd_mesh = mesh.clone();
+    mesh.subscribe_handler(2, move |peer, _to, body| match RelayMsg::decode(body) {
+        Some(RelayMsg::Subscribe { from_seq }) => {
+            let generation = {
+                let mut g = generations.lock();
+                let slot = g.entry(peer).or_insert(0);
+                *slot += 1;
+                *slot
+            };
+            let reply = match handle.subscribe_from(from_seq) {
+                Ok(batches) => {
+                    let mesh = fwd_mesh.clone();
+                    let generations = Arc::clone(&generations);
+                    let relayed = Arc::clone(&relayed);
+                    let spawned = std::thread::Builder::new()
+                        .name(format!("relay-fwd-{peer}"))
+                        .spawn(move || {
+                            while let Ok(batch) = batches.recv() {
+                                if generations.lock().get(&peer) != Some(&generation) {
+                                    return;
+                                }
+                                let body = relayed.body(&batch);
+                                if !mesh.send(peer as usize, 2, 0, peer, &body) {
+                                    return;
+                                }
                             }
-                            Err(SubscribeError::Trimmed { first_retained }) => {
-                                mesh.send(
-                                    peer as usize,
-                                    2,
-                                    0,
-                                    peer,
-                                    &RelayMsg::Trimmed { first_retained }.encode(),
-                                );
-                            }
-                            Err(SubscribeError::Future { next_seq }) => {
-                                mesh.send(
-                                    peer as usize,
-                                    2,
-                                    0,
-                                    peer,
-                                    &RelayMsg::Future { next_seq }.encode(),
-                                );
-                            }
-                        }
+                        });
+                    if let Err(e) = spawned {
+                        // The follower re-subscribes after its silence
+                        // timeout.
+                        logger::warn(0, &format!("spawn relay forwarder: {e}"));
                     }
-                    Some(RelayMsg::Submit { command }) => {
-                        handle.submit(Bytes::from(command));
-                    }
-                    _ => {}
+                    return;
                 }
+                Err(SubscribeError::Trimmed { first_retained }) => {
+                    RelayMsg::Trimmed { first_retained }
+                }
+                Err(SubscribeError::Future { next_seq }) => RelayMsg::Future { next_seq },
+            };
+            fwd_mesh.send(peer as usize, 2, 0, peer, &reply.encode());
+        }
+        Some(RelayMsg::Submit { commands }) => {
+            for command in commands {
+                handle.try_submit(command);
             }
-        })
-        .expect("spawn relay server");
+        }
+        _ => {}
+    });
 }
 
 /// A follower's ingest loop: subscribes to the orderer's decided
@@ -851,17 +928,21 @@ fn follower_ingest(
 /// refusal reason otherwise.
 type StaleFn = Arc<dyn Fn(CommandId, &[u8]) -> Result<(u64, Vec<u8>), String> + Send + Sync>;
 
+/// Hands encoded [`Request`]s to ordering, in order: node 0 queues them
+/// on its group, a follower forwards them to node 0 in one relay frame.
+type SubmitFn = Arc<dyn Fn(Vec<Bytes>) + Send + Sync>;
+
 /// The client plane: accepts connections on `client_addr`, decodes
 /// framed [`Request`]s, registers the connection under the request's
 /// client id (the executor routes responses through the registry), and
-/// hands the raw command to `submit` for ordering — except
+/// hands the raw commands to `submit` for ordering — except
 /// [`STALE_READ`]s, which `stale` answers from the local replica
 /// without an ordering round-trip.
 fn client_listener(
     me: usize,
     client_addr: &str,
     clients: Clients,
-    submit: Arc<dyn Fn(Vec<u8>) + Send + Sync>,
+    submit: SubmitFn,
     stale: StaleFn,
 ) -> Result<(), String> {
     let listener =
@@ -885,67 +966,77 @@ fn client_listener(
     Ok(())
 }
 
-fn client_conn(
-    mut stream: TcpStream,
-    clients: &Clients,
-    submit: &Arc<dyn Fn(Vec<u8>) + Send + Sync>,
-    stale: &StaleFn,
-) {
+/// Serves one client connection: every request one `read` decodes goes
+/// to `submit` as one ordered list.
+fn client_conn(mut stream: TcpStream, clients: &Clients, submit: &SubmitFn, stale: &StaleFn) {
     let Ok(writer) = stream.try_clone() else {
         return;
     };
-    let writer = Arc::new(Mutex::new(writer));
+    let writer: Conn = Arc::new(Mutex::new(writer));
     let mut decoder = psmr_net::FrameDecoder::new();
     let mut buf = [0u8; 16 * 1024];
     let mut registered: Option<u64> = None;
-    loop {
+    let mut commands = Vec::new();
+    let mut open = true;
+    while open {
         match stream.read(&mut buf) {
             Ok(0) | Err(_) => break,
-            Ok(n) => {
-                decoder.push(&buf[..n]);
-                loop {
-                    match decoder.next() {
-                        Ok(Some(body)) => {
-                            let Ok(req) = Request::decode(&body) else {
-                                continue;
-                            };
-                            if req.command == STALE_READ {
-                                // Served from the local store, bypassing
-                                // ordering: never blocks on a lost
-                                // orderer link.
-                                let outcome = match decode_stale_read(&req.payload) {
-                                    Some((command, payload)) => stale(command, payload),
-                                    None => Err("malformed stale-read payload".to_string()),
-                                };
-                                if outcome.is_ok() {
-                                    metrics_global().counter(counters::STALE_READS_SERVED).inc();
-                                }
-                                let frame = encode_frame(&encode_response(
-                                    req.request,
-                                    &encode_stale_response(&outcome),
-                                ));
-                                if writer.lock().write_all(&frame).is_err() {
-                                    break;
-                                }
-                                continue;
-                            }
-                            if registered != Some(req.client.as_raw()) {
-                                clients
-                                    .lock()
-                                    .insert(req.client.as_raw(), Arc::clone(&writer));
-                                registered = Some(req.client.as_raw());
-                            }
-                            submit(body);
-                        }
-                        Ok(None) => break,
-                        Err(_) => return, // poisoned framing: drop the conn
-                    }
+            Ok(n) => decoder.push(&buf[..n]),
+        }
+        loop {
+            let body = match decoder.next() {
+                Ok(Some(body)) => body,
+                Ok(None) => break,
+                Err(_) => {
+                    // Poisoned framing: drop the connection.
+                    open = false;
+                    break;
                 }
+            };
+            let Ok(req) = Request::decode(&body) else {
+                continue;
+            };
+            if req.command == STALE_READ {
+                // Served from the local store, bypassing ordering:
+                // never blocks on a lost orderer link.
+                let outcome = match decode_stale_read(&req.payload) {
+                    Some((command, payload)) => stale(command, payload),
+                    None => Err("malformed stale-read payload".to_string()),
+                };
+                if outcome.is_ok() {
+                    metrics_global().counter(counters::STALE_READS_SERVED).inc();
+                }
+                let frame = encode_frame(&encode_response(
+                    req.request,
+                    &encode_stale_response(&outcome),
+                ));
+                if writer.lock().write_all(&frame).is_err() {
+                    open = false;
+                    break;
+                }
+                continue;
             }
+            if registered != Some(req.client.as_raw()) {
+                clients
+                    .lock()
+                    .insert(req.client.as_raw(), Arc::clone(&writer));
+                registered = Some(req.client.as_raw());
+            }
+            commands.push(Bytes::from(body));
+        }
+        if !commands.is_empty() {
+            submit(std::mem::take(&mut commands));
         }
     }
     if let Some(client) = registered {
-        clients.lock().remove(&client);
+        // Unless the client already reconnected on a new connection.
+        let mut clients = clients.lock();
+        if clients
+            .get(&client)
+            .is_some_and(|c| Arc::ptr_eq(c, &writer))
+        {
+            clients.remove(&client);
+        }
     }
 }
 
@@ -1000,3 +1091,108 @@ pub fn wipe_data_dir(dir: &Path) {
 /// service-defined. Re-exported so binaries need not depend on
 /// `psmr-recovery` directly.
 pub const CHECKPOINT_COMMAND: CommandId = CHECKPOINT;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use psmr_kvstore::{KvOp, READ, UPDATE};
+
+    /// A connected loopback pair: `(server end, client end)`.
+    fn socket_pair() -> (TcpStream, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let client = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (server, _) = listener.accept().expect("accept");
+        (server, client)
+    }
+
+    fn request(client: u64, request: u64, command: CommandId, payload: Vec<u8>) -> Bytes {
+        let req = Request::new(
+            ClientId::new(client),
+            RequestId::new(request),
+            command,
+            payload,
+        );
+        Bytes::from(req.encode())
+    }
+
+    fn reply(request: u64, result: &[u8]) -> Vec<u8> {
+        encode_frame(&encode_response(RequestId::new(request), result))
+    }
+
+    /// Reads exactly `len` bytes, then checks nothing more arrives.
+    fn read_exactly(conn: &mut TcpStream, len: usize) -> Vec<u8> {
+        let mut got = vec![0; len];
+        conn.set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("timeout");
+        conn.read_exact(&mut got).expect("replies");
+        conn.set_read_timeout(Some(Duration::from_millis(50)))
+            .expect("timeout");
+        let mut more = [0u8; 64];
+        assert!(
+            conn.read(&mut more).is_err(),
+            "bytes past the expected replies"
+        );
+        got
+    }
+
+    #[test]
+    fn a_batch_answers_each_connection_with_its_replies_in_stream_order() {
+        let dir = std::env::temp_dir().join(format!("psmr-node-replies-{}", std::process::id()));
+        let clients: Clients = Arc::default();
+        let (a_end, mut a) = socket_pair();
+        let (b_end, mut b) = socket_pair();
+        clients.lock().insert(1, Arc::new(Mutex::new(a_end)));
+        clients.lock().insert(2, Arc::new(Mutex::new(b_end)));
+        let mut core = Core {
+            me: 0,
+            service: Arc::new(KvService::with_keys(8)),
+            store: Arc::new(CheckpointStore::new()),
+            durable: DurableStore::open(&dir).expect("snapshot dir"),
+            clients,
+            handle: None,
+            resume: None,
+            executed: Arc::new(AtomicU64::new(0)),
+            dedup: DedupTable::new(),
+            replies: Vec::new(),
+        };
+        let read = |key: u64| KvOp::Read { key }.encode();
+        let update = |key: u64, value: u64| KvOp::Update { key, value }.encode();
+        let value = |v: u64| psmr_kvstore::KvResult::Value(v).encode();
+        let ok = psmr_kvstore::KvResult::Ok.encode();
+
+        // Two clients interleaved, a retransmitted copy of client 1's
+        // request 1, and a checkpoint from the driver, whose sentinel
+        // client has no connection.
+        core.execute_batch(
+            1,
+            &[
+                request(1, 1, UPDATE, update(3, 30)),
+                request(2, 1, READ, read(3)),
+                request(1, 1, UPDATE, update(3, 31)),
+                request(DRIVER_CLIENT, 1, CHECKPOINT, Vec::new()),
+                request(2, 2, READ, read(4)),
+                request(1, 2, READ, read(3)),
+            ],
+        );
+        core.execute_batch(
+            2,
+            &[
+                request(2, 3, UPDATE, update(4, 40)),
+                request(1, 3, READ, read(4)),
+            ],
+        );
+        assert_eq!(core.store.latest_id(), 1, "the driver's checkpoint ran");
+
+        let mut expect_a = reply(1, &ok);
+        expect_a.extend(reply(1, &ok)); // the dedup re-answer, in place
+        expect_a.extend(reply(2, &value(30)));
+        expect_a.extend(reply(3, &value(40)));
+        assert_eq!(read_exactly(&mut a, expect_a.len()), expect_a);
+        let mut expect_b = reply(1, &value(30));
+        expect_b.extend(reply(2, &value(4)));
+        expect_b.extend(reply(3, &ok));
+        assert_eq!(read_exactly(&mut b, expect_b.len()), expect_b);
+        assert!(core.replies.is_empty());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}

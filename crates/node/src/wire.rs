@@ -12,7 +12,7 @@ use psmr_common::ids::{ClientId, CommandId, RequestId};
 use psmr_common::metrics::{counters, global};
 use psmr_common::trace::ChainPrefix;
 use psmr_net::chaos::Rng;
-use psmr_net::frame::{encode_frame, FrameDecoder};
+use psmr_net::frame::{encode_frame, seal_frame, FrameDecoder, HEADER_LEN};
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -60,11 +60,12 @@ pub enum RelayMsg {
         /// Sequence number the next decided batch will carry.
         next_seq: u64,
     },
-    /// Follower → orderer: order this client command (encoded
-    /// [`Request`] bytes, submitted verbatim).
+    /// Follower → orderer: order these client commands, in this order
+    /// (encoded [`Request`]s, submitted verbatim) — every request one
+    /// client-socket read decoded.
     Submit {
-        /// The marshalled request.
-        command: Vec<u8>,
+        /// The marshalled requests.
+        commands: Vec<Bytes>,
     },
 }
 
@@ -81,24 +82,7 @@ impl RelayMsg {
                 seq,
                 trace,
                 commands,
-            } => {
-                out.push(1);
-                out.extend_from_slice(&seq.to_le_bytes());
-                match trace {
-                    Some(prefix) => {
-                        out.push(1);
-                        out.extend_from_slice(&prefix.submitted_age_ns.to_le_bytes());
-                        out.extend_from_slice(&prefix.submit_to_ordered_ns.to_le_bytes());
-                        out.extend_from_slice(&prefix.ordered_to_appended_ns.to_le_bytes());
-                    }
-                    None => out.push(0),
-                }
-                out.extend_from_slice(&(commands.len() as u32).to_le_bytes());
-                for command in commands {
-                    out.extend_from_slice(&(command.len() as u32).to_le_bytes());
-                    out.extend_from_slice(command);
-                }
-            }
+            } => return encode_batch(*seq, trace.as_ref(), commands),
             RelayMsg::Trimmed { first_retained } => {
                 out.push(2);
                 out.extend_from_slice(&first_retained.to_le_bytes());
@@ -107,10 +91,9 @@ impl RelayMsg {
                 out.push(3);
                 out.extend_from_slice(&next_seq.to_le_bytes());
             }
-            RelayMsg::Submit { command } => {
+            RelayMsg::Submit { commands } => {
                 out.push(4);
-                out.extend_from_slice(&(command.len() as u32).to_le_bytes());
-                out.extend_from_slice(command);
+                put_commands(&mut out, commands);
             }
         }
         out
@@ -138,23 +121,11 @@ impl RelayMsg {
                     }),
                     _ => return None,
                 };
-                let mut at = if trace.is_some() { 33 } else { 9 };
-                let count = u32::from_le_bytes(rest.get(at..at + 4)?.try_into().ok()?) as usize;
-                at += 4;
-                let mut commands = Vec::with_capacity(count.min(4096));
-                for _ in 0..count {
-                    let len = u32::from_le_bytes(rest.get(at..at + 4)?.try_into().ok()?) as usize;
-                    at += 4;
-                    commands.push(Bytes::copy_from_slice(rest.get(at..at + len)?));
-                    at += len;
-                }
-                if at != rest.len() {
-                    return None;
-                }
+                let at = if trace.is_some() { 33 } else { 9 };
                 return Some(RelayMsg::Batch {
                     seq,
                     trace,
-                    commands,
+                    commands: take_commands(rest.get(at..)?)?,
                 });
             }
             2 => RelayMsg::Trimmed {
@@ -164,12 +135,9 @@ impl RelayMsg {
                 next_seq: u64_at(0)?,
             },
             4 => {
-                let len = u32::from_le_bytes(rest.get(0..4)?.try_into().ok()?) as usize;
-                let command = rest.get(4..4 + len)?.to_vec();
-                if 4 + len != rest.len() {
-                    return None;
-                }
-                return Some(RelayMsg::Submit { command });
+                return Some(RelayMsg::Submit {
+                    commands: take_commands(rest)?,
+                });
             }
             _ => return None,
         };
@@ -179,6 +147,63 @@ impl RelayMsg {
         }
         Some(msg)
     }
+}
+
+/// Encodes a [`RelayMsg::Batch`] body from borrowed parts, so the
+/// orderer can encode a decided batch without first cloning its command
+/// list into a message.
+pub(crate) fn encode_batch(seq: u64, trace: Option<&ChainPrefix>, commands: &[Bytes]) -> Vec<u8> {
+    let bytes: usize = commands.iter().map(|c| 4 + c.len()).sum();
+    let mut out = Vec::with_capacity(1 + 8 + 25 + 4 + bytes);
+    out.push(1);
+    out.extend_from_slice(&seq.to_le_bytes());
+    match trace {
+        Some(prefix) => {
+            out.push(1);
+            out.extend_from_slice(&prefix.submitted_age_ns.to_le_bytes());
+            out.extend_from_slice(&prefix.submit_to_ordered_ns.to_le_bytes());
+            out.extend_from_slice(&prefix.ordered_to_appended_ns.to_le_bytes());
+        }
+        None => out.push(0),
+    }
+    put_commands(&mut out, commands);
+    out
+}
+
+/// Appends `count u32 | (len u32 | bytes)*`.
+fn put_commands(out: &mut Vec<u8>, commands: &[Bytes]) {
+    out.extend_from_slice(&(commands.len() as u32).to_le_bytes());
+    for command in commands {
+        out.extend_from_slice(&(command.len() as u32).to_le_bytes());
+        out.extend_from_slice(command);
+    }
+}
+
+/// Decodes what [`put_commands`] wrote; `None` unless `bytes` holds
+/// exactly that.
+fn take_commands(bytes: &[u8]) -> Option<Vec<Bytes>> {
+    let count = u32::from_le_bytes(bytes.get(0..4)?.try_into().ok()?) as usize;
+    let mut at = 4;
+    let mut commands = Vec::with_capacity(count.min(4096));
+    for _ in 0..count {
+        let len = u32::from_le_bytes(bytes.get(at..at + 4)?.try_into().ok()?) as usize;
+        at += 4;
+        commands.push(Bytes::copy_from_slice(bytes.get(at..at + len)?));
+        at += len;
+    }
+    (at == bytes.len()).then_some(commands)
+}
+
+/// Appends one whole client-plane response frame — what
+/// `encode_frame(&encode_response(request, payload))` returns — to `out`,
+/// so a node can gather a batch's replies to one connection in one
+/// buffer.
+pub(crate) fn push_response_frame(out: &mut Vec<u8>, request: RequestId, payload: &[u8]) {
+    let at = out.len();
+    out.extend_from_slice(&[0; HEADER_LEN]);
+    out.extend_from_slice(&request.as_raw().to_le_bytes());
+    out.extend_from_slice(payload);
+    seal_frame(&mut out[at..]);
 }
 
 /// Encodes one client-plane response frame body: `request u64 | payload`.
@@ -530,7 +555,17 @@ mod tests {
             RelayMsg::Trimmed { first_retained: 44 },
             RelayMsg::Future { next_seq: 45 },
             RelayMsg::Submit {
-                command: vec![1, 2, 3],
+                commands: Vec::new(),
+            },
+            RelayMsg::Submit {
+                commands: vec![Bytes::from_static(&[1, 2, 3])],
+            },
+            RelayMsg::Submit {
+                commands: vec![
+                    Bytes::from_static(b"first"),
+                    Bytes::new(),
+                    Bytes::from_static(b"third"),
+                ],
             },
         ];
         for msg in cases {
@@ -569,6 +604,46 @@ mod tests {
         .encode();
         bad_flag[9] = 7;
         assert_eq!(RelayMsg::decode(&bad_flag), None);
+        // A command count larger than the body holds, and trailing bytes
+        // past the last command, are malformed for both command lists.
+        for msg in [
+            RelayMsg::Submit {
+                commands: vec![Bytes::from_static(b"ab"), Bytes::from_static(b"c")],
+            },
+            RelayMsg::Batch {
+                seq: 4,
+                trace: None,
+                commands: vec![Bytes::from_static(b"ab"), Bytes::from_static(b"c")],
+            },
+        ] {
+            let body = msg.encode();
+            let count_at = body.len() - (4 + 2) - (4 + 1) - 4;
+            let mut overcount = body.clone();
+            overcount[count_at..count_at + 4].copy_from_slice(&3u32.to_le_bytes());
+            assert_eq!(RelayMsg::decode(&overcount), None, "{msg:?}");
+            let mut trailing = body.clone();
+            trailing.push(0);
+            assert_eq!(RelayMsg::decode(&trailing), None, "{msg:?}");
+            assert_eq!(RelayMsg::decode(&body), Some(msg));
+        }
+    }
+
+    #[test]
+    fn batch_bodies_encode_like_the_message() {
+        let commands = vec![Bytes::from_static(b"x"), Bytes::from_static(b"yz")];
+        let prefix = ChainPrefix {
+            submitted_age_ns: 5,
+            submit_to_ordered_ns: 6,
+            ordered_to_appended_ns: 7,
+        };
+        for trace in [None, Some(prefix)] {
+            let msg = RelayMsg::Batch {
+                seq: 12,
+                trace,
+                commands: commands.clone(),
+            };
+            assert_eq!(encode_batch(12, trace.as_ref(), &commands), msg.encode());
+        }
     }
 
     #[test]
@@ -658,5 +733,12 @@ mod tests {
             Some((RequestId::new(7), b"result".to_vec()))
         );
         assert_eq!(decode_response(&[1, 2]), None);
+        let mut frames = b"kept".to_vec();
+        push_response_frame(&mut frames, RequestId::new(7), b"result");
+        push_response_frame(&mut frames, RequestId::new(8), b"");
+        let mut expect = b"kept".to_vec();
+        expect.extend(encode_frame(&body));
+        expect.extend(encode_frame(&encode_response(RequestId::new(8), b"")));
+        assert_eq!(frames, expect);
     }
 }

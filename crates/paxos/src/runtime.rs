@@ -761,6 +761,26 @@ impl GroupHandle {
         }
     }
 
+    /// Submits a command for ordering without blocking: `false` when the
+    /// submission queue is full or the group has shut down, in which case
+    /// the command is dropped and counted in `requests_dropped`. For
+    /// callers that must never stall, such as a mesh reader thread whose
+    /// next frames carry the link's Paxos votes.
+    pub fn try_submit(&self, command: Bytes) -> bool {
+        let queued = !self.inner.shutdown.load(Ordering::Relaxed)
+            && self
+                .inner
+                .submit_tx
+                .try_send((self.inner.rt.clock.now(), command))
+                .is_ok();
+        if queued {
+            self.inner.ring();
+        } else {
+            global().counter(counters::REQUESTS_DROPPED).inc();
+        }
+        queued
+    }
+
     /// Submissions queued and not yet drawn into a batch or round.
     pub fn queued(&self) -> usize {
         self.inner.submit_tx.len()
@@ -2436,6 +2456,38 @@ mod tests {
         for remote in remotes {
             remote.shutdown();
         }
+    }
+
+    #[test]
+    fn try_submit_drops_at_once_on_a_full_queue_and_recovers_after_a_drain() {
+        let groups = single(&test_cfg());
+        let group = &groups.handles()[0];
+        let sub = group.subscribe();
+        // Not started yet: nothing drains the queue.
+        let cap = 16 * 1024;
+        for i in 0..cap as u32 {
+            assert!(group.try_submit(Bytes::from(i.to_le_bytes().to_vec())));
+        }
+        assert_eq!(group.queued(), cap);
+        let dropped = || global().counter(counters::REQUESTS_DROPPED).get();
+        let before = dropped();
+        let at = Instant::now();
+        assert!(!group.try_submit(Bytes::from_static(b"full")));
+        assert!(at.elapsed() < Duration::from_millis(100), "returns at once");
+        assert_eq!(dropped(), before + 1);
+        assert_eq!(group.queued(), cap);
+
+        group.start();
+        let mut delivered = 0;
+        while delivered < cap {
+            let batch = sub.recv_timeout(Duration::from_secs(5)).expect("drained");
+            delivered += batch.commands.len();
+        }
+        assert!(group.try_submit(Bytes::from_static(b"again")));
+        let batch = sub.recv_timeout(Duration::from_secs(5)).expect("ordered");
+        assert_eq!(&batch.commands[..], &[Bytes::from_static(b"again")]);
+        assert_eq!(dropped(), before + 1);
+        groups.shutdown();
     }
 
     #[test]
